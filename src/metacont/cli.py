@@ -37,11 +37,7 @@ from .dynamics import (
     StepControl,
     integrate,
     oldroyd_discrepancy,
-    rhs_classical_maxwell,
-    rhs_compressible,
     rhs_fi_incompressible,
-    rhs_linear_navier,
-    rhs_second_order,
 )
 from .fields import (
     GridSpec,
@@ -187,27 +183,16 @@ def _initial_state(config: RunConfig):
     if config.system == "second_order":
         rates = rhs_fi_incompressible(base, config.params)
         return SecondOrderState(time=0.0, v=base.v, v_t=rates.dv)
+    if config.system != "fi_incompressible":
+        # only the fi RHS defines p; the scenario's p = 0 is no data to snapshot
+        return dataclasses.replace(base, p=None)
     return base
-
-
-def _rhs_for(system: str, state, params: MediumParams):
-    if system == "fi_incompressible":
-        return rhs_fi_incompressible(state, params)
-    if system == "linear_navier":
-        return rhs_linear_navier(state, params)
-    if system == "second_order":
-        return rhs_second_order(state, params)
-    if system == "compressible_liquid":
-        return rhs_compressible(state, params, "liquid")
-    if system == "compressible_solid":
-        return rhs_compressible(state, params, "solid")
-    return rhs_classical_maxwell(state, params)
 
 
 def _report_for(system: str, state, params: MediumParams):
     if system not in _REPORTING_SYSTEMS:
         return None
-    rates = _rhs_for(system, state, params)
+    _, rates = dynamics._rates_as_list(system, state, params)
     if system == "classical_maxwell":
         return emlaws.classical_report(state, params, rates)
     return emlaws.fi_report(state, params, rates)
@@ -445,8 +430,6 @@ def _tampered(field, enabled: bool):
 
 def _verify_checks(level: str, tamper: str | None):
     """Yield (name, callable) pairs; each callable returns (measured, bound)."""
-    from .fields import dealias_field
-
     grid2d = make_grid((64, 64, 1), (TWO_PI, TWO_PI, TWO_PI))
     grids = [grid2d]
     if level == "full":

@@ -27,6 +27,7 @@ from .fields import (
     _check_same_grid,
     cross,
     dealias_array,
+    dealias_field,
     dot,
     fftn_array,
     ifftn_array,
@@ -72,15 +73,26 @@ def div(v: VectorField) -> ScalarField:
     return ScalarField(g, ifftn_array(g, acc))
 
 
+def _curl_hat(ks, hats, j: int) -> np.ndarray:
+    """Component j of ik x h for the coefficient triple h of a vector field."""
+    a, b = (j + 1) % 3, (j + 2) % 3
+    return 1j * (ks[a] * hats[b] - ks[b] * hats[a])
+
+
+def _curl_curl_hat(ks, hats, j: int) -> np.ndarray:
+    """Component j of ik x (ik x h), forming only the two inner components it needs."""
+    a, b = (j + 1) % 3, (j + 2) % 3
+    return 1j * (ks[a] * _curl_hat(ks, hats, b) - ks[b] * _curl_hat(ks, hats, a))
+
+
 def curl(v: VectorField) -> VectorField:
     """Spectral curl of a vector field."""
     g = v.grid
-    kx, ky, kz = angular_wavenumbers(g)
-    hx, hy, hz = (fftn_array(g, a) for a in v.arrays())
-    cx = ifftn_array(g, 1j * (ky * hz - kz * hy))
-    cy = ifftn_array(g, 1j * (kz * hx - kx * hz))
-    cz = ifftn_array(g, 1j * (kx * hy - ky * hx))
-    return VectorField.from_arrays(g, (cx, cy, cz))
+    ks = angular_wavenumbers(g)
+    hats = [fftn_array(g, a) for a in v.arrays()]
+    return VectorField.from_arrays(
+        g, tuple(ifftn_array(g, _curl_hat(ks, hats, j)) for j in range(3))
+    )
 
 
 def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
@@ -101,7 +113,10 @@ def curl_curl(v: VectorField) -> VectorField:
 
     Composed from two curls rather than expanded as grad(div v)-laplacian(v):
     the composition cancels mode products bitwise, so gradient fields map to
-    zero at the rounding floor instead of being amplified by k_max^2.
+    zero at the rounding floor instead of being amplified by k_max^2.  The
+    elastic-fluid RHS core in `dynamics` forms the same composition without
+    the physical round trip between the curls, as ik x (ik x v_hat) through
+    `_curl_curl_hat`, so its eta curl(curl v) term keeps this cancellation.
     """
     return curl(curl(v))
 
@@ -220,20 +235,22 @@ def leray_project(v: VectorField) -> ProjectionResult:
     the solenoidal part is v - grad(phi) and is divergence-free to round-off.
     """
     g = v.grid
+    sol_hats, phi_hat = _leray_hat(g, [fftn_array(g, a) for a in v.arrays()])
+    return ProjectionResult(
+        VectorField.from_arrays(g, tuple(ifftn_array(g, h) for h in sol_hats)),
+        ScalarField(g, ifftn_array(g, phi_hat)),
+    )
+
+
+def _leray_hat(g, hats) -> tuple[list[np.ndarray], np.ndarray]:
+    """Spectral Leray projection: (solenoidal coefficients, potential coefficients)."""
     ks = angular_wavenumbers(g)
-    hats = [fftn_array(g, a) for a in v.arrays()]
     div_hat = 1j * (ks[0] * hats[0] + ks[1] * hats[1] + ks[2] * hats[2])
     k2 = _k_squared(g).copy()
     k2[0, 0, 0] = 1.0  # guarded; the mean mode is pinned to zero below
     phi_hat = -div_hat / k2
     phi_hat[0, 0, 0] = 0.0
-    sol = tuple(
-        ifftn_array(g, h - (1j * k) * phi_hat) for k, h in zip(ks, hats)
-    )
-    return ProjectionResult(
-        VectorField.from_arrays(g, sol),
-        ScalarField(g, ifftn_array(g, phi_hat)),
-    )
+    return [h - (1j * k) * phi_hat for k, h in zip(ks, hats)], phi_hat
 
 
 def identity_residual_triple(v: VectorField, e: VectorField) -> VectorField:
@@ -243,8 +260,6 @@ def identity_residual_triple(v: VectorField, e: VectorField) -> VectorField:
     band-limited inputs (|m| <= n/4) give a residual at rounding level.
     """
     _check_same_grid(v, e)
-    from .fields import dealias_field
-
     lhs = curl(dealias_field(cross(v, e)))
     rhs = (
         vector_advection(e, v)
@@ -257,8 +272,6 @@ def identity_residual_triple(v: VectorField, e: VectorField) -> VectorField:
 
 def gromeka_lamb_residual(v: VectorField) -> VectorField:
     """Residual of (v.grad)v = grad(v^2/2) - v x curl(v), products dealiased."""
-    from .fields import dealias_field
-
     advection = vector_advection(v, v)
     kinetic = dealias_field(dot(v, v) * 0.5)
     lamb = dealias_field(cross(v, curl(v)))

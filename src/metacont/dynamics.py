@@ -20,6 +20,13 @@ Systems
 - ``classical_maxwell``      reference linear evolution in (E, B):
       B_t = -curl E,   E_t = c^2 curl B.
 
+The fi and compressible systems share one pseudo-spectral core (`_Core`):
+v and E are transformed once, only derivatives along active axes are
+inverse-transformed, the advection (v.grad)v and the convected bracket
+v.grad E - E.grad v + (div v) E are formed in physical space and dealiased
+with one forward transform each, and the linear terms (Leray projection,
+eta curl(curl v), the dilational gradient, kappa E) stay in spectral space.
+
 Time stepping is a fixed four-stage explicit Runge-Kutta scheme; for the
 incompressible systems the velocity is re-projected after each step so the
 solenoidality invariant holds to round-off along the whole trajectory.
@@ -36,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import (
-    advect_scalar,
+    _curl_curl_hat,
+    _leray_hat,
     curl,
     curl_curl,
     div,
@@ -53,7 +61,11 @@ from .fields import (
     ScalarField,
     TensorField,
     VectorField,
-    dealias_field,
+    angular_wavenumbers,
+    dealias_array,
+    dealias_mask,
+    fftn_array,
+    ifftn_array,
     norm_linf,
 )
 
@@ -75,7 +87,6 @@ __all__ = [
     "upper_convected_vector",
     "upper_convected_tensor",
     "oldroyd_discrepancy",
-    "pressure_rate_conventions",
     "rhs_linear_navier",
     "rhs_fi_incompressible",
     "rhs_second_order",
@@ -85,12 +96,9 @@ __all__ = [
     "integrate",
     "auto_step_size",
     "SYSTEMS",
-    "INCOMPRESSIBLE_SYSTEMS",
     "wave_speed_for_cfl",
 ]
 
-# systems whose velocity must stay solenoidal, and systems whose fastest
-# signal is compressional (CFL uses c_s instead of c)
 SYSTEMS = (
     "linear_navier",
     "fi_incompressible",
@@ -99,7 +107,7 @@ SYSTEMS = (
     "compressible_solid",
     "classical_maxwell",
 )
-INCOMPRESSIBLE_SYSTEMS = frozenset({"fi_incompressible", "second_order"})
+# systems whose fastest signal is compressional (CFL uses c_s instead of c)
 _COMPRESSIONAL_CFL = frozenset(
     {"linear_navier", "compressible_liquid", "compressible_solid"}
 )
@@ -261,14 +269,9 @@ def upper_convected_vector(E: VectorField, v: VectorField,
                            dE_partial: VectorField | None) -> VectorField:
     """Upper-convected rate of a vector density:
     dE_partial + v.grad E - E.grad v + (div v) E, products dealiased."""
-    bracket = (
-        vector_advection(v, E)
-        - vector_advection(E, v)
-        + dealias_field(E * div(v))
-    )
-    if dE_partial is None:
-        return bracket
-    return dE_partial + bracket
+    core = _Core(v, E)
+    out = VectorField(v.grid, tuple(core.physical(core.products(j)[1]) for j in range(3)))
+    return out if dE_partial is None else dE_partial + out
 
 
 def upper_convected_tensor(sigma: TensorField, v: VectorField,
@@ -281,8 +284,6 @@ def upper_convected_tensor(sigma: TensorField, v: VectorField,
     gva = [[gv.array(i, j) for j in range(3)] for i in range(3)]
     divv = gva[0][0] + gva[1][1] + gva[2][2]
     varr = v.arrays()
-
-    from .fields import angular_wavenumbers, dealias_array, fftn_array, ifftn_array
 
     ks = angular_wavenumbers(g)
     rows = []
@@ -318,25 +319,57 @@ def oldroyd_discrepancy(sigma: TensorField, v: VectorField) -> VectorField:
     return divergence_tensor(tensor_rate) - vector_rate
 
 
-def pressure_rate_conventions(grad_p_rate_partial: VectorField,
-                              grad_p: VectorField,
-                              v: VectorField) -> dict[str, VectorField]:
-    """Both sign conventions of the convected pressure-gradient rate.
+# ---------------------------------------------------------------------------
+# spectral core of the elastic-fluid systems
+# ---------------------------------------------------------------------------
 
-    The stress-eliminated system realizes its pressure-gradient rate
-    implicitly through the projection, which makes the sign choice moot for
-    the trajectory; this helper evaluates the explicit expressions so both
-    conventions can be recorded for diagnostics:
+class _Core:
+    """The spectral core of one elastic-fluid RHS call (see the module
+    docstring).  Callers take E one component at a time, so the coefficients
+    and gradients of only one component are alive at once."""
 
-    - 'convected':  d(grad p)/dt + v.grad(grad p) + (grad p).grad v
-    - 'negated':   -d(grad p)/dt - v.grad(grad p) - (grad p).grad v
-    """
-    expr = (
-        grad_p_rate_partial
-        + vector_advection(v, grad_p)
-        + vector_advection(grad_p, v)
-    )
-    return {"convected": expr, "negated": -expr}
+    def __init__(self, v: VectorField, E: VectorField):
+        self.grid = g = v.grid
+        self.ks = angular_wavenumbers(g)
+        self.axes = tuple(i for i, a in enumerate(g.active) if a)
+        self.va, self.ea = v.arrays(), E.arrays()
+        self.vh = [fftn_array(g, a) for a in self.va]
+        # copied, so that the complex buffer behind the real view is freed
+        self.divv = ifftn_array(g, self.div_hat(self.vh)).copy()
+
+    def div_hat(self, hats) -> np.ndarray:
+        """Sum over the active axes i of i k_i hats[i]."""
+        return sum(((1j * self.ks[i]) * hats[i] for i in self.axes),
+                   np.zeros(self.grid.shape, dtype=np.complex128))
+
+    def d(self, hat: np.ndarray, i: int) -> np.ndarray:
+        """Physical-space derivative along axis i of the coefficients hat."""
+        return ifftn_array(self.grid, (1j * self.ks[i]) * hat)
+
+    def physical(self, hat: np.ndarray) -> ScalarField:
+        return ScalarField(self.grid, ifftn_array(self.grid, hat))
+
+    def products(self, j: int, body=None):
+        """Coefficients of (momentum_j, bracket_j, E_j), the products dealiased:
+            momentum_j = body(j) - (v.grad v)_j     (body(j) = 0 when body is None)
+            bracket_j  = (v.grad E)_j - (E.grad v)_j + (div v) E_j
+        body(j) is a physical array."""
+        g, va, ea = self.grid, self.va, self.ea
+        e_hat = fftn_array(g, ea[j])
+        mom = np.zeros(g.shape) if body is None else body(j)
+        conv = ea[j] * self.divv
+        for i in self.axes:
+            d_v = self.d(self.vh[j], i)
+            d_e = self.d(e_hat, i)
+            mom = mom - va[i] * d_v
+            conv = conv + va[i] * d_e - ea[i] * d_v
+        mask = dealias_mask(g)
+        return fftn_array(g, mom) * mask, fftn_array(g, conv) * mask, e_hat
+
+    def stress_rate(self, j: int, bracket, e_hat, params: MediumParams) -> ScalarField:
+        """Component j of E_t = eta curl(curl v) - bracket - kappa E."""
+        return self.physical(params.eta * _curl_curl_hat(self.ks, self.vh, j)
+                             - bracket - params.kappa * e_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -398,69 +431,30 @@ def rhs_fi_incompressible(state: FluidState, params: MediumParams) -> FiRates:
     with the (div v) E term retained even though div v = 0 analytically, so
     that the derived-law residuals close discretely.
 
-    This is the hot path of every incompressible run, so the forward
-    transforms of v and E are shared between the terms; each dealiased
-    quantity equals the composed diffops evaluation up to rounding.
+    This is the hot path of every incompressible run.  It runs on the spectral
+    core shared with the compressible systems: v and E are transformed once,
+    the two quadratic terms are dealiased products, and the projection,
+    curl(curl v) and kappa E never leave spectral space.  Each term equals
+    the composed diffops evaluation up to rounding.
     """
     if state.E is None:
         raise ValueError("fi_incompressible needs the stress vector E")
-    v, E = state.v, state.E
-    g = v.grid
-
-    from .fields import angular_wavenumbers, dealias_array, fftn_array, ifftn_array
-
-    ks = angular_wavenumbers(g)
-    va, ea = v.arrays(), E.arrays()
-    vh = [fftn_array(g, a) for a in va]
-    eh = [fftn_array(g, a) for a in ea]
-
-    # gradient tensors d_i v_j and d_i E_j from the shared transforms
-    dv = [[ifftn_array(g, (1j * ks[i]) * vh[j]) for j in range(3)] for i in range(3)]
-    de = [[ifftn_array(g, (1j * ks[i]) * eh[j]) for j in range(3)] for i in range(3)]
-    divv = dv[0][0] + dv[1][1] + dv[2][2]
-    divv_linf = float(np.max(np.abs(divv)))
+    core = _Core(state.v, state.E)
+    divv_linf = float(np.max(np.abs(core.divv)))
     if divv_linf > DIV_INPUT_TOL:
         raise SolenoidalityError(
             f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
         )
-
-    # momentum: Leray projection of -(v.grad)v - E/mu
-    advection = [
-        dealias_array(g, va[0] * dv[0][j] + va[1] * dv[1][j] + va[2] * dv[2][j])
-        for j in range(3)
-    ]
-    raw = [-advection[j] - ea[j] / params.mu for j in range(3)]
-    projected = leray_project(VectorField.from_arrays(g, tuple(raw)))
-
-    # stress vector: eta curl(curl v) - [v.grad E - E.grad v + (div v) E] - kappa E
-    inner = [
-        ifftn_array(g, 1j * (ks[1] * vh[2] - ks[2] * vh[1])),
-        ifftn_array(g, 1j * (ks[2] * vh[0] - ks[0] * vh[2])),
-        ifftn_array(g, 1j * (ks[0] * vh[1] - ks[1] * vh[0])),
-    ]
-    ih = [fftn_array(g, a) for a in inner]
-    curl2 = [
-        ifftn_array(g, 1j * (ks[1] * ih[2] - ks[2] * ih[1])),
-        ifftn_array(g, 1j * (ks[2] * ih[0] - ks[0] * ih[2])),
-        ifftn_array(g, 1j * (ks[0] * ih[1] - ks[1] * ih[0])),
-    ]
-    de_arrays = []
+    raw, dE = [], []
     for j in range(3):
-        convected = (
-            va[0] * de[0][j] + va[1] * de[1][j] + va[2] * de[2][j]
-            - (ea[0] * dv[0][j] + ea[1] * dv[1][j] + ea[2] * dv[2][j])
-            + ea[j] * divv
-        )
-        de_arrays.append(
-            params.eta * curl2[j]
-            - dealias_array(g, convected)
-            - params.kappa * ea[j]
-        )
-
+        momentum, bracket, e_hat = core.products(j)
+        raw.append(momentum - e_hat / params.mu)
+        dE.append(core.stress_rate(j, bracket, e_hat, params))
+    sol_hats, phi_hat = _leray_hat(core.grid, raw)
     return FiRates(
-        dv=projected.solenoidal,
-        dE=VectorField.from_arrays(g, tuple(de_arrays)),
-        pressure=projected.potential * params.mu,
+        dv=VectorField(core.grid, tuple(map(core.physical, sol_hats))),
+        dE=VectorField(core.grid, tuple(dE)),
+        pressure=core.physical(phi_hat * params.mu),
     )
 
 
@@ -508,25 +502,35 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         raise DensityError(
             f"density lost positivity (min = {float(mu_f.values.min()):.3e})"
         )
-    divv = div(v)
+    core = _Core(v, E)
     if rheology == "liquid":
-        dilational = divv * (params.nu + 2.0 * params.zeta)
+        dilational_hat = core.div_hat(core.vh) * (params.nu + 2.0 * params.zeta)
         du = None
     else:
         if state.u is None:
             raise ValueError("compressible solid branch needs u")
-        dilational = div(state.u) * (params.lam + 2.0 * params.eta)
+        ua = state.u.arrays()
+        dilational_hat = (params.lam + 2.0 * params.eta) * core.div_hat(
+            {i: fftn_array(core.grid, ua[i]) for i in core.axes})
         du = v
-    force = grad(dilational) - E
     inv_mu = 1.0 / mu_f.values
-    dv = dealias_field(
-        VectorField.from_arrays(v.grid, tuple(a * inv_mu for a in force.arrays()))
-    ) - vector_advection(v, v)
-    dE = (curl_curl(v) * params.eta
-          - upper_convected_vector(E, v, None)
-          - E * params.kappa)
-    dmu = -advect_scalar(v, mu_f) - dealias_field(mu_f * divv)
-    return CompressibleRates(dv=dv, dE=dE, dmu=dmu, du=du)
+
+    def force_per_mass(j):  # (grad(dilational stress) - E)_j / mu
+        grad_j = core.d(dilational_hat, j) if j in core.axes else 0.0
+        return (grad_j - core.ea[j]) * inv_mu
+
+    dv, dE = [], []
+    for j in range(3):
+        momentum, bracket, e_hat = core.products(j, force_per_mass)
+        dv.append(core.physical(momentum))
+        dE.append(core.stress_rate(j, bracket, e_hat, params))
+        del momentum, bracket, e_hat   # free before the next component
+    mu_hat = fftn_array(core.grid, mu_f.values)
+    mass = -mu_f.values * core.divv - sum(core.va[i] * core.d(mu_hat, i) for i in core.axes)
+    return CompressibleRates(dv=VectorField(core.grid, tuple(dv)),
+                             dE=VectorField(core.grid, tuple(dE)),
+                             dmu=ScalarField(core.grid, dealias_array(core.grid, mass)),
+                             du=du)
 
 
 def rhs_classical_maxwell(state: MaxwellState, params: MediumParams) -> MaxwellRates:

@@ -154,6 +154,27 @@ class TestRun:
         assert summary["final_time"] == pytest.approx(0.2)
         assert "v_t" in summary["norms"]
 
+    @pytest.mark.parametrize("system", ["compressible_liquid", "compressible_solid",
+                                        "linear_navier"])
+    def test_run_without_pressure_writes_no_p(self, tmp_path, system):
+        # only the fi RHS defines a pressure
+        out = tmp_path / "out"
+        doc = shear_config(out, t_end=0.04, snapshot_every=1)
+        doc["system"] = system
+        doc["params"]["lam"] = 2.0
+        summary, final = run(RunConfig.from_dict(doc))
+        assert final.p is None
+        assert "p" not in summary["norms"]
+        written = {p.name for p in (out / "snapshots").rglob("*.f64")}
+        assert "v_x.f64" in written
+        assert "p.f64" not in written
+
+    def test_fi_run_still_writes_pressure(self, tmp_path):
+        out = tmp_path / "out"
+        run(RunConfig.from_dict(shear_config(out, t_end=0.04, snapshot_every=1)))
+        for step in sorted((out / "snapshots").glob("step_*")):
+            assert (step / "p.f64").is_file()
+
     def test_compression_pulse_under_linear_navier(self, tmp_path):
         doc = {
             "grid": {"dims": [64, 64, 1]},
