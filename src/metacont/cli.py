@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -30,10 +31,8 @@ import numpy as np
 from . import diffops, dynamics, emlaws, scenarios
 from .diffops import curl, div, grad, hessian_contract, leray_project
 from .dynamics import (
-    FluidState,
-    MaxwellState,
+    SYSTEMS,
     MediumParams,
-    SecondOrderState,
     StepControl,
     integrate,
     oldroyd_discrepancy,
@@ -42,9 +41,9 @@ from .dynamics import (
 from .fields import (
     GridSpec,
     ScalarField,
+    TensorField,
     VectorField,
     atomic_write_text,
-    dealias,
     from_spectral,
     make_grid,
     mode_coefficient,
@@ -56,6 +55,7 @@ from .fields import (
 )
 from .scenarios import (
     ScenarioSpec,
+    band_limited_noise,
     dispersion_compressional,
     dispersion_shear,
     generate,
@@ -66,26 +66,6 @@ from .scenarios import (
 __all__ = ["ConfigError", "RunConfig", "run", "verify", "sweep", "main"]
 
 TWO_PI = 2.0 * np.pi
-
-_SCENARIO_SYSTEMS = {
-    "plane_shear_wave": {"fi_incompressible", "second_order", "classical_maxwell",
-                         "compressible_liquid", "compressible_solid", "linear_navier"},
-    "standing_shear_wave": {"fi_incompressible", "second_order", "classical_maxwell",
-                            "compressible_liquid", "compressible_solid",
-                            "linear_navier"},
-    "gaussian_vortex": {"fi_incompressible", "second_order", "classical_maxwell",
-                        "compressible_liquid", "compressible_solid"},
-    "random_solenoidal": {"fi_incompressible", "second_order", "classical_maxwell",
-                          "compressible_liquid", "compressible_solid"},
-    "compression_pulse": {"linear_navier", "compressible_solid"},
-    "uniform_E_decay": {"fi_incompressible", "compressible_liquid",
-                        "compressible_solid"},
-}
-
-# systems whose states carry the fields needed for law-residual reports
-_REPORTING_SYSTEMS = {"fi_incompressible", "compressible_liquid",
-                      "compressible_solid", "classical_maxwell"}
-
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
@@ -119,9 +99,9 @@ class RunConfig:
             )
             params = MediumParams(**doc.get("params", {}))
             system = doc.get("system")
-            if system not in dynamics.SYSTEMS:
+            if system not in SYSTEMS:
                 raise ConfigError(
-                    f"system must be one of {list(dynamics.SYSTEMS)}, got {system!r}"
+                    f"system must be one of {list(SYSTEMS)}, got {system!r}"
                 )
             scen_doc = dict(doc.get("scenario", {}))
             if "kind" not in scen_doc or "amplitude" not in scen_doc:
@@ -145,24 +125,31 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if snapshot_every < 0 or report_every < 0:
             raise ConfigError("snapshot_every and report_every must be >= 0")
-        if system not in _SCENARIO_SYSTEMS[scenario.kind]:
+        allowed = SYSTEMS[system].scenarios
+        if scenario.kind not in allowed:
             raise ConfigError(
                 f"scenario {scenario.kind!r} is incompatible with system "
-                f"{system!r} (allowed: {sorted(_SCENARIO_SYSTEMS[scenario.kind])})"
+                f"{system!r} (allowed: {sorted(allowed)})"
             )
         return cls(grid=grid, params=params, system=system, scenario=scenario,
                    control=control, snapshot_every=snapshot_every,
                    report_every=report_every, out_dir=resolved_out, raw=doc)
 
 
-def load_config(path, out_dir=None) -> RunConfig:
+def _read_config(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return RunConfig.from_dict(doc, out_dir=out_dir)
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    return doc
+
+
+def load_config(path, out_dir=None) -> RunConfig:
+    return RunConfig.from_dict(_read_config(path), out_dir=out_dir)
 
 
 def config_content_hash(doc: dict) -> str:
@@ -175,45 +162,28 @@ def config_content_hash(doc: dict) -> str:
 # run
 # ---------------------------------------------------------------------------
 
-def _initial_state(config: RunConfig):
-    base = generate(config.scenario, config.grid, config.params)
-    if config.system == "classical_maxwell":
-        return MaxwellState(time=0.0, E=base.E,
-                            B=curl(base.v) * config.params.mu)
-    if config.system == "second_order":
-        rates = rhs_fi_incompressible(base, config.params)
-        return SecondOrderState(time=0.0, v=base.v, v_t=rates.dv)
-    if config.system != "fi_incompressible":
-        # only the fi RHS defines p; the scenario's p = 0 is no data to snapshot
-        return dataclasses.replace(base, p=None)
-    return base
-
-
 def _report_for(system: str, state, params: MediumParams):
-    if system not in _REPORTING_SYSTEMS:
-        return None
-    _, rates = dynamics._rates_as_list(system, state, params)
-    if system == "classical_maxwell":
-        return emlaws.classical_report(state, params, rates)
-    return emlaws.fi_report(state, params, rates)
+    record = SYSTEMS[system]
+    return record.report(state, params, record.rhs(state, params))
 
 
 def _measurement_target(config: RunConfig):
     """(component picker, k magnitude) for scenarios with a wave oracle."""
     kind = config.scenario.kind
-    if kind not in ("plane_shear_wave", "standing_shear_wave",
-                    "compression_pulse", "uniform_E_decay"):
+    if kind not in scenarios._WAVE_KINDS:
         return None
-    k = np.array([TWO_PI * m / L for m, L in
-                  zip(config.scenario.wavevector, config.grid.lengths)])
+    name = "E" if kind == "uniform_E_decay" else "v"
+    if name not in SYSTEMS[config.system].fields:
+        return None  # the classical state has no v
+    k = scenarios._physical_wavevector(config.scenario, config.grid)
     kmag = float(np.linalg.norm(k))
-    if kind in ("plane_shear_wave", "standing_shear_wave"):
+    if kind in scenarios._SHEAR_KINDS:
         direction = np.asarray(config.scenario.polarization)
     else:
         direction = k / kmag
 
     def pick(state):
-        field = state.E if kind == "uniform_E_decay" else state.v
+        field = getattr(state, name)
         return sum(
             d * mode_coefficient(c, config.scenario.wavevector)
             for d, c in zip(direction, field.components)
@@ -224,7 +194,7 @@ def _measurement_target(config: RunConfig):
 
 def _oracle_summary(config: RunConfig, kmag: float) -> dict:
     kind = config.scenario.kind
-    if kind in ("plane_shear_wave", "standing_shear_wave"):
+    if kind in scenarios._SHEAR_KINDS:
         disp = dispersion_shear(kmag, config.params)
         return {
             "law": "shear_dispersion",
@@ -252,21 +222,9 @@ def _oracle_summary(config: RunConfig, kmag: float) -> dict:
 
 
 def _snapshot_fields(system: str, state):
-    fields = []
-    if system == "classical_maxwell":
-        return [("E", state.E), ("B", state.B)]
-    fields.append(("v", state.v))
-    if getattr(state, "E", None) is not None:
-        fields.append(("E", state.E))
-    if getattr(state, "p", None) is not None:
-        fields.append(("p", state.p))
-    if getattr(state, "v_t", None) is not None:
-        fields.append(("v_t", state.v_t))
-    if getattr(state, "mu_field", None) is not None:
-        fields.append(("mu", state.mu_field))
-    if getattr(state, "u", None) is not None:
-        fields.append(("u", state.u))
-    return fields
+    """(artifact name, field) of what the system advances, plus fi's p."""
+    return [("mu" if name == "mu_field" else name, getattr(state, name))
+            for name in SYSTEMS[system].snapshot if getattr(state, name) is not None]
 
 
 def run(config: RunConfig):
@@ -275,7 +233,8 @@ def run(config: RunConfig):
     out.mkdir(parents=True, exist_ok=True)
     snap_root = out / "snapshots"
 
-    state0 = _initial_state(config)
+    state0 = SYSTEMS[config.system].initial(
+        generate(config.scenario, config.grid, config.params), config.params)
     target = _measurement_target(config)
     times, series = [], []
     reports = []
@@ -290,7 +249,7 @@ def run(config: RunConfig):
         snapped_at.add(step_index)
 
     def report(step_index: int, state) -> None:
-        if config.system in _REPORTING_SYSTEMS:
+        if SYSTEMS[config.system].report is not None:
             reports.append(_report_for(config.system, state, config.params))
         reported_at.add(step_index)
 
@@ -358,15 +317,13 @@ def run(config: RunConfig):
                     m.decay_rate - oracle["decay_rate"]) / oracle["decay_rate"]
 
     reports_path = out / "reports.ndjson"
-    emlaws.write_reports_ndjson([r for r in reports if r], reports_path)
+    emlaws.write_reports_ndjson(reports, reports_path)
     csv_path = out / "reports.csv"
-    emlaws.write_reports_csv([r for r in reports if r], csv_path)
+    emlaws.write_reports_csv(reports, csv_path)
     written.extend([reports_path, csv_path])
 
     worst_laws = {}
     for r in reports:
-        if r is None:
-            continue
         for e in r.entries:
             worst_laws[e.name] = max(worst_laws.get(e.name, 0.0), e.normalized_linf)
 
@@ -436,16 +393,6 @@ def _verify_checks(level: str, tamper: str | None):
         grids.append(make_grid((128, 128, 1), (TWO_PI, TWO_PI, TWO_PI)))
         grids.append(make_grid((32, 32, 32), (TWO_PI, TWO_PI, TWO_PI)))
 
-    def band_vector(grid, seed, fraction, solenoidal=False, amplitude=1.0):
-        rng = np.random.default_rng(seed)
-        arrs = [scenarios._band_limited_noise(grid, rng, fraction)
-                for _ in range(3)]
-        v = VectorField.from_arrays(grid, tuple(arrs))
-        if solenoidal:
-            v = leray_project(v).solenoidal
-        peak = norm_linf(v)
-        return v * (amplitude / peak) if peak else v
-
     checks = []
 
     for grid in grids:
@@ -468,23 +415,23 @@ def _verify_checks(level: str, tamper: str | None):
         checks.append((f"parseval_{tag}", parseval))
 
         def div_curl(grid=grid, name=f"div_of_curl_{tag}"):
-            v = band_vector(grid, 44, 0.4)
+            v = VectorField.from_arrays(
+                grid, band_limited_noise(grid, 44, 0.4, (3,), 1.0))
             w = _tampered(curl(v), tamper == name)
             return norm_linf(div(w)), 1e-12
 
         checks.append((f"div_of_curl_{tag}", div_curl))
 
         def curl_grad(grid=grid):
-            rng = np.random.default_rng(45)
-            arr = scenarios._band_limited_noise(grid, rng, 0.25)
-            peak = float(np.max(np.abs(arr)))
-            f = ScalarField(grid, arr / peak if peak else arr)
+            arr = band_limited_noise(grid, 45, 0.25)
+            f = ScalarField(grid, arr / np.max(np.abs(arr)))
             return norm_linf(curl(grad(f))), 1e-12
 
         checks.append((f"curl_of_grad_{tag}", curl_grad))
 
         def curl_curl_identity(grid=grid):
-            v = band_vector(grid, 46, 0.4)
+            v = VectorField.from_arrays(
+                grid, band_limited_noise(grid, 46, 0.4, (3,), 1.0))
             direct = diffops.curl_curl(v)
             composed = grad(div(v)) - diffops.laplacian(v)
             return norm_l2(direct - composed) / norm_l2(direct), 1e-12
@@ -492,7 +439,8 @@ def _verify_checks(level: str, tamper: str | None):
         checks.append((f"curl_curl_identity_{tag}", curl_curl_identity))
 
         def leray_idempotent(grid=grid):
-            v = band_vector(grid, 47, 0.4)
+            v = VectorField.from_arrays(
+                grid, band_limited_noise(grid, 47, 0.4, (3,), 1.0))
             once = leray_project(v).solenoidal
             twice = leray_project(once).solenoidal
             return norm_linf(twice - once), 1e-13
@@ -500,38 +448,35 @@ def _verify_checks(level: str, tamper: str | None):
         checks.append((f"leray_idempotent_{tag}", leray_idempotent))
 
         def leray_divfree(grid=grid):
-            v = band_vector(grid, 48, 0.4)
+            v = VectorField.from_arrays(
+                grid, band_limited_noise(grid, 48, 0.4, (3,), 1.0))
             return norm_linf(div(leray_project(v).solenoidal)), 1e-12
 
         checks.append((f"leray_divergence_free_{tag}", leray_divfree))
 
         def vector_identity(grid=grid, name=f"vector_identity_triple_{tag}"):
-            v = band_vector(grid, 49, 0.25)
-            e = band_vector(grid, 50, 0.25)
+            v = VectorField.from_arrays(
+                grid, band_limited_noise(grid, 49, 0.25, (3,), 1.0))
+            e = VectorField.from_arrays(
+                grid, band_limited_noise(grid, 50, 0.25, (3,), 1.0))
             v = _tampered(v, tamper == name)
             return norm_linf(diffops.identity_residual_triple(v, e)), 1e-10
 
         checks.append((f"vector_identity_triple_{tag}", vector_identity))
 
         def gromeka(grid=grid):
-            v = band_vector(grid, 51, 0.25)
+            v = VectorField.from_arrays(
+                grid, band_limited_noise(grid, 51, 0.25, (3,), 1.0))
             return norm_linf(diffops.gromeka_lamb_residual(v)), 1e-10
 
         checks.append((f"gromeka_lamb_{tag}", gromeka))
 
         def oldroyd(grid=grid, name=f"oldroyd_discrepancy_{tag}"):
-            from .fields import TensorField
-            rng = np.random.default_rng(52)
-            rows = []
-            for _ in range(3):
-                row = []
-                for _ in range(3):
-                    arr = scenarios._band_limited_noise(grid, rng)
-                    peak = float(np.max(np.abs(arr)))
-                    row.append(arr / peak if peak else arr)
-                rows.append(tuple(row))
-            sigma = TensorField.from_arrays(grid, tuple(rows))
-            v = band_vector(grid, 53, 1 / 6)
+            arrs = band_limited_noise(grid, 52, shape=(3, 3))
+            sigma = TensorField.from_arrays(
+                grid, arrs / np.max(np.abs(arrs), axis=(2, 3, 4), keepdims=True))
+            v = VectorField.from_arrays(
+                grid, band_limited_noise(grid, 53, 1 / 6, (3,), 1.0))
             v = _tampered(v, tamper == name)
             residual = oldroyd_discrepancy(sigma, v) + hessian_contract(v, sigma)
             return norm_linf(residual), 1e-9
@@ -543,10 +488,8 @@ def _verify_checks(level: str, tamper: str | None):
             spec = ScenarioSpec("random_solenoidal", amplitude=1e-2, seed=54)
             state = generate(spec, grid, params)
             state = dataclasses.replace(state, v=_tampered(state.v, tamper == name))
-            rates = rhs_fi_incompressible(state, params)
-            em = emlaws.extract_em(state, params)
-            dB = curl(rates.dv) * params.mu
-            report = emlaws.full_report(em, state.v, rates.dE, dB, params, 0.0)
+            report = emlaws.fi_report(state, params,
+                                      rhs_fi_incompressible(state, params))
             worst = max(report.entry(law).normalized_linf for law in (
                 "faraday_lorentz", "hertz_form", "generalized_ampere",
                 "metacharge_continuity"))
@@ -703,33 +646,33 @@ def _config_with(doc: dict, axis: str, value: float) -> dict:
 
 def _maxwell_limit_distance(config: RunConfig) -> float:
     """Sup over sampled times of the (E, mu curl v) distance to the classical twin."""
-    params = config.params
+    params, control = config.params, config.control
     state = generate(config.scenario, config.grid, params)
-    fi_state = state
-    cl_state = MaxwellState(time=0.0, E=state.E, B=curl(state.v) * params.mu)
-    dt = config.control.dt
-    if dt == "auto":
-        dt = dynamics.auto_step_size(fi_state, params, config.control,
-                                     "fi_incompressible")
-    control = StepControl(t_end=config.control.t_end, dt=dt, cfl=config.control.cfl)
+    if control.dt == "auto":
+        control = dataclasses.replace(control, dt=dynamics.auto_step_size(
+            state, params, control, "fi_incompressible"))
+    twin = SYSTEMS["classical_maxwell"].initial(state, params)
     worst = 0.0
-    t = 0.0
-    while t < control.t_end - 1e-12:
-        h = min(dt, control.t_end - t)
-        fi_state = dynamics.step(fi_state, params, control, "fi_incompressible", dt=h)
-        cl_state = dynamics.step(cl_state, params, control, "classical_maxwell", dt=h)
-        t = fi_state.time
-        d = np.sqrt(
-            norm_l2(fi_state.E - cl_state.E) ** 2
-            + norm_l2(curl(fi_state.v) * params.mu - cl_state.B) ** 2
-        )
-        worst = max(worst, d)
+
+    def observer(i, fi_state):
+        nonlocal twin, worst
+        if i == 0:
+            return
+        # the same step as integrate takes for fi_state
+        h = min(float(control.dt), control.t_end - twin.time)
+        twin = dynamics.step(twin, params, control, "classical_maxwell", dt=h)
+        worst = max(worst, float(np.sqrt(
+            norm_l2(fi_state.E - twin.E) ** 2
+            + norm_l2(curl(fi_state.v) * params.mu - twin.B) ** 2)))
+
+    integrate(state, params, control, "fi_incompressible", observer)
     return worst
 
 
-def _sweep_one(doc: dict, axis: str, value: float, out_dir: Path) -> dict:
+def _sweep_one(doc: dict, axis: str, value: float, out_dir: Path,
+               reference_v: VectorField | None = None) -> dict:
     config = RunConfig.from_dict(_config_with(doc, axis, value), out_dir=out_dir)
-    summary, _ = run(config)
+    summary, final = run(config)
     row = {"axis": axis, "value": value, "status": "ok",
            "run_dir": str(out_dir)}
     m = summary.get("measurement")
@@ -740,40 +683,9 @@ def _sweep_one(doc: dict, axis: str, value: float, out_dir: Path) -> dict:
         row["maxwell_distance"] = _maxwell_limit_distance(config)
     if axis == "lambda":
         row["delta"] = config.params.delta
+    if reference_v is not None:
+        row["deviation_l2"] = scenarios.delta_deviation(final.v, reference_v)
     return row
-
-
-def _final_velocity(run_dir: Path) -> VectorField:
-    from .fields import read_snapshot_vector
-
-    snap_dirs = sorted((Path(run_dir) / "snapshots").glob("step_*"))
-    if not snap_dirs:
-        raise ConfigError(f"no snapshots under {run_dir}")
-    v, _ = read_snapshot_vector(snap_dirs[-1], "v")
-    return v
-
-
-def _delta_reference(doc: dict, values) -> tuple[dict, VectorField]:
-    """Incompressible reference for a lambda sweep, plus the common-dt doc.
-
-    All runs share the time step of the stiffest lambda so the integration
-    error cancels in the deviation; the deviation itself is taken on the
-    Leray-projected velocity (the acoustic component has no incompressible
-    counterpart; see scenarios.delta_sweep).
-    """
-    stiff_doc = _config_with(doc, "lambda", max(values))
-    stiff = RunConfig.from_dict(stiff_doc)
-    state0 = generate(stiff.scenario, stiff.grid, stiff.params)
-    dt = dynamics.auto_step_size(state0, stiff.params, stiff.control,
-                                 "compressible_solid")
-    common = json.loads(json.dumps(doc))
-    common.setdefault("control", {})["dt"] = dt
-    ref_config = RunConfig.from_dict({**common, "system": "fi_incompressible"})
-    ref_state = integrate(generate(ref_config.scenario, ref_config.grid,
-                                   ref_config.params),
-                          ref_config.params, ref_config.control,
-                          "fi_incompressible")
-    return common, ref_state.v
 
 
 def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
@@ -782,9 +694,10 @@ def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
     axis='amplitude' on the incompressible system records the trajectory
     distance to the classical reference (slope ~ 2 expected); axis='lambda'
     on the compressible solid branch records the deviation from a common-dt
-    incompressible reference against delta (slope ~ 1 expected).  Individual
-    run failures are recorded and the sweep continues; the summary marks
-    partial results.
+    incompressible reference against delta (slope ~ 1 expected, see
+    scenarios.delta_sweep).  Individual run failures are recorded and the
+    sweep continues; the summary marks partial results.  At most `jobs`
+    runs, and no more than there are values, execute in parallel.
     """
     values = [float(v) for v in values]
     if not values:
@@ -792,62 +705,45 @@ def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
     if axis not in _SWEEP_AXES:
         raise ConfigError(
             f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     reference_v = None
     if axis == "lambda" and doc.get("system") == "compressible_solid":
-        doc, reference_v = _delta_reference(doc, values)
+        doc = _config_with(doc, "lambda", max(values))
+        stiff = RunConfig.from_dict(doc)
+        doc["control"]["dt"], reference_v = scenarios.delta_reference(
+            stiff.params, values, stiff.scenario, stiff.grid,
+            stiff.control.t_end, stiff.control.cfl)
 
-    rows: list[dict] = []
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sweep_one, doc, axis, v, out / f"run_{i:03d}")
-                for i, v in enumerate(values)
-            ]
-            for v, fut in zip(values, futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:  # run failures recorded, sweep continues
-                    rows.append({"axis": axis, "value": v, "status": "failed",
-                                 "error": str(exc)})
+    def row(value, result) -> dict:
+        try:
+            return result()
+        except Exception as exc:  # run failures recorded, sweep continues
+            return {"axis": axis, "value": value, "status": "failed",
+                    "error": str(exc)}
+
+    runs = [(doc, axis, v, out / f"run_{i:03d}", reference_v)
+            for i, v in enumerate(values)]
+    workers = min(jobs, len(values))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_sweep_one, *r) for r in runs]
+            rows = [row(v, f.result) for v, f in zip(values, futures)]
     else:
-        for i, v in enumerate(values):
-            try:
-                rows.append(_sweep_one(doc, axis, v, out / f"run_{i:03d}"))
-            except Exception as exc:
-                rows.append({"axis": axis, "value": v, "status": "failed",
-                             "error": str(exc)})
-
-    if reference_v is not None:
-        ref_norm = norm_l2(reference_v)
-        for r in rows:
-            if r["status"] != "ok":
-                continue
-            try:
-                final_v = _final_velocity(Path(r["run_dir"]))
-                shear = leray_project(final_v).solenoidal
-                r["deviation_l2"] = norm_l2(shear - reference_v) / ref_norm
-            except Exception as exc:
-                r["status"] = "failed"
-                r["error"] = f"deviation: {exc}"
-
-    def _loglog_slope(pts):
-        pts = [(x, y) for x, y in pts if x and y and x > 0 and y > 0]
-        if len(pts) < 2:
-            return None
-        return float(np.polyfit(np.log10([p[0] for p in pts]),
-                                np.log10([p[1] for p in pts]), 1)[0])
+        rows = [row(v, functools.partial(_sweep_one, *r))
+                for v, r in zip(values, runs)]
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
     slope = None
     if axis == "amplitude":
-        slope = _loglog_slope(
-            [(r["value"], r.get("maxwell_distance")) for r in ok_rows])
+        slope = scenarios.loglog_slope(
+            (r["value"], r.get("maxwell_distance")) for r in ok_rows)
     elif axis == "lambda":
-        slope = _loglog_slope(
-            [(r.get("delta"), r.get("deviation_l2")) for r in ok_rows])
+        slope = scenarios.loglog_slope(
+            (r.get("delta"), r.get("deviation_l2")) for r in ok_rows)
 
     header = ["axis", "value", "status", "phase_speed", "decay_rate",
               "maxwell_distance", "delta", "deviation_l2", "slope_estimate"]
@@ -918,7 +814,7 @@ def main(argv=None) -> int:
             code, _ = verify(level=args.level, tamper=args.tamper)
             return code
         if args.command == "sweep":
-            doc = json.loads(Path(args.config).read_text())
+            doc = _read_config(args.config)
             try:
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:

@@ -27,6 +27,12 @@ v.grad E - E.grad v + (div v) E are formed in physical space and dealiased
 with one forward transform each, and the linear terms (Leray projection,
 eta curl(curl v), the dilational gradient, kappa E) stay in spectral space.
 
+Each system is one `System` record in the `SYSTEMS` table, keyed by its
+name: the state fields it advances and their rates, its RHS, the fields
+projected after each step, its CFL speed, its law report, its initial-state
+builder and the scenario kinds it accepts.  `step`, `integrate` and the
+runner read only the record, so adding a system means adding one record.
+
 Time stepping is a fixed four-stage explicit Runge-Kutta scheme; for the
 incompressible systems the velocity is re-projected after each step so the
 solenoidality invariant holds to round-off along the whole trajectory.
@@ -39,9 +45,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import emlaws
 from .diffops import (
     _curl_curl_hat,
     _leray_hat,
@@ -95,22 +103,9 @@ __all__ = [
     "step",
     "integrate",
     "auto_step_size",
+    "System",
     "SYSTEMS",
-    "wave_speed_for_cfl",
 ]
-
-SYSTEMS = (
-    "linear_navier",
-    "fi_incompressible",
-    "second_order",
-    "compressible_liquid",
-    "compressible_solid",
-    "classical_maxwell",
-)
-# systems whose fastest signal is compressional (CFL uses c_s instead of c)
-_COMPRESSIONAL_CFL = frozenset(
-    {"linear_navier", "compressible_liquid", "compressible_solid"}
-)
 
 DIV_INPUT_TOL = 1e-9          # L-inf bound on div v accepted by the RHS
 KAPPA_DT_LIMIT = 2.0          # explicit stability range for the attenuation term
@@ -238,7 +233,6 @@ class SecondOrderState:
     time: float
     v: VectorField
     v_t: VectorField
-    p: ScalarField | None = None
 
 
 @dataclass(frozen=True)
@@ -334,8 +328,7 @@ class _Core:
         self.axes = tuple(i for i, a in enumerate(g.active) if a)
         self.va, self.ea = v.arrays(), E.arrays()
         self.vh = [fftn_array(g, a) for a in self.va]
-        # copied, so that the complex buffer behind the real view is freed
-        self.divv = ifftn_array(g, self.div_hat(self.vh)).copy()
+        self.divv = ifftn_array(g, self.div_hat(self.vh))
 
     def div_hat(self, hats) -> np.ndarray:
         """Sum over the active axes i of i k_i hats[i]."""
@@ -542,79 +535,108 @@ def rhs_classical_maxwell(state: MaxwellState, params: MediumParams) -> MaxwellR
 
 
 # ---------------------------------------------------------------------------
-# integrator plumbing: pack states into flat field lists per system
+# the systems
 # ---------------------------------------------------------------------------
 
-def _pack(system: str, state):
-    if system == "linear_navier":
-        return [state.u, state.v]
-    if system == "fi_incompressible":
-        return [state.v, state.E]
-    if system == "second_order":
-        return [state.v, state.v_t]
-    if system == "compressible_liquid":
-        return [state.v, state.E, state.mu_field]
-    if system == "compressible_solid":
-        return [state.v, state.E, state.mu_field, state.u]
-    if system == "classical_maxwell":
-        return [state.E, state.B]
-    raise ValueError(f"unknown system {system!r}")
+@dataclass(frozen=True)
+class System:
+    """What the integrator and the runner know about one governing system.
+
+    fields      state attributes the integrator advances, in order
+    rates       the attribute of the RHS result that is each field's rate
+    rhs         (state, params) -> rates
+    scenarios   the scenario kinds whose initial state the system accepts
+    projected   fields Leray-projected after every step
+    carried     (state attribute, rate attribute) pairs taken from the rates
+                at the step's start (fi's pressure)
+    cfl_speed   the MediumParams attribute that is the fastest signal speed
+    uses_kappa  whether kappa*dt is held to KAPPA_DT_LIMIT
+    report      (state, params, rates) -> law report, or None
+    initial     (scenario state, params) -> the system's initial state
+    """
+
+    fields: tuple[str, ...]
+    rates: tuple[str, ...]
+    rhs: Callable
+    scenarios: frozenset[str]
+    projected: tuple[str, ...] = ()
+    carried: tuple[tuple[str, str], ...] = ()
+    cfl_speed: str = "c"
+    uses_kappa: bool = False
+    report: Callable | None = None
+    initial: Callable = lambda state, params: state
+
+    @property
+    def snapshot(self) -> tuple[str, ...]:
+        """State attributes a run writes: the advanced and the carried ones."""
+        return self.fields + tuple(name for name, _ in self.carried)
 
 
-def _unpack(system: str, template, fields, time: float):
-    if system == "linear_navier":
-        return dataclasses.replace(template, time=time, u=fields[0], v=fields[1])
-    if system == "fi_incompressible":
-        return dataclasses.replace(template, time=time, v=fields[0], E=fields[1])
-    if system == "second_order":
-        return dataclasses.replace(template, time=time, v=fields[0], v_t=fields[1])
-    if system == "compressible_liquid":
-        return dataclasses.replace(template, time=time, v=fields[0], E=fields[1],
-                                   mu_field=fields[2])
-    if system == "compressible_solid":
-        return dataclasses.replace(template, time=time, v=fields[0], E=fields[1],
-                                   mu_field=fields[2], u=fields[3])
-    if system == "classical_maxwell":
-        return dataclasses.replace(template, time=time, E=fields[0], B=fields[1])
-    raise ValueError(f"unknown system {system!r}")
+_WAVES = frozenset({"plane_shear_wave", "standing_shear_wave"})
+_SOLENOIDAL = _WAVES | {"gaussian_vortex", "random_solenoidal"}
+_STRESSED = _SOLENOIDAL | {"uniform_E_decay"}
+
+# The RHS and the report are looked up when called, so a rebound module
+# attribute (a tracer's wrapper, a test double) takes effect.
+SYSTEMS: dict[str, System] = {
+    "linear_navier": System(
+        fields=("u", "v"), rates=("du", "dv"),
+        rhs=lambda s, p: rhs_linear_navier(s, p),
+        scenarios=_WAVES | {"compression_pulse"}, cfl_speed="c_s"),
+    "fi_incompressible": System(
+        fields=("v", "E"), rates=("dv", "dE"),
+        rhs=lambda s, p: rhs_fi_incompressible(s, p),
+        scenarios=_STRESSED, projected=("v",), carried=(("p", "pressure"),),
+        uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r),
+        # p = 0 stands in for the pressure until the first step sets it
+        initial=lambda state, params: dataclasses.replace(
+            state, p=ScalarField.zeros(state.v.grid))),
+    "second_order": System(
+        fields=("v", "v_t"), rates=("dv", "dv_t"),
+        rhs=lambda s, p: rhs_second_order(s, p),
+        scenarios=_SOLENOIDAL, projected=("v", "v_t"),
+        # v_t starts as the fi velocity rate of the scenario state
+        initial=lambda s, p: SecondOrderState(
+            time=s.time, v=s.v, v_t=rhs_fi_incompressible(s, p).dv)),
+    "compressible_liquid": System(
+        fields=("v", "E", "mu_field"), rates=("dv", "dE", "dmu"),
+        rhs=lambda s, p: rhs_compressible(s, p, "liquid"),
+        scenarios=_STRESSED, cfl_speed="c_s", uses_kappa=True,
+        report=lambda s, p, r: emlaws.fi_report(s, p, r)),
+    "compressible_solid": System(
+        fields=("v", "E", "mu_field", "u"), rates=("dv", "dE", "dmu", "du"),
+        rhs=lambda s, p: rhs_compressible(s, p, "solid"),
+        scenarios=_STRESSED | {"compression_pulse"}, cfl_speed="c_s",
+        uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r)),
+    "classical_maxwell": System(
+        fields=("E", "B"), rates=("dE", "dB"),
+        rhs=lambda s, p: rhs_classical_maxwell(s, p),
+        scenarios=_SOLENOIDAL,
+        report=lambda s, p, r: emlaws.classical_report(s, p, r),
+        # the classical twin of a fluid state: E, and B = mu curl v
+        initial=lambda s, p: MaxwellState(time=s.time, E=s.E, B=curl(s.v) * p.mu)),
+}
 
 
-def _rates_as_list(system: str, state, params: MediumParams):
-    """Evaluate the system RHS; returns (field list matching _pack, rates object)."""
-    if system == "linear_navier":
-        r = rhs_linear_navier(state, params)
-        return [r.du, r.dv], r
-    if system == "fi_incompressible":
-        r = rhs_fi_incompressible(state, params)
-        return [r.dv, r.dE], r
-    if system == "second_order":
-        r = rhs_second_order(state, params)
-        return [r.dv, r.dv_t], r
-    if system in ("compressible_liquid", "compressible_solid"):
-        r = rhs_compressible(state, params,
-                             "liquid" if system == "compressible_liquid" else "solid")
-        out = [r.dv, r.dE, r.dmu]
-        if system == "compressible_solid":
-            out.append(r.du)
-        return out, r
-    if system == "classical_maxwell":
-        r = rhs_classical_maxwell(state, params)
-        return [r.dE, r.dB], r
-    raise ValueError(f"unknown system {system!r}")
+def _record(system: str) -> System:
+    try:
+        return SYSTEMS[system]
+    except KeyError:
+        raise ValueError(f"unknown system {system!r}") from None
 
 
-def wave_speed_for_cfl(system: str, params: MediumParams) -> float:
-    """Fastest signal speed governing the CFL bound for a system."""
-    return params.c_s if system in _COMPRESSIONAL_CFL else params.c
-
+# ---------------------------------------------------------------------------
+# time integration
+# ---------------------------------------------------------------------------
 
 def auto_step_size(state, params: MediumParams, control: StepControl,
                    system: str) -> float:
     """cfl * h_min / (c_max + |v|_max); |v|_max is zero for the classical system."""
-    grid = _pack(system, state)[0].grid
+    record = _record(system)
+    grid = getattr(state, record.fields[0]).grid
     vmax = norm_linf(state.v) if hasattr(state, "v") else 0.0
     return control.cfl * grid.min_active_spacing() / (
-        wave_speed_for_cfl(system, params) + vmax
+        getattr(params, record.cfl_speed) + vmax
     )
 
 
@@ -634,24 +656,22 @@ def step(state, params: MediumParams, control: StepControl, system: str,
     to round-off.  Non-finite values abort with an IntegrationError carrying
     the last accepted state.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
+    record = _record(system)
     h = float(dt) if dt is not None else _resolve_dt(state, params, control, system)
     if not h > 0:
         raise StepSizeError(f"step size must be positive, got {h}")
-    uses_kappa = system in ("fi_incompressible", "compressible_liquid",
-                            "compressible_solid")
-    if uses_kappa and params.kappa * h > KAPPA_DT_LIMIT:
+    if record.uses_kappa and params.kappa * h > KAPPA_DT_LIMIT:
         raise StepSizeError(
             f"kappa*dt = {params.kappa * h:.3g} exceeds the explicit stability "
             f"range ({KAPPA_DT_LIMIT}); reduce dt"
         )
 
-    y0 = _pack(system, state)
+    y0 = [getattr(state, name) for name in record.fields]
 
     def eval_rhs(fields):
-        trial = _unpack(system, state, fields, state.time)
-        return _rates_as_list(system, trial, params)
+        trial = dataclasses.replace(state, **dict(zip(record.fields, fields)))
+        rates = record.rhs(trial, params)
+        return [getattr(rates, name) for name in record.rates], rates
 
     try:
         k1, rates1 = eval_rhs(y0)
@@ -662,12 +682,9 @@ def step(state, params: MediumParams, control: StepControl, system: str,
             y + (a + (b + c) * 2.0 + d) * (h / 6.0)
             for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
         ]
-        if system == "fi_incompressible":
-            new_fields[0] = leray_project(new_fields[0]).solenoidal
-        elif system == "second_order":
-            new_fields[0] = leray_project(new_fields[0]).solenoidal
-            new_fields[1] = leray_project(new_fields[1]).solenoidal
-        new_state = _unpack(system, state, new_fields, state.time + h)
+        new = dict(zip(record.fields, new_fields))
+        for name in record.projected:
+            new[name] = leray_project(new[name]).solenoidal
     except (FieldError, FloatingPointError) as exc:
         raise IntegrationError(
             f"step from t={state.time:.6g} with dt={h:.3e} produced non-finite "
@@ -675,11 +692,10 @@ def step(state, params: MediumParams, control: StepControl, system: str,
             state=state,
         ) from exc
 
-    # the projection potential of the first stage defines the pressure at the
-    # step's start; reports re-evaluate the RHS at sample times for exact values
-    if system == "fi_incompressible":
-        new_state = dataclasses.replace(new_state, p=rates1.pressure)
-    return new_state
+    # fi's pressure is the projection potential of the first stage, i.e. the
+    # pressure at the step's start; reports re-evaluate the RHS at sample times
+    new.update((name, getattr(rates1, rate)) for name, rate in record.carried)
+    return dataclasses.replace(state, time=state.time + h, **new)
 
 
 def integrate(state, params: MediumParams, control: StepControl, system: str,

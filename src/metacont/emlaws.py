@@ -31,9 +31,9 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .diffops import curl, div, vector_advection
-from .dynamics import FluidState, MaxwellState, MediumParams
 from .fields import (
     Field,
     ScalarField,
@@ -44,6 +44,9 @@ from .fields import (
     norm_l2,
     norm_linf,
 )
+
+if TYPE_CHECKING:  # annotations only: dynamics imports this module
+    from .dynamics import FluidState, MaxwellState, MediumParams
 
 __all__ = [
     "EmState",

@@ -202,11 +202,12 @@ def fftn_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def ifftn_array(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse DFT back to physical space; the real part is returned."""
+    """Inverse DFT back to physical space; the real part is returned as an
+    owned C-contiguous array, so the complex result is freed."""
     axes = _transform_axes(grid)
-    if not axes:
-        return coeffs.real.copy()
-    return scipy.fft.ifftn(coeffs, axes=axes, workers=_fft_workers()).real
+    if axes:
+        coeffs = scipy.fft.ifftn(coeffs, axes=axes, workers=_fft_workers())
+    return coeffs.real.copy()
 
 
 def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:

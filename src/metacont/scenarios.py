@@ -15,8 +15,9 @@ Scenario kinds
                            E is a pure gradient, so the projection keeps v = 0
                            and E decays at exactly exp(-kappa t)
 
-Every generated state carries all optional fields (p = 0, mu_field = mu,
-u = 0 unless the scenario defines it), so any governing system can consume it.
+Every generated state carries v, E, u (zero unless the scenario defines them)
+and mu_field = mu, so any governing system can consume it; the pressure p is
+left to the system that defines one.
 
 Oracles
 -------
@@ -42,11 +43,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffops import curl, grad, leray_project
+from .diffops import curl, leray_project
 from .dynamics import (
     FluidState,
     MediumParams,
     StepControl,
+    auto_step_size,
     integrate,
 )
 from .fields import (
@@ -65,6 +67,7 @@ __all__ = [
     "FitError",
     "ScenarioSpec",
     "SCENARIO_KINDS",
+    "band_limited_noise",
     "generate",
     "ShearDispersion",
     "dispersion_shear",
@@ -74,7 +77,10 @@ __all__ = [
     "trim_uniform",
     "DeltaSweepRow",
     "DeltaSweepResult",
+    "delta_reference",
+    "delta_deviation",
     "delta_sweep",
+    "loglog_slope",
     "write_delta_sweep_csv",
 ]
 
@@ -173,15 +179,28 @@ def _directional_wave(grid: GridSpec, k: np.ndarray, direction: np.ndarray,
     ))
 
 
-def _band_limited_noise(grid: GridSpec, rng: np.random.Generator,
-                        fraction: float = RANDOM_BAND_FRACTION) -> np.ndarray:
+def band_limited_noise(grid: GridSpec, rng, fraction: float = RANDOM_BAND_FRACTION,
+                       shape: tuple[int, ...] = (),
+                       peak: float | None = None) -> np.ndarray:
+    """Seeded zero-mean noise of shape `shape + grid.shape` that keeps only the
+    modes with |m_i| <= n_i * fraction along the active axes.
+
+    rng is a numpy Generator or a seed.  Each of the `shape` components takes
+    its own draw of standard normals, in C order.  With `peak`, the result is
+    scaled so that its largest magnitude is `peak`.
+    """
+    rng = np.random.default_rng(rng)
     mask = np.ones(grid.shape, dtype=bool)
     for m, n, active in zip(_mode_indices(grid), grid.dims, grid.active):
         if active:
             mask = mask & (np.abs(m) <= n * fraction)
-    coeffs = fftn_array(grid, rng.standard_normal(grid.shape)) * mask
-    coeffs[0, 0, 0] = 0.0
-    return ifftn_array(grid, coeffs)
+    out = np.empty(tuple(shape) + grid.shape)
+    for index in np.ndindex(*shape):
+        coeffs = fftn_array(grid, rng.standard_normal(grid.shape)) * mask
+        coeffs[0, 0, 0] = 0.0
+        out[index] = ifftn_array(grid, coeffs)
+    largest = float(np.max(np.abs(out)))
+    return out * (peak / largest) if peak is not None and largest > 0.0 else out
 
 
 def _scaled_to_peak(field: VectorField, amplitude: float) -> VectorField:
@@ -219,16 +238,10 @@ def generate(spec: ScenarioSpec, grid: GridSpec, params: MediumParams) -> FluidS
         v = _scaled_to_peak(curl(stream), spec.amplitude)
     elif spec.kind == "random_solenoidal":
         rng = np.random.default_rng(spec.seed)
-        raw = VectorField.from_arrays(grid, tuple(
-            _band_limited_noise(grid, rng) for _ in range(3)
-        ))
+        raw = VectorField.from_arrays(grid, band_limited_noise(grid, rng, shape=(3,)))
         v = _scaled_to_peak(leray_project(raw).solenoidal, spec.amplitude)
-        E = _scaled_to_peak(
-            VectorField.from_arrays(grid, tuple(
-                _band_limited_noise(grid, rng) for _ in range(3)
-            )),
-            spec.amplitude,
-        )
+        E = VectorField.from_arrays(grid, band_limited_noise(
+            grid, rng, shape=(3,), peak=spec.amplitude))
     elif spec.kind == "compression_pulse":
         k = _physical_wavevector(spec, grid)
         khat = k / np.linalg.norm(k)
@@ -242,7 +255,6 @@ def generate(spec: ScenarioSpec, grid: GridSpec, params: MediumParams) -> FluidS
         time=0.0,
         v=v,
         E=E,
-        p=ScalarField.zeros(grid),
         mu_field=ScalarField.full(grid, params.mu),
         u=u,
     )
@@ -441,54 +453,72 @@ class DeltaSweepResult:
     """Deviation of the compressible solid branch from the incompressible run."""
 
     rows: tuple[DeltaSweepRow, ...]  # sorted by delta descending
-    slope: float                     # log-log slope of deviation vs delta
+    slope: float | None              # log-log slope of deviation vs delta
+
+
+def delta_reference(params: MediumParams, lambda_values, scenario: ScenarioSpec,
+                    grid: GridSpec, t_end: float, cfl: float = 0.4):
+    """(common dt, incompressible reference velocity at t_end) of a lam sweep.
+
+    Every run of the sweep, the incompressible reference included, takes the
+    time step that the stiffest lam dictates, so that the time-integration
+    error cancels in the deviation.
+    """
+    state0 = generate(scenario, grid, params)
+    dt = auto_step_size(state0, replace(params, lam=max(lambda_values)),
+                        StepControl(t_end=t_end, cfl=cfl), "compressible_solid")
+    reference = integrate(state0, params, StepControl(t_end=t_end, dt=dt),
+                          "fi_incompressible")
+    if norm_l2(reference.v) == 0.0:
+        raise ValueError("reference trajectory is identically zero")
+    return dt, reference.v
+
+
+def delta_deviation(v: VectorField, reference_v: VectorField) -> float:
+    """|P v - v_ref|_2 / |v_ref|_2, where P is the Leray projection.
+
+    The acoustic (gradient) component of a compressible velocity rings at the
+    fast compressional frequency with amplitude ~ sqrt(delta) and has no
+    incompressible counterpart (it converges only weakly), so the comparison
+    is made on the common solenoidal subspace, where the convergence is first
+    order in delta.
+    """
+    return norm_l2(leray_project(v).solenoidal - reference_v) / norm_l2(reference_v)
 
 
 def delta_sweep(params: MediumParams, lambda_values, scenario: ScenarioSpec,
                 grid: GridSpec, t_end: float, cfl: float = 0.4) -> DeltaSweepResult:
     """Run the same solenoidal scenario incompressibly and at each lam value.
 
-    deviation = |P(v_compressible(t_end)) - v_incompressible(t_end)|_2 relative
-    to |v_incompressible(t_end)|_2, where P is the Leray projection: the
-    acoustic (gradient) component of the compressible velocity rings at the
-    fast compressional frequency with amplitude ~ sqrt(delta) and has no
-    incompressible counterpart (it converges only weakly), so the comparison
-    is made on the common solenoidal subspace where the convergence is
-    first order in delta.  All runs, including the incompressible reference,
-    share the time step dictated by the stiffest lam so that the
-    time-integration error cancels in the difference.
-
-    Rows are sorted by delta descending with a single log-log slope attached.
+    Each row's deviation is `delta_deviation` of the compressible velocity at
+    t_end from the `delta_reference` run.  Rows are sorted by delta
+    descending with a single log-log slope attached.
     """
     lambda_values = [float(lam) for lam in lambda_values]
     if not lambda_values:
         raise ValueError("lambda_values must be non-empty")
-    state0 = generate(scenario, grid, params)
-    stiffest = replace(params, lam=max(lambda_values))
-    dt_common = cfl * grid.min_active_spacing() / (stiffest.c_s + norm_linf(state0.v))
-    control = StepControl(t_end=t_end, dt=dt_common)
-    reference = integrate(state0, params, control, "fi_incompressible")
-    ref_norm = norm_l2(reference.v)
-    if ref_norm == 0.0:
-        raise ValueError("reference trajectory is identically zero")
+    dt, reference_v = delta_reference(params, lambda_values, scenario, grid,
+                                      t_end, cfl)
+    control = StepControl(t_end=t_end, dt=dt)
     rows = []
     for lam in lambda_values:
-        p = replace(params, lam=float(lam))
-        state = generate(scenario, grid, p)
-        final = integrate(state, p, control, "compressible_solid")
-        shear_part = leray_project(final.v).solenoidal
-        rows.append(DeltaSweepRow(
-            delta=p.delta,
-            lam=float(lam),
-            deviation_l2=norm_l2(shear_part - reference.v) / ref_norm,
-        ))
+        p = replace(params, lam=lam)
+        final = integrate(generate(scenario, grid, p), p, control, "compressible_solid")
+        rows.append(DeltaSweepRow(delta=p.delta, lam=lam,
+                                  deviation_l2=delta_deviation(final.v, reference_v)))
     rows.sort(key=lambda r: r.delta, reverse=True)
-    slope = float(np.polyfit(
-        np.log10([r.delta for r in rows]),
-        np.log10([max(r.deviation_l2, 1e-300) for r in rows]),
-        1,
-    )[0]) if len(rows) >= 2 else float("nan")
-    return DeltaSweepResult(rows=tuple(rows), slope=slope)
+    return DeltaSweepResult(rows=tuple(rows), slope=loglog_slope(
+        (r.delta, r.deviation_l2) for r in rows))
+
+
+def loglog_slope(points) -> float | None:
+    """Least-squares slope of log10 y against log10 x over the (x, y) pairs
+    where both are positive; None when fewer than two pairs are."""
+    pts = [(x, y) for x, y in points if x and y and x > 0 and y > 0]
+    if len(pts) < 2:
+        return None
+    return float(np.polyfit(np.log10([x for x, _ in pts]),
+                            np.log10([y for _, y in pts]), 1)[0])
 
 
 def write_delta_sweep_csv(result: DeltaSweepResult, path) -> None:

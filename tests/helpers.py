@@ -7,68 +7,40 @@ from metacont.fields import (
     ScalarField,
     TensorField,
     VectorField,
-    fftn_array,
-    ifftn_array,
     make_grid,
-    _mode_indices,
+    norm_linf,
 )
 from metacont.diffops import leray_project
+from metacont.scenarios import band_limited_noise
 
 GRID_64 = make_grid((64, 64, 1), (2 * np.pi, 2 * np.pi, 2 * np.pi))
 GRID_32_3D = make_grid((32, 32, 32), (2 * np.pi, 2 * np.pi, 2 * np.pi))
 
 
-def random_scalar_array(grid: GridSpec, rng) -> np.ndarray:
-    return rng.standard_normal(grid.shape)
-
-
-def band_limit_array(grid: GridSpec, values: np.ndarray, fraction: float) -> np.ndarray:
-    """Keep only modes with |m_i| <= n_i * fraction in active dims; zero the mean."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for m, n, active in zip(_mode_indices(grid), grid.dims, grid.active):
-        if active:
-            mask = mask & (np.abs(m) <= n * fraction)
-    coeffs = fftn_array(grid, values) * mask
-    coeffs[0, 0, 0] = 0.0
-    return ifftn_array(grid, coeffs)
-
-
 def band_limited_scalar(grid: GridSpec, seed: int, fraction: float = 0.25,
                         amplitude: float = 1.0) -> ScalarField:
-    rng = np.random.default_rng(seed)
-    arr = band_limit_array(grid, random_scalar_array(grid, rng), fraction)
-    peak = np.max(np.abs(arr))
-    if peak > 0:
-        arr = arr * (amplitude / peak)
-    return ScalarField(grid, arr)
+    return ScalarField(grid, band_limited_noise(grid, seed, fraction, peak=amplitude))
 
 
 def band_limited_vector(grid: GridSpec, seed: int, fraction: float = 0.25,
                         amplitude: float = 1.0, solenoidal: bool = False) -> VectorField:
-    rng = np.random.default_rng(seed)
-    arrs = [band_limit_array(grid, random_scalar_array(grid, rng), fraction)
-            for _ in range(3)]
-    v = VectorField.from_arrays(grid, tuple(arrs))
-    if solenoidal:
-        v = leray_project(v).solenoidal
-    peak = max(np.max(np.abs(a)) for a in v.arrays())
-    if peak > 0:
-        v = v * (amplitude / peak)
-    return v
+    if not solenoidal:
+        return VectorField.from_arrays(
+            grid, band_limited_noise(grid, seed, fraction, (3,), amplitude))
+    raw = VectorField.from_arrays(grid, band_limited_noise(grid, seed, fraction, (3,)))
+    v = leray_project(raw).solenoidal
+    peak = norm_linf(v)
+    return v * (amplitude / peak) if peak > 0 else v
 
 
 def band_limited_tensor(grid: GridSpec, seed: int, fraction: float = 0.25,
                         amplitude: float = 1.0) -> TensorField:
+    """Each component scaled to its own peak `amplitude`."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(3):
-        row = []
-        for _ in range(3):
-            arr = band_limit_array(grid, random_scalar_array(grid, rng), fraction)
-            peak = np.max(np.abs(arr))
-            row.append(arr * (amplitude / peak) if peak > 0 else arr)
-        rows.append(tuple(row))
-    return TensorField.from_arrays(grid, tuple(rows))
+    return TensorField.from_arrays(grid, [
+        [band_limited_noise(grid, rng, fraction, peak=amplitude) for _ in range(3)]
+        for _ in range(3)
+    ])
 
 
 def sine_scalar(grid: GridSpec, axis: int = 0, k: int = 1) -> ScalarField:

@@ -1,5 +1,6 @@
 """Config validation, the run/verify/sweep commands, and artifact contracts."""
 
+import concurrent.futures
 import hashlib
 import json
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from metacont.cli import (
     ConfigError,
     RunConfig,
+    _maxwell_limit_distance,
     config_content_hash,
     main,
     run,
@@ -19,6 +21,7 @@ from metacont.cli import (
     verify,
 )
 from metacont.fields import read_snapshot_vector
+from metacont.scenarios import delta_sweep
 
 TWO_PI = 2 * np.pi
 
@@ -171,9 +174,43 @@ class TestRun:
 
     def test_fi_run_still_writes_pressure(self, tmp_path):
         out = tmp_path / "out"
-        run(RunConfig.from_dict(shear_config(out, t_end=0.04, snapshot_every=1)))
+        summary, _ = run(RunConfig.from_dict(
+            shear_config(out, t_end=0.04, snapshot_every=1)))
         for step in sorted((out / "snapshots").glob("step_*")):
             assert (step / "p.f64").is_file()
+            # the scenario's constant mu and zero u are not fi state
+            assert not (step / "mu.f64").exists()
+            assert not (step / "u_x.f64").exists()
+        assert sorted(summary["norms"]) == ["E", "p", "v"]
+
+    @pytest.mark.parametrize("system, names", [
+        ("fi_incompressible", {"v", "E", "p"}),
+        ("linear_navier", {"u", "v"}),
+        ("second_order", {"v", "v_t"}),
+        ("compressible_liquid", {"v", "E", "mu"}),
+        ("compressible_solid", {"v", "E", "mu", "u"}),
+        ("classical_maxwell", {"E", "B"}),
+    ])
+    def test_snapshots_hold_what_the_system_advances(self, tmp_path, system, names):
+        out = tmp_path / "out"
+        doc = shear_config(out, t_end=0.04, snapshot_every=1)
+        doc["system"] = system
+        doc["params"]["lam"] = 2.0
+        summary, _ = run(RunConfig.from_dict(doc))
+        assert set(summary["norms"]) == names
+        files = {"mu": ["mu.f64"], "p": ["p.f64"]}
+        expected = {f for n in names
+                    for f in files.get(n, [f"{n}_{c}.f64" for c in "xyz"])}
+        for step in sorted((out / "snapshots").glob("step_*")):
+            assert {p.name for p in step.glob("*.f64")} == expected, step.name
+
+    def test_classical_maxwell_shear_wave_runs_without_measurement(self, tmp_path):
+        # the shear-wave oracle speaks of v, which the classical state lacks
+        doc = shear_config(tmp_path / "out", t_end=0.04)
+        doc["system"] = "classical_maxwell"
+        summary, _ = run(RunConfig.from_dict(doc))
+        assert summary["measurement"] is None
+        assert summary["samples"] == 0
 
     def test_compression_pulse_under_linear_navier(self, tmp_path):
         doc = {
@@ -239,6 +276,105 @@ class TestSweep:
         # telegraph damping: measured decay rate tracks kappa/2
         assert rows[0]["decay_rate"] == pytest.approx(0.05, rel=0.05)
         assert rows[1]["decay_rate"] == pytest.approx(0.10, rel=0.05)
+
+    def test_lambda_axis_matches_delta_sweep(self, tmp_path):
+        doc = {
+            "grid": {"dims": [16, 16, 1]},
+            "params": {"mu": 1.0, "eta": 1.0},
+            "system": "compressible_solid",
+            "scenario": {"kind": "random_solenoidal", "amplitude": 0.05, "seed": 3},
+            "control": {"t_end": 0.1, "dt": "auto", "cfl": 0.4},
+        }
+        summary = sweep(doc, "lambda", [10.0, 100.0], tmp_path / "s")
+        assert not summary["partial"]
+        config = RunConfig.from_dict(doc)
+        expected = delta_sweep(config.params, [10.0, 100.0], config.scenario,
+                               config.grid, t_end=0.1, cfl=0.4)
+        by_lam = {r.lam: r.deviation_l2 for r in expected.rows}
+        for row in summary["rows"]:
+            assert row["deviation_l2"] == pytest.approx(by_lam[row["value"]],
+                                                        rel=1e-12, abs=0.0)
+
+    def test_amplitude_axis_matches_maxwell_limit_distance(self, tmp_path):
+        doc = {
+            "grid": {"dims": [16, 16, 1]},
+            "params": {"mu": 1.0, "eta": 1.0},
+            "system": "fi_incompressible",
+            "scenario": {"kind": "random_solenoidal", "amplitude": 0.1, "seed": 11},
+            "control": {"t_end": 0.2, "dt": 0.02},
+        }
+        summary = sweep(doc, "amplitude", [1e-2, 1e-1], tmp_path / "s")
+        assert not summary["partial"]
+        for row in summary["rows"]:
+            one = dict(doc, scenario=dict(doc["scenario"], amplitude=row["value"]))
+            expected = _maxwell_limit_distance(RunConfig.from_dict(one))
+            assert expected > 0.0
+            assert row["maxwell_distance"] == pytest.approx(expected, rel=1e-12,
+                                                            abs=0.0)
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestSweepInput:
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        monkeypatch.setattr(_InlineExecutor, "created", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+        return _InlineExecutor
+
+    def _main(self, tmp_path, values, jobs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(shear_config(tmp_path / "out", t_end=0.04)))
+        return main(["sweep", "--config", str(cfg), "--axis", "kappa",
+                     "--values", values, "--jobs", str(jobs),
+                     "--out", str(tmp_path / "s")])
+
+    def test_json_array_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        code = main(["sweep", "--config", str(cfg), "--axis", "kappa",
+                     "--values", "0.1"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, executor, jobs):
+        assert self._main(tmp_path, "0.1,0.2", jobs) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert executor.created == []
+        with pytest.raises(ConfigError):
+            sweep(shear_config(tmp_path / "o"), "kappa", [0.1], tmp_path / "t",
+                  jobs=jobs)
+
+    def test_pool_capped_at_value_count(self, tmp_path, executor):
+        assert self._main(tmp_path, "0.1,0.2", 8) == 0
+        assert executor.created == [2]
+
+    @pytest.mark.parametrize("values, jobs", [("0.1,0.2", 1), ("0.1", 4)])
+    def test_one_worker_runs_inline(self, tmp_path, executor, values, jobs):
+        assert self._main(tmp_path, values, jobs) == 0
+        assert executor.created == []
 
 
 class TestMainEntryPoint:

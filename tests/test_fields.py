@@ -16,7 +16,9 @@ from metacont.fields import (
     dealias,
     dealias_field,
     dot,
+    fftn_array,
     from_spectral,
+    ifftn_array,
     make_grid,
     mode_coefficient,
     norm_l2,
@@ -188,6 +190,15 @@ class TestSpectral:
         back = from_spectral(to_spectral(f))
         err = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
         assert err < 1e-13
+
+    @pytest.mark.parametrize("dims", [(8, 6, 1), (4, 6, 8), (1, 1, 1)])
+    def test_inverse_transform_owns_contiguous_memory(self, dims):
+        grid = make_grid(dims, (TWO_PI, TWO_PI, TWO_PI))
+        rng = np.random.default_rng(3)
+        back = ifftn_array(grid, fftn_array(grid, rng.standard_normal(dims)))
+        assert back.dtype == np.float64
+        assert back.flags.c_contiguous
+        assert back.flags.owndata
 
     def test_parseval(self):
         f = band_limited_scalar(GRID_64, seed=7, fraction=0.5)

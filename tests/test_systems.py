@@ -1,0 +1,69 @@
+"""The SYSTEMS table: every declared (system, scenario) pair steps, every
+other pair is rejected at configuration time."""
+
+import numpy as np
+import pytest
+
+from metacont.cli import ConfigError, RunConfig
+from metacont.dynamics import SYSTEMS, MediumParams, StepControl, auto_step_size, step
+from metacont.fields import make_grid
+from metacont.scenarios import SCENARIO_KINDS, ScenarioSpec, generate
+
+GRID = make_grid((16, 16, 1), (2 * np.pi, 2 * np.pi, 2 * np.pi))
+PARAMS = MediumParams(lam=2.0, kappa=0.1)
+SCENARIOS = {
+    "plane_shear_wave": {"polarization": (0, 1, 0)},
+    "standing_shear_wave": {"polarization": (0, 1, 0)},
+    "gaussian_vortex": {},
+    "random_solenoidal": {"seed": 5},
+    "compression_pulse": {},
+    "uniform_E_decay": {},
+}
+# the (scenario, system) pairs a run accepts
+COMPATIBLE = {
+    "plane_shear_wave": set(SYSTEMS),
+    "standing_shear_wave": set(SYSTEMS),
+    "gaussian_vortex": set(SYSTEMS) - {"linear_navier"},
+    "random_solenoidal": set(SYSTEMS) - {"linear_navier"},
+    "compression_pulse": {"linear_navier", "compressible_solid"},
+    "uniform_E_decay": {"fi_incompressible", "compressible_liquid",
+                        "compressible_solid"},
+}
+
+
+def _doc(system, kind):
+    scenario = {"kind": kind, "amplitude": 1e-3, **SCENARIOS[kind]}
+    return {"grid": {"dims": list(GRID.dims)}, "system": system,
+            "scenario": scenario, "control": {"t_end": 0.1}}
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS))
+def test_system_steps_from_every_declared_scenario(system):
+    record = SYSTEMS[system]
+    assert record.scenarios == {k for k, s in COMPATIBLE.items() if system in s}
+    for kind in sorted(record.scenarios):
+        spec = ScenarioSpec(kind, amplitude=1e-3, **SCENARIOS[kind])
+        state = record.initial(generate(spec, GRID, PARAMS), PARAMS)
+        out = step(state, PARAMS, StepControl(t_end=1.0, dt=0.01), system)
+        assert type(out) is type(state)
+        assert out.time == pytest.approx(0.01)
+        for name in record.snapshot:
+            assert getattr(out, name) is not None, (kind, name)
+        assert RunConfig.from_dict(_doc(system, kind)).system == system
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS))
+def test_undeclared_scenarios_rejected(system):
+    for kind in sorted(set(SCENARIO_KINDS) - SYSTEMS[system].scenarios):
+        with pytest.raises(ConfigError, match="incompatible"):
+            RunConfig.from_dict(_doc(system, kind))
+
+
+def test_unknown_system_name_raises_value_error():
+    spec = ScenarioSpec("random_solenoidal", amplitude=1e-3)
+    state = generate(spec, GRID, PARAMS)
+    control = StepControl(t_end=1.0, dt=0.01)
+    with pytest.raises(ValueError, match="unknown system"):
+        step(state, PARAMS, control, "navier_stokes")
+    with pytest.raises(ValueError, match="unknown system"):
+        auto_step_size(state, PARAMS, control, "navier_stokes")
