@@ -91,6 +91,12 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for section in ("grid", "params", "scenario", "control", "outputs"):
+            if not isinstance(doc.get(section, {}), dict):
+                raise ConfigError(
+                    f"config section {section!r} must be a JSON object, "
+                    f"got {type(doc[section]).__name__}"
+                )
         try:
             grid_doc = doc.get("grid", {})
             grid = make_grid(

@@ -246,10 +246,10 @@ def _leray_hat(g, hats) -> tuple[list[np.ndarray], np.ndarray]:
     """Spectral Leray projection: (solenoidal coefficients, potential coefficients)."""
     ks = angular_wavenumbers(g)
     div_hat = 1j * (ks[0] * hats[0] + ks[1] * hats[1] + ks[2] * hats[2])
-    k2 = _k_squared(g).copy()
-    k2[0, 0, 0] = 1.0  # guarded; the mean mode is pinned to zero below
-    phi_hat = -div_hat / k2
-    phi_hat[0, 0, 0] = 0.0
+    # k = 0 at the mean and the all-Nyquist modes; div_hat is zero there, so
+    # the guard pins phi_hat to zero
+    k2 = _k_squared(g)
+    phi_hat = -div_hat / np.where(k2 > 0.0, k2, 1.0)
     return [h - (1j * k) * phi_hat for k, h in zip(ks, hats)], phi_hat
 
 

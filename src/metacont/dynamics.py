@@ -333,7 +333,7 @@ class _Core:
     def div_hat(self, hats) -> np.ndarray:
         """Sum over the active axes i of i k_i hats[i]."""
         return sum(((1j * self.ks[i]) * hats[i] for i in self.axes),
-                   np.zeros(self.grid.shape, dtype=np.complex128))
+                   np.zeros(self.grid.spectral_shape, dtype=np.complex128))
 
     def d(self, hat: np.ndarray, i: int) -> np.ndarray:
         """Physical-space derivative along axis i of the coefficients hat."""
@@ -386,7 +386,6 @@ class FiRates:
 class SecondOrderRates:
     dv: VectorField
     dv_t: VectorField
-    pressure_gradient_rate: VectorField
 
 
 @dataclass(frozen=True)
@@ -455,9 +454,8 @@ def rhs_second_order(state: SecondOrderState, params: MediumParams) -> SecondOrd
     """Stress-eliminated second-order form.
 
     mu v_tt + 2 mu (v.grad) v_t + (vv) grad grad v = -(rate of grad p) + eta lap v.
-    All known terms are evaluated and v_tt is Leray-projected, which defines
-    the pressure-gradient rate implicitly; the projected-out gradient is
-    returned (scaled by mu) so the realized rate can be inspected.
+    All known terms are evaluated and v_tt is Leray-projected, which realizes
+    the pressure-gradient rate implicitly as the projected-out gradient.
     """
     v, v_t = state.v, state.v_t
     for name, f in (("v", v), ("v_t", v_t)):
@@ -469,12 +467,7 @@ def rhs_second_order(state: SecondOrderState, params: MediumParams) -> SecondOrd
     raw = (laplacian(v) * (params.eta / params.mu)
            - vector_advection(v, v_t) * 2.0
            - double_advection(v, v) * (1.0 / params.mu))
-    projected = leray_project(raw)
-    return SecondOrderRates(
-        dv=v_t,
-        dv_t=projected.solenoidal,
-        pressure_gradient_rate=grad(projected.potential) * params.mu,
-    )
+    return SecondOrderRates(dv=v_t, dv_t=leray_project(raw).solenoidal)
 
 
 def rhs_compressible(state: FluidState, params: MediumParams,

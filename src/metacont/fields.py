@@ -8,6 +8,25 @@ count (set via the METACONT_THREADS environment variable).
 
 A dimension of size 1 is inactive: derivatives along it vanish and it is
 exempt from the even-and-at-least-4 rule.  2D runs are 3D grids with nz=1.
+
+Spectral layout.  Every field is real, so the forward transform is the
+real-to-complex `scipy.fft.rfftn` over the active axes and the inverse is
+`irfftn`.  The last active axis keeps only its modes 0..n/2 (n//2 + 1
+coefficients); the other active axes keep all n modes in FFT order.  The
+missing modes are the complex conjugates of the stored ones, c(-m) =
+conj(c(m)).  `GridSpec.spectral_shape` is the coefficient shape, and
+`_mode_indices`, `angular_wavenumbers`, `dealias_mask`, `SpectralField`,
+`spectral_norm_l2` and `mode_coefficient` all describe this one layout; no
+other module knows which axis is halved.  A grid without an active axis is
+its own (complex) coefficient array.
+
+Nyquist convention.  The Nyquist mode |m| = n/2 of an active axis has no
+sign, so `angular_wavenumbers` gives it k = 0 on every active axis: every
+derivative annihilates it.  For a first derivative this is what a
+complex-to-complex transform followed by `.real` yields; without it, `irfftn`
+would keep the anti-Hermitian Nyquist part of i*k*c along the non-halved
+axes.  Band-limited fields and dealiased products carry no Nyquist content,
+so the convention shows only on full-band input.
 """
 
 from __future__ import annotations
@@ -127,6 +146,15 @@ class GridSpec:
         pairs = [h for h, a in zip(self.spacing, self.active) if a]
         return min(pairs) if pairs else min(self.spacing)
 
+    @property
+    def spectral_shape(self) -> tuple[int, int, int]:
+        """Shape of the coefficient arrays (see the module docstring)."""
+        half = _halved_axis(self)
+        if half is None:
+            return self.dims
+        return tuple(n // 2 + 1 if axis == half else n
+                     for axis, n in enumerate(self.dims))
+
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays (X, Y, Z) of the grid points."""
         out = []
@@ -143,13 +171,31 @@ def make_grid(dims, lengths) -> GridSpec:
 
 
 @lru_cache(maxsize=128)
+def _transform_axes(grid: GridSpec) -> tuple[int, ...]:
+    # a DFT over a length-1 axis is the identity, so only active axes are
+    # transformed; coefficients are identical to the full three-axis transform
+    return tuple(i for i, a in enumerate(grid.active) if a)
+
+
+def _halved_axis(grid: GridSpec) -> int | None:
+    """The axis that keeps only modes 0..n/2: the last active one."""
+    axes = _transform_axes(grid)
+    return axes[-1] if axes else None
+
+
+@lru_cache(maxsize=128)
 def _mode_indices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Broadcastable integer mode-index arrays per axis (FFT ordering)."""
+    """Broadcastable integer mode-index arrays per axis in the half-spectrum
+    layout: 0..n/2 on the halved axis, FFT ordering on the others."""
+    half = _halved_axis(grid)
     out = []
     for axis, n in enumerate(grid.dims):
-        m = np.fft.fftfreq(n, d=1.0 / n)
+        if axis == half:
+            m = np.fft.rfftfreq(n, d=1.0 / n)
+        else:
+            m = np.fft.fftfreq(n, d=1.0 / n)
         shape = [1, 1, 1]
-        shape[axis] = n
+        shape[axis] = m.size
         m = m.reshape(shape)
         m.setflags(write=False)
         out.append(m)
@@ -158,10 +204,11 @@ def _mode_indices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=128)
 def angular_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Broadcastable angular wavenumber arrays k_i = 2*pi*m_i/L_i per axis."""
+    """Broadcastable angular wavenumber arrays k_i = 2*pi*m_i/L_i per axis,
+    with k = 0 at the Nyquist mode (see the module docstring)."""
     out = []
-    for m, L in zip(_mode_indices(grid), grid.lengths):
-        k = (2.0 * np.pi / L) * m
+    for m, n, L in zip(_mode_indices(grid), grid.dims, grid.lengths):
+        k = np.where(np.abs(m) == n / 2, 0.0, (2.0 * np.pi / L) * m)
         k.setflags(write=False)
         out.append(k)
     return tuple(out)
@@ -170,7 +217,7 @@ def angular_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
 @lru_cache(maxsize=128)
 def _k_squared(grid: GridSpec) -> np.ndarray:
     kx, ky, kz = angular_wavenumbers(grid)
-    k2 = (kx * kx + ky * ky + kz * kz) * np.ones(grid.shape)
+    k2 = (kx * kx + ky * ky + kz * kz) * np.ones(grid.spectral_shape)
     k2.setflags(write=False)
     return k2
 
@@ -178,7 +225,7 @@ def _k_squared(grid: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=128)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Two-thirds-rule mask: modes with |m_i| > n_i/3 in any active dim are zeroed."""
-    mask = np.ones(grid.shape, dtype=bool)
+    mask = np.ones(grid.spectral_shape, dtype=bool)
     for m, n, active in zip(_mode_indices(grid), grid.dims, grid.active):
         if active:
             mask = mask & (np.abs(m) <= n / 3.0)
@@ -186,28 +233,23 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=128)
-def _transform_axes(grid: GridSpec) -> tuple[int, ...]:
-    # a DFT over a length-1 axis is the identity, so only active axes are
-    # transformed; coefficients are identical to the full three-axis transform
-    return tuple(i for i, a in enumerate(grid.active) if a)
-
-
 def fftn_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Forward DFT of a physical-space array (unnormalized)."""
+    """Forward real-to-complex DFT of a physical-space array (unnormalized),
+    in the half-spectrum layout."""
     axes = _transform_axes(grid)
     if not axes:
         return values.astype(np.complex128)
-    return scipy.fft.fftn(values, axes=axes, workers=_fft_workers())
+    return scipy.fft.rfftn(values, axes=axes, workers=_fft_workers())
 
 
 def ifftn_array(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse DFT back to physical space; the real part is returned as an
-    owned C-contiguous array, so the complex result is freed."""
+    """Inverse complex-to-real DFT back to physical space, as an owned
+    C-contiguous array."""
     axes = _transform_axes(grid)
-    if axes:
-        coeffs = scipy.fft.ifftn(coeffs, axes=axes, workers=_fft_workers())
-    return coeffs.real.copy()
+    if not axes:
+        return coeffs.real.copy()
+    return scipy.fft.irfftn(coeffs, s=[grid.dims[i] for i in axes], axes=axes,
+                            workers=_fft_workers())
 
 
 def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -516,16 +558,19 @@ def norm_linf(f: Field) -> float:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex DFT coefficients of a scalar field (unnormalized forward transform)."""
+    """Complex DFT coefficients of a real scalar field (unnormalized forward
+    transform) in the half-spectrum layout: `coeffs` has the grid's
+    `spectral_shape`, the last active axis holding modes 0..n/2 only."""
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=np.complex128, order="C", copy=True)
-        if arr.shape != self.grid.shape:
+        if arr.shape != self.grid.spectral_shape:
             raise FieldError(
-                f"coefficient shape {arr.shape} does not match grid {self.grid.shape}"
+                f"coefficient shape {arr.shape} does not match the spectral "
+                f"shape {self.grid.spectral_shape} of grid {self.grid.shape}"
             )
         if not np.isfinite(arr).all():
             raise FieldError("spectral field contains non-finite coefficients")
@@ -556,16 +601,33 @@ def dealias_field(f: Field) -> Field:
 
 
 def spectral_norm_l2(sf: SpectralField) -> float:
-    """Coefficient L2 norm matching the volume-weighted physical norm (Parseval)."""
-    total = float(np.sum(np.abs(sf.coeffs) ** 2))
+    """Coefficient L2 norm matching the volume-weighted physical norm (Parseval).
+
+    Each interior bin of the halved axis stands for itself and its conjugate
+    mirror, so it counts twice; its 0 and Nyquist bins count once."""
+    power = np.abs(sf.coeffs) ** 2
+    total = float(np.sum(power))
+    half = _halved_axis(sf.grid)
+    if half is not None:
+        interior = [slice(None)] * 3
+        interior[half] = slice(1, sf.grid.dims[half] // 2)
+        total += float(np.sum(power[tuple(interior)]))
     return float(np.sqrt(sf.grid.cell_volume * total / sf.grid.num_points))
 
 
 def mode_coefficient(f: ScalarField, mode) -> complex:
-    """Normalized DFT coefficient of one mode; for A*sin(x) the m=(1,0,0) value is -iA/2."""
+    """Normalized DFT coefficient of one mode; for A*sin(x) the m=(1,0,0) value is -iA/2.
+
+    A mode whose halved-axis index is negative is not stored; it is the
+    conjugate of the stored mirrored mode -m."""
     coeffs = fftn_array(f.grid, f.values)
-    idx = tuple(int(m) % n for m, n in zip(mode, f.grid.dims))
-    return complex(coeffs[idx] / f.grid.num_points)
+    dims = f.grid.dims
+    idx = [int(m) % n for m, n in zip(mode, dims)]
+    half = _halved_axis(f.grid)
+    if half is not None and idx[half] > dims[half] // 2:
+        mirrored = tuple(-int(m) % n for m, n in zip(mode, dims))
+        return complex(np.conj(coeffs[mirrored]) / f.grid.num_points)
+    return complex(coeffs[tuple(idx)] / f.grid.num_points)
 
 
 # ---------------------------------------------------------------------------

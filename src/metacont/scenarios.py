@@ -190,7 +190,7 @@ def band_limited_noise(grid: GridSpec, rng, fraction: float = RANDOM_BAND_FRACTI
     scaled so that its largest magnitude is `peak`.
     """
     rng = np.random.default_rng(rng)
-    mask = np.ones(grid.shape, dtype=bool)
+    mask = np.ones(grid.spectral_shape, dtype=bool)
     for m, n, active in zip(_mode_indices(grid), grid.dims, grid.active):
         if active:
             mask = mask & (np.abs(m) <= n * fraction)

@@ -385,6 +385,21 @@ class TestMainEntryPoint:
         payload = json.loads(err.strip())
         assert payload["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("section", ["grid", "params", "scenario",
+                                         "control", "outputs"])
+    @pytest.mark.parametrize("value", [5, [1], None, "x"])
+    def test_non_object_section_exits_2_with_json_error(self, tmp_path, capsys,
+                                                        section, value):
+        doc = shear_config(tmp_path / "out")
+        doc[section] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(cfg)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert f"config section '{section}' must be a JSON object" in payload["message"]
+
     def test_run_via_main(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(shear_config(tmp_path / "out", t_end=0.2)))

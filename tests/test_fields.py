@@ -230,6 +230,13 @@ class TestDealias:
         assert norm_linf(kept) > 0.9
         assert norm_linf(removed) < 1e-13
 
+    def test_cutoff_boundary_along_the_halved_axis(self):
+        # y is the last active axis, which keeps only modes 0..32
+        kept = from_spectral(dealias(to_spectral(sine_scalar(GRID_64, axis=1, k=21))))
+        removed = from_spectral(dealias(to_spectral(sine_scalar(GRID_64, axis=1, k=22))))
+        assert norm_linf(kept) > 0.9
+        assert norm_linf(removed) < 1e-13
+
     def test_white_noise_energy_nonincreasing(self):
         rng = np.random.default_rng(11)
         f = ScalarField(GRID_64, rng.standard_normal(GRID_64.shape))

@@ -1,0 +1,79 @@
+"""Property tests of the spectral layer over many grids and box shapes.
+
+Grids have random even active dims in [4, 24], in three layouts (3D, nz = 1,
+inactive middle axis), and random anisotropic box lengths.  Inputs are
+unit-peak band-limited noise, so the discrete identities hold to round-off.  The
+runs are derandomized: the same examples are drawn every time.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from metacont.diffops import curl, div, grad, leray_project
+from metacont.fields import (
+    ScalarField,
+    VectorField,
+    from_spectral,
+    make_grid,
+    norm_l2,
+    norm_linf,
+    spectral_norm_l2,
+    to_spectral,
+)
+from metacont.scenarios import band_limited_noise
+
+SETTINGS = settings(max_examples=25, deadline=2000, derandomize=True,
+                    database=None)
+
+_even = st.integers(2, 12).map(lambda h: 2 * h)
+_length = st.floats(1.0, 12.0)
+
+
+@st.composite
+def grids(draw):
+    nx, ny, nz = draw(_even), draw(_even), draw(_even)
+    layout = draw(st.sampled_from(("3d", "nz1", "inactive_middle")))
+    if layout == "nz1":
+        nz = 1
+    elif layout == "inactive_middle":
+        ny = 1
+    return make_grid((nx, ny, nz), (draw(_length), draw(_length), draw(_length)))
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _vector_noise(grid, seed) -> VectorField:
+    """Unit-peak band-limited vector noise (|m_i| <= 0.4 n_i)."""
+    return VectorField.from_arrays(grid, band_limited_noise(grid, seed, 0.4, (3,), 1.0))
+
+
+@SETTINGS
+@given(grids(), seeds)
+def test_div_curl_and_curl_grad_vanish(grid, seed):
+    v = _vector_noise(grid, seed)
+    f = ScalarField(grid, band_limited_noise(grid, seed + 1, 0.4, peak=1.0))
+    assert norm_linf(div(curl(v))) <= 1e-12
+    assert norm_linf(curl(grad(f))) <= 1e-12
+
+
+@SETTINGS
+@given(grids(), seeds)
+def test_leray_projection_is_idempotent_and_divergence_free(grid, seed):
+    v = _vector_noise(grid, seed)
+    once = leray_project(v).solenoidal
+    twice = leray_project(once).solenoidal
+    assert norm_linf(twice - once) <= 1e-12
+    assert norm_linf(div(once)) <= 1e-12
+
+
+@SETTINGS
+@given(grids(), seeds)
+def test_transform_round_trip_and_parseval(grid, seed):
+    rng = np.random.default_rng(seed)
+    f = ScalarField(grid, rng.standard_normal(grid.shape))
+    back = from_spectral(to_spectral(f))
+    assert norm_linf(back - f) <= 1e-13 * norm_linf(f)
+    phys = norm_l2(f)
+    assert abs(spectral_norm_l2(to_spectral(f)) - phys) <= 1e-12 * phys
+

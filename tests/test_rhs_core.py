@@ -20,8 +20,10 @@ from metacont.diffops import (
 from metacont.dynamics import (
     FluidState,
     MediumParams,
+    SecondOrderState,
     rhs_compressible,
     rhs_fi_incompressible,
+    rhs_second_order,
     upper_convected_vector,
 )
 from metacont.fields import ScalarField, dealias_field, make_grid, norm_linf
@@ -45,6 +47,8 @@ def _state(grid, seed=0, solenoidal=True):
 def _rhs(system, state, params=PARAMS):
     if system == "fi":
         return rhs_fi_incompressible(state, params)
+    if system == "second_order":
+        return rhs_second_order(state, params)
     return rhs_compressible(state, params, system.split("_")[1])
 
 
@@ -52,25 +56,34 @@ def _rhs(system, state, params=PARAMS):
 # transform budget
 # ---------------------------------------------------------------------------
 
-# complex transforms per RHS call; the count depends only on which axes are
-# active, so 16^3 stands in for every 3D grid
+# transforms per RHS call; the count depends only on which axes are active,
+# so 16^3 stands in for every 3D grid
 BUDGET = {
     ("fi", "2d"): 32, ("fi", "3d"): 38,
     ("compressible_solid", "2d"): 40, ("compressible_solid", "3d"): 49,
     ("compressible_liquid", "2d"): 38, ("compressible_liquid", "3d"): 46,
+    ("second_order", "2d"): 66, ("second_order", "3d"): 66,
 }
 BUDGET_GRIDS = {
     "2d": make_grid((64, 64, 1), (2 * np.pi,) * 3),
     "3d": make_grid((16, 16, 16), (2 * np.pi,) * 3),
 }
+# every forward and inverse entry point of scipy.fft; the first six are the
+# complex-to-complex ones
+C2C = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+FFT_ENTRY_POINTS = C2C + ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
+                          "hfft", "ihfft", "hfft2", "ihfft2", "hfftn", "ihfftn")
 
 
-@pytest.mark.parametrize("system", SYSTEMS)
+@pytest.mark.parametrize("system", SYSTEMS + ("second_order",))
 @pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
 def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
     state = _state(BUDGET_GRIDS[shape])
+    if system == "second_order":
+        state = SecondOrderState(time=0.0, v=state.v,
+                                 v_t=rhs_fi_incompressible(state, PARAMS).dv)
     calls = []
-    for name in ("fftn", "ifftn"):
+    for name in FFT_ENTRY_POINTS:
         original = getattr(scipy.fft, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -80,6 +93,7 @@ def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
         monkeypatch.setattr(scipy.fft, name, counted)
     _rhs(system, state)
     assert len(calls) == BUDGET[(system, shape)]
+    assert not set(calls) & set(C2C), sorted(set(calls))
 
 
 # ---------------------------------------------------------------------------
