@@ -192,7 +192,7 @@ def _measurement_target(config: RunConfig):
         field = getattr(state, name)
         return sum(
             d * mode_coefficient(c, config.scenario.wavevector)
-            for d, c in zip(direction, field.components)
+            for d, c in zip(direction, (field.x, field.y, field.z))
         )
 
     return pick, kmag

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    FieldError,
+    Field,
     ScalarField,
     TensorField,
     VectorField,
-    angular_wavenumbers,
-    _k_squared,
     _check_same_grid,
+    _cross_arrays,
+    _k_squared,
+    _k_vector,
     cross,
     dealias_array,
     dealias_field,
@@ -52,60 +53,55 @@ __all__ = [
 ]
 
 
+def _ik(g, lead: int = 0) -> np.ndarray:
+    """i k over a leading axis, broadcastable against coefficients with `lead`
+    further leading component axes."""
+    k = _k_vector(g)
+    return 1j * k.reshape(k.shape[:1] + (1,) * lead + k.shape[1:])
+
+
+def _gradient(g, values: np.ndarray) -> np.ndarray:
+    """d_i of every component of a stack; the new leading axis is i."""
+    return ifftn_array(g, _ik(g, values.ndim - 3) * fftn_array(g, values))
+
+
+def _divergence(g, values: np.ndarray) -> np.ndarray:
+    """sum_i d_i values[i]: the leading axis contracted with the gradient."""
+    return ifftn_array(g, np.sum(_ik(g, values.ndim - 4) * fftn_array(g, values),
+                                 axis=0))
+
+
 def grad(f: ScalarField) -> VectorField:
     """Spectral gradient of a scalar field."""
-    g = f.grid
-    ks = angular_wavenumbers(g)
-    fh = fftn_array(g, f.values)
-    return VectorField.from_arrays(
-        g, tuple(ifftn_array(g, (1j * k) * fh) for k in ks)
-    )
+    return VectorField._wrap(f.grid, _gradient(f.grid, f.values))
 
 
 def div(v: VectorField) -> ScalarField:
     """Spectral divergence of a vector field."""
-    g = v.grid
-    ks = angular_wavenumbers(g)
-    acc = None
-    for k, arr in zip(ks, v.arrays()):
-        term = (1j * k) * fftn_array(g, arr)
-        acc = term if acc is None else acc + term
-    return ScalarField(g, ifftn_array(g, acc))
+    return ScalarField._wrap(v.grid, _divergence(v.grid, v.values))
 
 
-def _curl_hat(ks, hats, j: int) -> np.ndarray:
-    """Component j of ik x h for the coefficient triple h of a vector field."""
-    a, b = (j + 1) % 3, (j + 2) % 3
-    return 1j * (ks[a] * hats[b] - ks[b] * hats[a])
+def _curl_hat(k, hats) -> np.ndarray:
+    """ik x h for stacked wavenumbers k and coefficients h of a vector field."""
+    return 1j * _cross_arrays(k, hats)
 
 
-def _curl_curl_hat(ks, hats, j: int) -> np.ndarray:
-    """Component j of ik x (ik x h), forming only the two inner components it needs."""
-    a, b = (j + 1) % 3, (j + 2) % 3
-    return 1j * (ks[a] * _curl_hat(ks, hats, b) - ks[b] * _curl_hat(ks, hats, a))
+def _curl_curl_hat(k, hats) -> np.ndarray:
+    """ik x (ik x h)."""
+    return _curl_hat(k, _curl_hat(k, hats))
 
 
 def curl(v: VectorField) -> VectorField:
     """Spectral curl of a vector field."""
     g = v.grid
-    ks = angular_wavenumbers(g)
-    hats = [fftn_array(g, a) for a in v.arrays()]
-    return VectorField.from_arrays(
-        g, tuple(ifftn_array(g, _curl_hat(ks, hats, j)) for j in range(3))
-    )
+    return VectorField._wrap(g, ifftn_array(g, _curl_hat(_k_vector(g),
+                                                          fftn_array(g, v.values))))
 
 
-def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
+def laplacian(f: Field) -> Field:
     """Spectral Laplacian (same rank as the input)."""
     g = f.grid
-    k2 = _k_squared(g)
-    if isinstance(f, ScalarField):
-        return ScalarField(g, ifftn_array(g, -k2 * fftn_array(g, f.values)))
-    if isinstance(f, VectorField):
-        return VectorField.from_arrays(
-            g, tuple(ifftn_array(g, -k2 * fftn_array(g, a)) for a in f.arrays())
-        )
-    raise FieldError("laplacian expects a scalar or vector field")
+    return f._wrap(g, ifftn_array(g, -_k_squared(g) * fftn_array(g, f.values)))
 
 
 def curl_curl(v: VectorField) -> VectorField:
@@ -123,67 +119,47 @@ def curl_curl(v: VectorField) -> VectorField:
 
 def grad_vector(v: VectorField) -> TensorField:
     """Velocity-gradient tensor with components (grad v)_ij = d_i v_j."""
-    g = v.grid
-    ks = angular_wavenumbers(g)
-    hats = [fftn_array(g, a) for a in v.arrays()]
-    rows = tuple(
-        tuple(ifftn_array(g, (1j * ks[i]) * hats[j]) for j in range(3))
-        for i in range(3)
-    )
-    return TensorField.from_arrays(g, rows)
+    return TensorField._wrap(v.grid, _gradient(v.grid, v.values))
 
 
 def divergence_tensor(t: TensorField) -> VectorField:
     """Divergence over the first index: (div T)_j = d_i T_ij."""
-    g = t.grid
-    ks = angular_wavenumbers(g)
-    out = []
-    for j in range(3):
-        acc = None
-        for i in range(3):
-            term = (1j * ks[i]) * fftn_array(g, t.array(i, j))
-            acc = term if acc is None else acc + term
-        out.append(ifftn_array(g, acc))
-    return VectorField.from_arrays(g, tuple(out))
+    return VectorField._wrap(t.grid, _divergence(t.grid, t.values))
+
+
+def _contract(g, weights, symbols, values: np.ndarray) -> np.ndarray:
+    """sum_p weights[p] * D_p values, where symbols[p] is the spectral symbol
+    of the derivative D_p.  One derivative of the whole stack is alive at a
+    time, so the peak memory stays that of a few stacks."""
+    hat = fftn_array(g, values)
+    return sum(w * ifftn_array(g, sym * hat) for w, sym in zip(weights, symbols))
 
 
 def advect_scalar(v: VectorField, f: ScalarField) -> ScalarField:
     """(v . grad) f with the product dealiased."""
     _check_same_grid(v, f)
     g = f.grid
-    ks = angular_wavenumbers(g)
-    fh = fftn_array(g, f.values)
-    out = np.zeros(g.shape)
-    for k, varr in zip(ks, v.arrays()):
-        out = out + varr * ifftn_array(g, (1j * k) * fh)
-    return ScalarField(g, dealias_array(g, out))
+    out = _contract(g, v.values, 1j * _k_vector(g), f.values)
+    return ScalarField._wrap(g, dealias_array(g, out))
 
 
 def vector_advection(v: VectorField, w: VectorField) -> VectorField:
     """(v . grad) w: contraction of v with the spectral gradient of w, dealiased."""
     _check_same_grid(v, w)
     g = v.grid
-    ks = angular_wavenumbers(g)
-    what = [fftn_array(g, a) for a in w.arrays()]
-    varr = v.arrays()
-    out = []
-    for j in range(3):
-        acc = np.zeros(g.shape)
-        for i in range(3):
-            acc = acc + varr[i] * ifftn_array(g, (1j * ks[i]) * what[j])
-        out.append(dealias_array(g, acc))
-    return VectorField.from_arrays(g, tuple(out))
+    out = _contract(g, v.values, 1j * _k_vector(g), w.values)
+    return VectorField._wrap(g, dealias_array(g, out))
 
 
-_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+# the six independent index pairs (i, j) of a symmetric second derivative
+_SYM_I, _SYM_J = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+_SYM_OFF = (np.array(_SYM_I) != np.array(_SYM_J)).reshape(6, 1, 1, 1)
 
 
-def _second_derivatives(g, hat) -> dict[tuple[int, int], np.ndarray]:
-    """d_i d_j of one component for the six independent index pairs."""
-    ks = angular_wavenumbers(g)
-    return {
-        (i, j): ifftn_array(g, -(ks[i] * ks[j]) * hat) for i, j in _SYM_PAIRS
-    }
+def _second_derivative_symbols(g) -> np.ndarray:
+    """The symbols -k_i k_j of d_i d_j for the six pairs."""
+    k = _k_vector(g)
+    return -(k[_SYM_I] * k[_SYM_J])
 
 
 def hessian_contract(v: VectorField, sigma: TensorField) -> VectorField:
@@ -191,33 +167,21 @@ def hessian_contract(v: VectorField, sigma: TensorField) -> VectorField:
     result_k = sum_ij sigma_ij d_i d_j v_k, dealiased."""
     _check_same_grid(v, sigma)
     g = v.grid
-    out = []
-    for comp_arr in v.arrays():
-        hat = fftn_array(g, comp_arr)
-        d2 = _second_derivatives(g, hat)
-        acc = np.zeros(g.shape)
-        for i, j in _SYM_PAIRS:
-            weight = sigma.array(i, j) if i == j else sigma.array(i, j) + sigma.array(j, i)
-            acc = acc + weight * d2[(i, j)]
-        out.append(dealias_array(g, acc))
-    return VectorField.from_arrays(g, tuple(out))
+    s = sigma.values
+    weights = np.where(_SYM_OFF, s[_SYM_I, _SYM_J] + s[_SYM_J, _SYM_I],
+                       s[_SYM_I, _SYM_J])
+    out = _contract(g, weights, _second_derivative_symbols(g), v.values)
+    return VectorField._wrap(g, dealias_array(g, out))
 
 
 def double_advection(v: VectorField, w: VectorField) -> VectorField:
     """(vv) grad grad w = sum_ij v_i v_j d_i d_j w, dealiased (cubic nonlinearity)."""
     _check_same_grid(v, w)
     g = v.grid
-    varr = v.arrays()
-    out = []
-    for comp_arr in w.arrays():
-        hat = fftn_array(g, comp_arr)
-        d2 = _second_derivatives(g, hat)
-        acc = np.zeros(g.shape)
-        for i, j in _SYM_PAIRS:
-            factor = 1.0 if i == j else 2.0
-            acc = acc + factor * (varr[i] * varr[j]) * d2[(i, j)]
-        out.append(dealias_array(g, acc))
-    return VectorField.from_arrays(g, tuple(out))
+    va = v.values
+    weights = np.where(_SYM_OFF, 2.0, 1.0) * (va[_SYM_I] * va[_SYM_J])
+    out = _contract(g, weights, _second_derivative_symbols(g), w.values)
+    return VectorField._wrap(g, dealias_array(g, out))
 
 
 @dataclass(frozen=True)
@@ -235,22 +199,21 @@ def leray_project(v: VectorField) -> ProjectionResult:
     the solenoidal part is v - grad(phi) and is divergence-free to round-off.
     """
     g = v.grid
-    sol_hats, phi_hat = _leray_hat(g, [fftn_array(g, a) for a in v.arrays()])
-    return ProjectionResult(
-        VectorField.from_arrays(g, tuple(ifftn_array(g, h) for h in sol_hats)),
-        ScalarField(g, ifftn_array(g, phi_hat)),
-    )
+    sol_hat, phi_hat = _leray_hat(g, fftn_array(g, v.values))
+    return ProjectionResult(VectorField._wrap(g, ifftn_array(g, sol_hat)),
+                            ScalarField._wrap(g, ifftn_array(g, phi_hat)))
 
 
-def _leray_hat(g, hats) -> tuple[list[np.ndarray], np.ndarray]:
-    """Spectral Leray projection: (solenoidal coefficients, potential coefficients)."""
-    ks = angular_wavenumbers(g)
-    div_hat = 1j * (ks[0] * hats[0] + ks[1] * hats[1] + ks[2] * hats[2])
+def _leray_hat(g, hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral Leray projection of stacked coefficients: (solenoidal
+    coefficients, potential coefficients)."""
+    k = _k_vector(g)
+    div_hat = 1j * (k[0] * hats[0] + k[1] * hats[1] + k[2] * hats[2])
     # k = 0 at the mean and the all-Nyquist modes; div_hat is zero there, so
     # the guard pins phi_hat to zero
     k2 = _k_squared(g)
     phi_hat = -div_hat / np.where(k2 > 0.0, k2, 1.0)
-    return [h - (1j * k) * phi_hat for k, h in zip(ks, hats)], phi_hat
+    return hats - (1j * k) * phi_hat, phi_hat
 
 
 def identity_residual_triple(v: VectorField, e: VectorField) -> VectorField:

@@ -44,6 +44,7 @@ implicitly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +52,7 @@ import numpy as np
 
 from . import emlaws
 from .diffops import (
+    _contract,
     _curl_curl_hat,
     _leray_hat,
     curl,
@@ -69,6 +71,7 @@ from .fields import (
     ScalarField,
     TensorField,
     VectorField,
+    _k_vector,
     angular_wavenumbers,
     dealias_array,
     dealias_mask,
@@ -160,6 +163,10 @@ class MediumParams:
     nu: float = 0.0
 
     def __post_init__(self):
+        for name in ("mu", "eta", "lam", "kappa", "tau", "zeta", "nu"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not self.eta > 0:
@@ -247,12 +254,12 @@ class StepControl:
         if isinstance(self.dt, str):
             if self.dt != "auto":
                 raise StepSizeError(f"dt must be positive or 'auto', got {self.dt!r}")
-        elif not self.dt > 0:
-            raise StepSizeError(f"dt must be positive, got {self.dt}")
+        elif not (self.dt > 0 and math.isfinite(self.dt)):
+            raise StepSizeError(f"dt must be positive and finite, got {self.dt}")
         if not (0.0 < self.cfl <= 1.0):
             raise StepSizeError(f"cfl must be in (0, 1], got {self.cfl}")
-        if not self.t_end > 0:
-            raise StepSizeError(f"t_end must be positive, got {self.t_end}")
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise StepSizeError(f"t_end must be positive and finite, got {self.t_end}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +271,8 @@ def upper_convected_vector(E: VectorField, v: VectorField,
     """Upper-convected rate of a vector density:
     dE_partial + v.grad E - E.grad v + (div v) E, products dealiased."""
     core = _Core(v, E)
-    out = VectorField(v.grid, tuple(core.physical(core.products(j)[1]) for j in range(3)))
+    out = VectorField._wrap(v.grid, np.stack(
+        [core.physical(core.products(j)[1]) for j in range(3)]))
     return out if dE_partial is None else dE_partial + out
 
 
@@ -274,27 +282,13 @@ def upper_convected_tensor(sigma: TensorField, v: VectorField,
     dsigma_partial + v.grad sigma - sigma grad v - (grad v)^T sigma + sigma div v,
     with (grad v)_ij = d_i v_j and all products dealiased."""
     g = sigma.grid
-    gv = grad_vector(v)
-    gva = [[gv.array(i, j) for j in range(3)] for i in range(3)]
-    divv = gva[0][0] + gva[1][1] + gva[2][2]
-    varr = v.arrays()
-
-    ks = angular_wavenumbers(g)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            s_ij = sigma.array(i, j)
-            s_hat = fftn_array(g, s_ij)
-            conv = np.zeros(g.shape)
-            for k in range(3):
-                conv = conv + varr[k] * ifftn_array(g, (1j * ks[k]) * s_hat)
-            lower = sum(sigma.array(i, k) * gva[k][j] for k in range(3))
-            upper = sum(gva[k][i] * sigma.array(k, j) for k in range(3))
-            bracket = conv - lower - upper + s_ij * divv
-            row.append(dealias_array(g, bracket))
-        rows.append(tuple(row))
-    out = TensorField.from_arrays(g, tuple(rows))
+    s = sigma.values
+    gv = grad_vector(v).values
+    divv = gv[0, 0] + gv[1, 1] + gv[2, 2]
+    conv = _contract(g, v.values, 1j * _k_vector(g), s)
+    lower = np.sum(s[:, :, None] * gv[None], axis=1)      # sum_k s_ik gv_kj
+    upper = np.sum(gv[:, :, None] * s[:, None], axis=0)   # sum_k gv_ki s_kj
+    out = TensorField._wrap(g, dealias_array(g, conv - lower - upper + s * divv))
     if dsigma_partial is None:
         return out
     return dsigma_partial + out
@@ -326,9 +320,11 @@ class _Core:
         self.grid = g = v.grid
         self.ks = angular_wavenumbers(g)
         self.axes = tuple(i for i, a in enumerate(g.active) if a)
-        self.va, self.ea = v.arrays(), E.arrays()
-        self.vh = [fftn_array(g, a) for a in self.va]
+        self.va, self.ea = v.values, E.values
+        self.vh = fftn_array(g, self.va)
         self.divv = ifftn_array(g, self.div_hat(self.vh))
+        # formed here, while no component's products are alive
+        self.curl_curl_hat = _curl_curl_hat(_k_vector(g), self.vh)
 
     def div_hat(self, hats) -> np.ndarray:
         """Sum over the active axes i of i k_i hats[i]."""
@@ -339,8 +335,8 @@ class _Core:
         """Physical-space derivative along axis i of the coefficients hat."""
         return ifftn_array(self.grid, (1j * self.ks[i]) * hat)
 
-    def physical(self, hat: np.ndarray) -> ScalarField:
-        return ScalarField(self.grid, ifftn_array(self.grid, hat))
+    def physical(self, hat: np.ndarray) -> np.ndarray:
+        return ifftn_array(self.grid, hat)
 
     def products(self, j: int, body=None):
         """Coefficients of (momentum_j, bracket_j, E_j), the products dealiased:
@@ -359,9 +355,9 @@ class _Core:
         mask = dealias_mask(g)
         return fftn_array(g, mom) * mask, fftn_array(g, conv) * mask, e_hat
 
-    def stress_rate(self, j: int, bracket, e_hat, params: MediumParams) -> ScalarField:
+    def stress_rate(self, j: int, bracket, e_hat, params: MediumParams) -> np.ndarray:
         """Component j of E_t = eta curl(curl v) - bracket - kappa E."""
-        return self.physical(params.eta * _curl_curl_hat(self.ks, self.vh, j)
+        return self.physical(params.eta * self.curl_curl_hat[j]
                              - bracket - params.kappa * e_hat)
 
 
@@ -437,16 +433,17 @@ def rhs_fi_incompressible(state: FluidState, params: MediumParams) -> FiRates:
         raise SolenoidalityError(
             f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
         )
+    g = core.grid
     raw, dE = [], []
     for j in range(3):
         momentum, bracket, e_hat = core.products(j)
         raw.append(momentum - e_hat / params.mu)
         dE.append(core.stress_rate(j, bracket, e_hat, params))
-    sol_hats, phi_hat = _leray_hat(core.grid, raw)
+    sol_hats, phi_hat = _leray_hat(g, np.stack(raw))
     return FiRates(
-        dv=VectorField(core.grid, tuple(map(core.physical, sol_hats))),
-        dE=VectorField(core.grid, tuple(dE)),
-        pressure=core.physical(phi_hat * params.mu),
+        dv=VectorField._wrap(g, core.physical(sol_hats)),
+        dE=VectorField._wrap(g, np.stack(dE)),
+        pressure=ScalarField._wrap(g, core.physical(phi_hat * params.mu)),
     )
 
 
@@ -495,7 +492,7 @@ def rhs_compressible(state: FluidState, params: MediumParams,
     else:
         if state.u is None:
             raise ValueError("compressible solid branch needs u")
-        ua = state.u.arrays()
+        ua = state.u.values
         dilational_hat = (params.lam + 2.0 * params.eta) * core.div_hat(
             {i: fftn_array(core.grid, ua[i]) for i in core.axes})
         du = v
@@ -505,17 +502,19 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         grad_j = core.d(dilational_hat, j) if j in core.axes else 0.0
         return (grad_j - core.ea[j]) * inv_mu
 
+    g = core.grid
     dv, dE = [], []
     for j in range(3):
         momentum, bracket, e_hat = core.products(j, force_per_mass)
         dv.append(core.physical(momentum))
         dE.append(core.stress_rate(j, bracket, e_hat, params))
         del momentum, bracket, e_hat   # free before the next component
-    mu_hat = fftn_array(core.grid, mu_f.values)
+    dv, dE = np.stack(dv), np.stack(dE)
+    mu_hat = fftn_array(g, mu_f.values)
     mass = -mu_f.values * core.divv - sum(core.va[i] * core.d(mu_hat, i) for i in core.axes)
-    return CompressibleRates(dv=VectorField(core.grid, tuple(dv)),
-                             dE=VectorField(core.grid, tuple(dE)),
-                             dmu=ScalarField(core.grid, dealias_array(core.grid, mass)),
+    return CompressibleRates(dv=VectorField._wrap(g, dv),
+                             dE=VectorField._wrap(g, dE),
+                             dmu=ScalarField._wrap(g, dealias_array(g, mass)),
                              du=du)
 
 
@@ -646,8 +645,10 @@ def step(state, params: MediumParams, control: StepControl, system: str,
     dt overrides the control (used by `integrate` to land exactly on t_end).
     For the incompressible systems the velocity (and velocity rate) are
     re-projected after the update so the solenoidality invariant is restored
-    to round-off.  Non-finite values abort with an IntegrationError carrying
-    the last accepted state.
+    to round-off.  Operators do not scan their results, so the step scans
+    the input fields of each of the four stages and the accepted state
+    (carried fields included); a non-finite value aborts with an
+    IntegrationError carrying the last accepted state.
     """
     record = _record(system)
     h = float(dt) if dt is not None else _resolve_dt(state, params, control, system)
@@ -662,6 +663,7 @@ def step(state, params: MediumParams, control: StepControl, system: str,
     y0 = [getattr(state, name) for name in record.fields]
 
     def eval_rhs(fields):
+        _check_finite(fields)
         trial = dataclasses.replace(state, **dict(zip(record.fields, fields)))
         rates = record.rhs(trial, params)
         return [getattr(rates, name) for name in record.rates], rates
@@ -678,17 +680,24 @@ def step(state, params: MediumParams, control: StepControl, system: str,
         new = dict(zip(record.fields, new_fields))
         for name in record.projected:
             new[name] = leray_project(new[name]).solenoidal
+        # fi's pressure is the projection potential of the first stage, i.e.
+        # the pressure at the step's start; reports re-evaluate the RHS at
+        # sample times
+        new.update((name, getattr(rates1, rate)) for name, rate in record.carried)
+        _check_finite(new.values())
     except (FieldError, FloatingPointError) as exc:
         raise IntegrationError(
             f"step from t={state.time:.6g} with dt={h:.3e} produced non-finite "
             f"values in system {system!r}: {exc}",
             state=state,
         ) from exc
-
-    # fi's pressure is the projection potential of the first stage, i.e. the
-    # pressure at the step's start; reports re-evaluate the RHS at sample times
-    new.update((name, getattr(rates1, rate)) for name, rate in record.carried)
     return dataclasses.replace(state, time=state.time + h, **new)
+
+
+def _check_finite(fields) -> None:
+    for f in fields:
+        if f is not None and not np.isfinite(f.values).all():
+            raise FieldError(f"{type(f).__name__} contains non-finite values")
 
 
 def integrate(state, params: MediumParams, control: StepControl, system: str,

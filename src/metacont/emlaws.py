@@ -26,6 +26,7 @@ error is not polluted by time-discretization error.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -127,44 +128,60 @@ def em_from_maxwell(state: MaxwellState, params: MediumParams) -> EmState:
 # law term builders: each returns (residual, {term_name: field})
 # ---------------------------------------------------------------------------
 
-def _faraday(em: EmState, dB_dt: VectorField):
-    curl_e = curl(em.E)
-    return curl_e + dB_dt, {"curl_E": curl_e, "dB_dt": dB_dt}
+class _Terms:
+    """The terms several laws share, each formed at most once: curl E,
+    curl B and the dealiased v x E of one state."""
+
+    def __init__(self, em: EmState, v: VectorField | None = None):
+        self.em, self.v = em, v
+
+    @functools.cached_property
+    def curl_E(self) -> VectorField:
+        return curl(self.em.E)
+
+    @functools.cached_property
+    def curl_B(self) -> VectorField:
+        return curl(self.em.B)
+
+    @functools.cached_property
+    def v_cross_E(self) -> VectorField:
+        return dealias_field(cross(self.v, self.em.E))
 
 
-def _displacement_current(em: EmState, dE_dt: VectorField, params: MediumParams):
-    displacement = curl(em.B) * (params.c ** 2)
+def _faraday(t: _Terms, dB_dt: VectorField):
+    return t.curl_E + dB_dt, {"curl_E": t.curl_E, "dB_dt": dB_dt}
+
+
+def _displacement_current(t: _Terms, dE_dt: VectorField, params: MediumParams):
+    displacement = t.curl_B * (params.c ** 2)
     return dE_dt - displacement, {"dE_dt": dE_dt, "c2_curl_B": displacement}
 
 
-def _faraday_lorentz(em: EmState, v: VectorField, dB_dt: VectorField):
-    curl_e = curl(em.E)
-    motional = curl(dealias_field(cross(v, em.B)))
-    return curl_e - motional + dB_dt, {
-        "curl_E": curl_e,
+def _faraday_lorentz(t: _Terms, dB_dt: VectorField):
+    motional = curl(dealias_field(cross(t.v, t.em.B)))
+    return t.curl_E - motional + dB_dt, {
+        "curl_E": t.curl_E,
         "curl_vxB": motional,
         "dB_dt": dB_dt,
     }
 
 
-def _hertz_form(em: EmState, v: VectorField, dB_dt: VectorField):
-    conv = vector_advection(v, em.B)
-    stretch = vector_advection(em.B, v)
-    curl_e = curl(em.E)
-    return dB_dt + conv - stretch + curl_e, {
+def _hertz_form(t: _Terms, dB_dt: VectorField):
+    conv = vector_advection(t.v, t.em.B)
+    stretch = vector_advection(t.em.B, t.v)
+    return dB_dt + conv - stretch + t.curl_E, {
         "dB_dt": dB_dt,
         "v_grad_B": conv,
         "B_grad_v": stretch,
-        "curl_E": curl_e,
+        "curl_E": t.curl_E,
     }
 
 
-def _generalized_ampere(em: EmState, v: VectorField, dE_dt: VectorField,
-                        params: MediumParams):
-    motional = curl(dealias_field(cross(v, em.E)))
-    attenuation = em.E * params.kappa
-    convective = dealias_field(v * em.rho)
-    displacement = curl(em.B) * (params.c ** 2)
+def _generalized_ampere(t: _Terms, dE_dt: VectorField, params: MediumParams):
+    motional = curl(t.v_cross_E)
+    attenuation = t.em.E * params.kappa
+    convective = t.em.J
+    displacement = t.curl_B * (params.c ** 2)
     residual = dE_dt - motional + attenuation + convective - displacement
     return residual, {
         "dE_dt": dE_dt,
@@ -175,10 +192,9 @@ def _generalized_ampere(em: EmState, v: VectorField, dE_dt: VectorField,
     }
 
 
-def _metacharge_continuity(em: EmState, v: VectorField, drho_dt: ScalarField,
-                           params: MediumParams):
-    transport = div(em.J)
-    attenuation = em.rho * params.kappa
+def _metacharge_continuity(t: _Terms, drho_dt: ScalarField, params: MediumParams):
+    transport = div(t.em.J)
+    attenuation = t.em.rho * params.kappa
     return drho_dt + transport + attenuation, {
         "drho_dt": drho_dt,
         "div_rho_v": transport,
@@ -186,20 +202,19 @@ def _metacharge_continuity(em: EmState, v: VectorField, drho_dt: ScalarField,
     }
 
 
-def _biot_savart(em: EmState, v: VectorField, params: MediumParams):
-    motional = dealias_field(cross(v, em.E)) * (1.0 / params.c ** 2)
-    return em.B + motional, {"B": em.B, "vxE_over_c2": motional}
+def _biot_savart(t: _Terms, params: MediumParams):
+    motional = t.v_cross_E * (1.0 / params.c ** 2)
+    return t.em.B + motional, {"B": t.em.B, "vxE_over_c2": motional}
 
 
-def _ohm_ampere(em: EmState, params: MediumParams):
-    curl_b = curl(em.B)
-    conduction = em.E * (params.kappa / params.c ** 2)
-    return curl_b - conduction, {"curl_B": curl_b, "kappa_E_over_c2": conduction}
+def _ohm_ampere(t: _Terms, params: MediumParams):
+    conduction = t.em.E * (params.kappa / params.c ** 2)
+    return t.curl_B - conduction, {"curl_B": t.curl_B, "kappa_E_over_c2": conduction}
 
 
-def _ampere_vacuo(em: EmState, params: MediumParams):
-    displacement = curl(em.B) * (params.c ** 2)
-    return displacement - em.J, {"c2_curl_B": displacement, "J": em.J}
+def _ampere_vacuo(t: _Terms, params: MediumParams):
+    displacement = t.curl_B * (params.c ** 2)
+    return displacement - t.em.J, {"c2_curl_B": displacement, "J": t.em.J}
 
 
 # ---------------------------------------------------------------------------
@@ -208,38 +223,39 @@ def _ampere_vacuo(em: EmState, params: MediumParams):
 
 def residual_faraday(em: EmState, dB_dt: VectorField) -> VectorField:
     """curl E + dB/dt."""
-    return _faraday(em, dB_dt)[0]
+    return _faraday(_Terms(em), dB_dt)[0]
 
 
 def residual_displacement_current(em: EmState, dE_dt: VectorField,
                                   params: MediumParams) -> VectorField:
     """dE/dt - c^2 curl B."""
-    return _displacement_current(em, dE_dt, params)[0]
+    return _displacement_current(_Terms(em), dE_dt, params)[0]
 
 
 def residual_faraday_lorentz(em: EmState, v: VectorField,
                              dB_dt: VectorField) -> VectorField:
     """curl[E - v x B] + dB/dt; dB/dt must be mu curl(dv/dt) from the RHS."""
-    return _faraday_lorentz(em, v, dB_dt)[0]
+    return _faraday_lorentz(_Terms(em, v), dB_dt)[0]
 
 
 def residual_hertz_form(em: EmState, v: VectorField,
                         dB_dt: VectorField) -> VectorField:
     """dB/dt + v.grad B - B.grad v + curl E (solenoidal v and B)."""
-    return _hertz_form(em, v, dB_dt)[0]
+    return _hertz_form(_Terms(em, v), dB_dt)[0]
 
 
 def residual_generalized_ampere(em: EmState, v: VectorField, dE_dt: VectorField,
                                 params: MediumParams) -> VectorField:
-    """dE/dt - curl(v x E) + kappa E + v (div E) - c^2 curl B."""
-    return _generalized_ampere(em, v, dE_dt, params)[0]
+    """dE/dt - curl(v x E) + kappa E + v (div E) - c^2 curl B, where v (div E)
+    is the metacurrent em.J of the state whose velocity is v."""
+    return _generalized_ampere(_Terms(em, v), dE_dt, params)[0]
 
 
 def residual_metacharge_continuity(em: EmState, v: VectorField,
                                    drho_dt: ScalarField,
                                    params: MediumParams) -> ScalarField:
     """drho/dt + div(rho v) + kappa rho, with drho/dt = div(dE/dt)."""
-    return _metacharge_continuity(em, v, drho_dt, params)[0]
+    return _metacharge_continuity(_Terms(em, v), drho_dt, params)[0]
 
 
 @dataclass(frozen=True)
@@ -257,14 +273,14 @@ class StationaryDiagnostic:
 def biot_savart_residual(em: EmState, v: VectorField, params: MediumParams,
                          dE_dt: VectorField | None = None) -> StationaryDiagnostic:
     """B + (v x E)/c^2, valid for quasi-stationary, kappa=0, charge-free states."""
-    residual, _ = _biot_savart(em, v, params)
+    residual, _ = _biot_savart(_Terms(em, v), params)
     return StationaryDiagnostic(residual, _stationary_indicators(em, v, params, dE_dt))
 
 
 def ohm_ampere_residual(em: EmState, params: MediumParams,
                         dE_dt: VectorField | None = None) -> StationaryDiagnostic:
     """curl B - (kappa/c^2) E, valid for stationary velocity-free regimes."""
-    residual, _ = _ohm_ampere(em, params)
+    residual, _ = _ohm_ampere(_Terms(em), params)
     v0 = VectorField.zeros(em.E.grid)
     return StationaryDiagnostic(residual, _stationary_indicators(em, v0, params, dE_dt))
 
@@ -272,7 +288,7 @@ def ohm_ampere_residual(em: EmState, params: MediumParams,
 def ampere_vacuo_residual(em: EmState, v: VectorField, params: MediumParams,
                           dE_dt: VectorField | None = None) -> StationaryDiagnostic:
     """c^2 curl B - J, same applicability indicators as the Biot-Savart residual."""
-    residual, _ = _ampere_vacuo(em, params)
+    residual, _ = _ampere_vacuo(_Terms(em, v), params)
     return StationaryDiagnostic(residual, _stationary_indicators(em, v, params, dE_dt))
 
 
@@ -341,22 +357,23 @@ def full_report(em: EmState, v: VectorField, dE_dt: VectorField,
                 time: float) -> LawResidualReport:
     """Residual norms of every registered law from one RHS evaluation.
 
-    drho/dt is derived as div(dE/dt).  Each entry records the raw L2 and
-    L-inf residual norms together with the L2 norm of the law's largest term;
-    a 0/0 normalized residual is reported as 0.
+    drho/dt is derived as div(dE/dt), and the terms several laws share
+    (curl E, curl B, the dealiased v x E and em.J) are formed once.  Each
+    entry records the raw L2 and L-inf residual norms together with the L2
+    norm of the law's largest term; a 0/0 normalized residual is reported as 0.
     """
     drho_dt = div(dE_dt)
+    t = _Terms(em, v)
     entries = [
-        _entry("faraday", *_faraday(em, dB_dt)),
-        _entry("displacement_current", *_displacement_current(em, dE_dt, params)),
-        _entry("faraday_lorentz", *_faraday_lorentz(em, v, dB_dt)),
-        _entry("hertz_form", *_hertz_form(em, v, dB_dt)),
-        _entry("generalized_ampere", *_generalized_ampere(em, v, dE_dt, params)),
-        _entry("metacharge_continuity",
-               *_metacharge_continuity(em, v, drho_dt, params)),
-        _entry("biot_savart", *_biot_savart(em, v, params)),
-        _entry("ohm_ampere", *_ohm_ampere(em, params)),
-        _entry("ampere_vacuo", *_ampere_vacuo(em, params)),
+        _entry("faraday", *_faraday(t, dB_dt)),
+        _entry("displacement_current", *_displacement_current(t, dE_dt, params)),
+        _entry("faraday_lorentz", *_faraday_lorentz(t, dB_dt)),
+        _entry("hertz_form", *_hertz_form(t, dB_dt)),
+        _entry("generalized_ampere", *_generalized_ampere(t, dE_dt, params)),
+        _entry("metacharge_continuity", *_metacharge_continuity(t, drho_dt, params)),
+        _entry("biot_savart", *_biot_savart(t, params)),
+        _entry("ohm_ampere", *_ohm_ampere(t, params)),
+        _entry("ampere_vacuo", *_ampere_vacuo(t, params)),
     ]
     return LawResidualReport(time=time, entries=tuple(entries))
 

@@ -9,6 +9,22 @@ count (set via the METACONT_THREADS environment variable).
 A dimension of size 1 is inactive: derivatives along it vanish and it is
 exempt from the even-and-at-least-4 rule.  2D runs are 3D grids with nz=1.
 
+Stacked layout.  Every field is one read-only float64 array `values` whose
+leading axes index the components and whose three trailing axes are the
+grid's: `ScalarField` has shape grid.shape, `VectorField` (3,) + grid.shape
+and `TensorField` (3, 3) + grid.shape.  The three classes share one
+implementation of + - * / and negation, and `fftn_array` / `ifftn_array`
+transform the trailing active axes of any leading shape, so an operator
+acts on the whole stack at once; a batched transform gives the same bits as
+one transform per component.
+
+Finiteness is checked where values come from outside: the public
+constructors (`ScalarField(grid, values)`, `from_arrays`, `full`) copy their
+input and reject a misshaped or non-finite one with `FieldError`, as the
+snapshot reader does.  Operator results are adopted as they are, without a
+copy or a scan; `dynamics.step` scans the input of every RK stage and the
+accepted state instead.
+
 Spectral layout.  Every field is real, so the forward transform is the
 real-to-complex `scipy.fft.rfftn` over the active axes and the inverse is
 `irfftn`.  The last active axis keeps only its modes 0..n/2 (n//2 + 1
@@ -37,6 +53,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import scipy.fft
@@ -223,6 +240,14 @@ def _k_squared(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
+def _k_vector(grid: GridSpec) -> np.ndarray:
+    """The wavenumbers k_x, k_y, k_z stacked: shape (3,) + spectral_shape."""
+    k = np.stack(np.broadcast_arrays(*angular_wavenumbers(grid)))
+    k.setflags(write=False)
+    return k
+
+
+@lru_cache(maxsize=128)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Two-thirds-rule mask: modes with |m_i| > n_i/3 in any active dim are zeroed."""
     mask = np.ones(grid.spectral_shape, dtype=bool)
@@ -233,23 +258,29 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
+def _stack_axes(grid: GridSpec, values: np.ndarray) -> tuple[int, ...]:
+    """The active axes of `grid` as axes of an array with leading component axes."""
+    lead = values.ndim - 3
+    return tuple(lead + i for i in _transform_axes(grid))
+
+
 def fftn_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Forward real-to-complex DFT of a physical-space array (unnormalized),
-    in the half-spectrum layout."""
-    axes = _transform_axes(grid)
+    """Forward real-to-complex DFT over the trailing grid axes of an array of
+    any leading shape (unnormalized), in the half-spectrum layout."""
+    axes = _stack_axes(grid, values)
     if not axes:
         return values.astype(np.complex128)
     return scipy.fft.rfftn(values, axes=axes, workers=_fft_workers())
 
 
 def ifftn_array(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse complex-to-real DFT back to physical space, as an owned
-    C-contiguous array."""
-    axes = _transform_axes(grid)
+    """Inverse complex-to-real DFT over the trailing grid axes back to
+    physical space, as an owned C-contiguous array."""
+    axes = _stack_axes(grid, coeffs)
     if not axes:
         return coeffs.real.copy()
-    return scipy.fft.irfftn(coeffs, s=[grid.dims[i] for i in axes], axes=axes,
-                            workers=_fft_workers())
+    s = [grid.dims[i] for i in _transform_axes(grid)]
+    return scipy.fft.irfftn(coeffs, s=s, axes=axes, workers=_fft_workers())
 
 
 def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -267,243 +298,135 @@ def _check_same_grid(a, b) -> None:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Real scalar samples on a grid; immutable, finite everywhere."""
+class Field:
+    """Real samples on a grid, stacked as one read-only float64 array of shape
+    `COMPONENTS + grid.shape`; the shared storage and algebra of
+    `ScalarField`, `VectorField` and `TensorField`.
+
+    The constructor copies its input and rejects a misshaped or non-finite
+    one; `_wrap` adopts an operator result as it is (see the module
+    docstring)."""
+
+    COMPONENTS: ClassVar[tuple[int, ...]] = ()
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, order="C", copy=True)
-        if arr.shape != self.grid.shape:
+        name = type(self).__name__
+        try:
+            arr = np.array(self.values, dtype=np.float64, order="C", copy=True)
+        except (TypeError, ValueError) as exc:
+            raise FieldError(f"{name} values are not a real array: {exc}") from exc
+        if arr.shape != self.COMPONENTS + self.grid.shape:
             raise FieldError(
-                f"value shape {arr.shape} does not match grid {self.grid.shape}"
+                f"{name} value shape {arr.shape} does not match "
+                f"{self.COMPONENTS + self.grid.shape} on grid {self.grid.shape}"
             )
         if not np.isfinite(arr).all():
-            raise FieldError("scalar field contains non-finite values")
+            raise FieldError(f"{name} contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def zeros(cls, grid: GridSpec) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
+    def _wrap(cls, grid: GridSpec, values: np.ndarray):
+        """A field over an array the package just computed: no copy, no scan."""
+        field = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        return field
 
     @classmethod
-    def full(cls, grid: GridSpec, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)))
+    def from_arrays(cls, grid: GridSpec, arrays):
+        """A field from its component arrays, nested like the components."""
+        return cls(grid, arrays)
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
+    @classmethod
+    def zeros(cls, grid: GridSpec):
+        return cls._wrap(grid, np.zeros(cls.COMPONENTS + grid.shape))
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
+    @classmethod
+    def full(cls, grid: GridSpec, value: float):
+        return cls(grid, np.full(cls.COMPONENTS + grid.shape, float(value)))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
+        return self._wrap(self.grid, self.values + other.values)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_same_grid(self, other)
+        return self._wrap(self.grid, self.values - other.values)
 
     def __mul__(self, other):
+        """Product with a scalar field (on every component) or a real number."""
         if isinstance(other, ScalarField):
             _check_same_grid(self, other)
-            return ScalarField(self.grid, self.values * other.values)
+            return self._wrap(self.grid, self.values * other.values)
         if isinstance(other, numbers.Real):
-            return ScalarField(self.grid, self.values * float(other))
+            return self._wrap(self.grid, self.values * float(other))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return ScalarField(self.grid, self.values / float(other))
-        return NotImplemented
+        if not isinstance(other, numbers.Real):
+            return NotImplemented
+        return self._wrap(self.grid, self.values / float(other))
 
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
+    def __neg__(self):
+        return self._wrap(self.grid, -self.values)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Three scalar components on a shared grid."""
+class ScalarField(Field):
+    """Real scalar samples on a grid; `values` has the grid's shape."""
 
-    grid: GridSpec
-    components: tuple[ScalarField, ScalarField, ScalarField]
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != 3:
-            raise FieldError("vector field needs exactly three components")
-        for c in comps:
-            if not isinstance(c, ScalarField):
-                raise FieldError("vector components must be ScalarField")
-            if c.grid != self.grid:
-                raise FieldError("vector components must share the grid")
-        object.__setattr__(self, "components", comps)
+class VectorField(Field):
+    """Three components on one grid; `values` has shape (3,) + grid.shape."""
 
-    @classmethod
-    def from_arrays(cls, grid: GridSpec, arrays) -> "VectorField":
-        ax, ay, az = arrays
-        return cls(grid, (ScalarField(grid, ax), ScalarField(grid, ay),
-                          ScalarField(grid, az)))
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "VectorField":
-        return cls.from_arrays(grid, (np.zeros(grid.shape),) * 3)
+    COMPONENTS = (3,)
 
     @property
     def x(self) -> ScalarField:
-        return self.components[0]
+        return ScalarField._wrap(self.grid, self.values[0])
 
     @property
     def y(self) -> ScalarField:
-        return self.components[1]
+        return ScalarField._wrap(self.grid, self.values[1])
 
     @property
     def z(self) -> ScalarField:
-        return self.components[2]
+        return ScalarField._wrap(self.grid, self.values[2])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(c.values for c in self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField.from_arrays(
-            self.grid, tuple(a + b for a, b in zip(self.arrays(), other.arrays()))
-        )
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField.from_arrays(
-            self.grid, tuple(a - b for a, b in zip(self.arrays(), other.arrays()))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return VectorField.from_arrays(
-                self.grid, tuple(a * other.values for a in self.arrays())
-            )
-        if isinstance(other, numbers.Real):
-            s = float(other)
-            return VectorField.from_arrays(
-                self.grid, tuple(a * s for a in self.arrays())
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return self * (1.0 / float(other))
-        return NotImplemented
-
-    def __neg__(self) -> "VectorField":
-        return VectorField.from_arrays(self.grid, tuple(-a for a in self.arrays()))
+        return tuple(self.values)
 
 
-@dataclass(frozen=True)
-class TensorField:
-    """Rank-2 field: nine scalar components T_ij, not assumed symmetric."""
+class TensorField(Field):
+    """Rank-2 field T_ij, not assumed symmetric; `values` has shape
+    (3, 3) + grid.shape with T_ij at values[i, j]."""
 
-    grid: GridSpec
-    components: tuple[tuple[ScalarField, ScalarField, ScalarField], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.components)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise FieldError("tensor field needs a 3x3 component layout")
-        for row in rows:
-            for c in row:
-                if not isinstance(c, ScalarField):
-                    raise FieldError("tensor components must be ScalarField")
-                if c.grid != self.grid:
-                    raise FieldError("tensor components must share the grid")
-        object.__setattr__(self, "components", rows)
-
-    @classmethod
-    def from_arrays(cls, grid: GridSpec, rows) -> "TensorField":
-        return cls(grid, tuple(
-            tuple(ScalarField(grid, a) for a in row) for row in rows
-        ))
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "TensorField":
-        z = np.zeros(grid.shape)
-        return cls.from_arrays(grid, ((z, z, z),) * 3)
+    COMPONENTS = (3, 3)
 
     @classmethod
     def identity(cls, grid: GridSpec) -> "TensorField":
-        one = np.ones(grid.shape)
-        zero = np.zeros(grid.shape)
-        return cls.from_arrays(
-            grid, ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-        )
+        eye = np.eye(3).reshape((3, 3, 1, 1, 1))
+        return cls._wrap(grid, np.broadcast_to(eye, (3, 3) + grid.shape).copy())
 
     def component(self, i: int, j: int) -> ScalarField:
-        return self.components[i][j]
+        return ScalarField._wrap(self.grid, self.values[i, j])
 
     def array(self, i: int, j: int) -> np.ndarray:
-        return self.components[i][j].values
+        return self.values[i, j]
 
     def transpose(self) -> "TensorField":
-        return TensorField(self.grid, tuple(
-            tuple(self.components[j][i] for j in range(3)) for i in range(3)
-        ))
-
-    def __add__(self, other: "TensorField") -> "TensorField":
-        _check_same_grid(self, other)
-        return TensorField.from_arrays(self.grid, tuple(
-            tuple(self.array(i, j) + other.array(i, j) for j in range(3))
-            for i in range(3)
-        ))
-
-    def __sub__(self, other: "TensorField") -> "TensorField":
-        _check_same_grid(self, other)
-        return TensorField.from_arrays(self.grid, tuple(
-            tuple(self.array(i, j) - other.array(i, j) for j in range(3))
-            for i in range(3)
-        ))
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return TensorField.from_arrays(self.grid, tuple(
-                tuple(self.array(i, j) * other.values for j in range(3))
-                for i in range(3)
-            ))
-        if isinstance(other, numbers.Real):
-            s = float(other)
-            return TensorField.from_arrays(self.grid, tuple(
-                tuple(self.array(i, j) * s for j in range(3)) for i in range(3)
-            ))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TensorField":
-        return TensorField.from_arrays(self.grid, tuple(
-            tuple(-self.array(i, j) for j in range(3)) for i in range(3)
-        ))
-
-
-Field = ScalarField | VectorField | TensorField
-
-
-def _component_arrays(f: Field) -> list[np.ndarray]:
-    if isinstance(f, ScalarField):
-        return [f.values]
-    if isinstance(f, VectorField):
-        return list(f.arrays())
-    if isinstance(f, TensorField):
-        return [f.array(i, j) for i in range(3) for j in range(3)]
-    raise FieldError(f"not a field: {type(f)!r}")
-
-
-def _rebuild_like(f: Field, arrays: list[np.ndarray]) -> Field:
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, arrays[0])
-    if isinstance(f, VectorField):
-        return VectorField.from_arrays(f.grid, tuple(arrays))
-    return TensorField.from_arrays(f.grid, tuple(
-        tuple(arrays[3 * i + j] for j in range(3)) for i in range(3)
-    ))
+        return TensorField._wrap(
+            self.grid, np.ascontiguousarray(self.values.swapaxes(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,41 +438,38 @@ def axpy(a: float, x: Field, y: Field) -> Field:
     if type(x) is not type(y):
         raise FieldError("axpy operands must have the same rank")
     _check_same_grid(x, y)
-    a = float(a)
-    return _rebuild_like(
-        x, [a * xa + ya for xa, ya in zip(_component_arrays(x), _component_arrays(y))]
-    )
+    return x._wrap(x.grid, float(a) * x.values + y.values)
 
 
 def dot(v: VectorField, w: VectorField) -> ScalarField:
     """Pointwise inner product of two vector fields."""
     _check_same_grid(v, w)
-    va, wa = v.arrays(), w.arrays()
-    return ScalarField(v.grid, va[0] * wa[0] + va[1] * wa[1] + va[2] * wa[2])
+    va, wa = v.values, w.values
+    return ScalarField._wrap(v.grid, va[0] * wa[0] + va[1] * wa[1] + va[2] * wa[2])
+
+
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # component j -> (j + 1) % 3, (j + 2) % 3
+
+
+def _cross_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the leading axis of two stacked triples."""
+    return a[_NEXT] * b[_AFTER] - a[_AFTER] * b[_NEXT]
 
 
 def cross(v: VectorField, w: VectorField) -> VectorField:
     """Pointwise cross product v x w."""
     _check_same_grid(v, w)
-    (vx, vy, vz), (wx, wy, wz) = v.arrays(), w.arrays()
-    return VectorField.from_arrays(v.grid, (
-        vy * wz - vz * wy,
-        vz * wx - vx * wz,
-        vx * wy - vy * wx,
-    ))
+    return VectorField._wrap(v.grid, _cross_arrays(v.values, w.values))
 
 
 def norm_l2(f: Field) -> float:
     """Volume-weighted discrete L2 norm over all components."""
-    total = 0.0
-    for arr in _component_arrays(f):
-        total += float(np.sum(arr * arr))
-    return float(np.sqrt(f.grid.cell_volume * total))
+    return float(np.sqrt(f.grid.cell_volume * float(np.sum(f.values * f.values))))
 
 
 def norm_linf(f: Field) -> float:
     """Maximum absolute value over all components."""
-    return max(float(np.max(np.abs(arr))) for arr in _component_arrays(f))
+    return float(np.max(np.abs(f.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +505,7 @@ def to_spectral(f: ScalarField) -> SpectralField:
 
 def from_spectral(sf: SpectralField) -> ScalarField:
     """Inverse DFT; imaginary round-off is discarded."""
-    return ScalarField(sf.grid, ifftn_array(sf.grid, sf.coeffs))
+    return ScalarField._wrap(sf.grid, ifftn_array(sf.grid, sf.coeffs))
 
 
 def dealias(sf: SpectralField) -> SpectralField:
@@ -595,9 +515,7 @@ def dealias(sf: SpectralField) -> SpectralField:
 
 def dealias_field(f: Field) -> Field:
     """Physical-space dealiasing of any-rank field (round trip through the mask)."""
-    return _rebuild_like(
-        f, [dealias_array(f.grid, arr) for arr in _component_arrays(f)]
-    )
+    return f._wrap(f.grid, dealias_array(f.grid, f.values))
 
 
 def spectral_norm_l2(sf: SpectralField) -> float:
@@ -645,26 +563,24 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-_TENSOR_LABELS = tuple(f"{a}{b}" for a in "xyz" for b in "xyz")
-
-
-def _component_items(field: Field) -> list[tuple[str, np.ndarray]]:
-    if isinstance(field, ScalarField):
-        return [("", field.values)]
-    if isinstance(field, VectorField):
-        return list(zip(("x", "y", "z"), field.arrays()))
-    return list(zip(_TENSOR_LABELS, _component_arrays(field)))
+_LABELS = {
+    (): ("",),
+    (3,): ("x", "y", "z"),
+    (3, 3): tuple(f"{a}{b}" for a in "xyz" for b in "xyz"),
+}
 
 
 def write_snapshot(field: Field, directory, field_name: str, time: float) -> list[Path]:
     """One raw little-endian f64 file per scalar component plus a JSON sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    data = np.ascontiguousarray(field.values, dtype="<f8")
     written = []
-    for label, arr in _component_items(field):
+    for label, arr in zip(_LABELS[field.COMPONENTS],
+                          data.reshape((-1,) + field.grid.shape)):
         stem = f"{field_name}_{label}" if label else field_name
         data_path = directory / f"{stem}.f64"
-        atomic_write_bytes(data_path, np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        atomic_write_bytes(data_path, arr.tobytes())
         sidecar = {
             "dims": list(field.grid.dims),
             "lengths": list(field.grid.lengths),
@@ -679,24 +595,32 @@ def write_snapshot(field: Field, directory, field_name: str, time: float) -> lis
     return written
 
 
-def _read_component(directory: Path, stem: str) -> tuple[ScalarField, dict]:
-    meta = json.loads((directory / f"{stem}.json").read_text())
+def _read_component(directory: Path, stem: str) -> tuple[GridSpec, np.ndarray, dict]:
+    meta_path, data_path = directory / f"{stem}.json", directory / f"{stem}.f64"
+    meta = json.loads(meta_path.read_text())
     if meta.get("layout") != SNAPSHOT_LAYOUT:
         raise FieldError(f"unsupported snapshot layout: {meta.get('layout')!r}")
+    if "dims" not in meta or "lengths" not in meta:
+        raise FieldError(f"{meta_path} lacks 'dims' or 'lengths'")
     grid = make_grid(meta["dims"], meta["lengths"])
-    raw = (directory / f"{stem}.f64").read_bytes()
-    values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
-    return ScalarField(grid, values), meta
+    raw = data_path.read_bytes()
+    if len(raw) != 8 * grid.num_points:
+        raise FieldError(
+            f"{data_path} holds {len(raw)} bytes, but dims {list(grid.dims)} "
+            f"need {8 * grid.num_points}"
+        )
+    return grid, np.frombuffer(raw, dtype="<f8").reshape(grid.shape), meta
 
 
 def read_snapshot_scalar(directory, field_name: str) -> tuple[ScalarField, dict]:
-    return _read_component(Path(directory), field_name)
+    grid, values, meta = _read_component(Path(directory), field_name)
+    return ScalarField(grid, values), meta
 
 
 def read_snapshot_vector(directory, field_name: str) -> tuple[VectorField, dict]:
     directory = Path(directory)
-    comps, meta = [], None
-    for label in ("x", "y", "z"):
-        c, meta = _read_component(directory, f"{field_name}_{label}")
-        comps.append(c)
-    return VectorField(comps[0].grid, tuple(comps)), meta
+    parts = [_read_component(directory, f"{field_name}_{label}") for label in "xyz"]
+    grid = parts[0][0]
+    if any(part[0] != grid for part in parts):
+        raise FieldError(f"components of {field_name!r} have different grids")
+    return VectorField(grid, [part[1] for part in parts]), parts[-1][2]

@@ -232,9 +232,9 @@ def generate(spec: ScenarioSpec, grid: GridSpec, params: MediumParams) -> FluidS
         lx, ly = grid.lengths[0], grid.lengths[1]
         w = spec.width * min(lx, ly)
         bump = np.exp(-((x - lx / 2) ** 2 + (y - ly / 2) ** 2) / (2.0 * w * w))
-        psi = ScalarField(grid, np.broadcast_to(bump, grid.shape))
-        stream = VectorField(grid, (ScalarField.zeros(grid),
-                                    ScalarField.zeros(grid), psi))
+        zero = np.zeros(grid.shape)
+        stream = VectorField.from_arrays(
+            grid, (zero, zero, np.broadcast_to(bump, grid.shape)))
         v = _scaled_to_peak(curl(stream), spec.amplitude)
     elif spec.kind == "random_solenoidal":
         rng = np.random.default_rng(spec.seed)

@@ -20,7 +20,8 @@ from metacont.cli import (
     sweep,
     verify,
 )
-from metacont.fields import read_snapshot_vector
+from metacont.dynamics import IntegrationError
+from metacont.fields import read_snapshot_scalar, read_snapshot_vector
 from metacont.scenarios import delta_sweep
 
 TWO_PI = 2 * np.pi
@@ -229,6 +230,18 @@ class TestRun:
         # no stress vector state: no law reports for this system
         assert summary["law_residual_max_normalized_linf"] == {}
 
+    def test_blowup_writes_a_finite_diagnostic_snapshot(self, tmp_path):
+        doc = shear_config(tmp_path / "out", t_end=1e5, amplitude=1.0, dt=1e3)
+        with pytest.raises(IntegrationError), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run(RunConfig.from_dict(doc))
+        diagnostic = tmp_path / "out" / "diagnostic"
+        for name in ("v", "E"):
+            field, meta = read_snapshot_vector(diagnostic, name)
+            assert np.isfinite(field.values).all()
+            assert meta["time"] > 0.0
+        assert np.isfinite(read_snapshot_scalar(diagnostic, "p")[0].values).all()
+
 
 class TestVerify:
     def test_subset_checks_pass_quickly(self, capsys):
@@ -399,6 +412,22 @@ class TestMainEntryPoint:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
         assert f"config section '{section}' must be a JSON object" in payload["message"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("control", "t_end", float("inf")),
+        ("params", "kappa", float("nan")),
+    ])
+    def test_non_finite_number_exits_2_with_json_error(self, tmp_path, capsys,
+                                                       section, key, value):
+        doc = shear_config(tmp_path / "out")
+        doc[section][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))   # written as JSON Infinity / NaN
+        code = main(["run", "--config", str(cfg)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"]
 
     def test_run_via_main(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

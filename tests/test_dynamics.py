@@ -86,6 +86,21 @@ class TestMediumParams:
         with pytest.raises(ValueError):
             MediumParams(tau=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mu", "eta", "lam", "kappa", "tau", "zeta", "nu"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MediumParams(**{name: value})
+
+
+class TestStepControl:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["t_end", "dt", "cfl"])
+    def test_non_finite_rejected(self, name, value):
+        kwargs = {"t_end": 1.0, name: value}
+        with pytest.raises(StepSizeError, match=name):
+            StepControl(**kwargs)
+
 
 class TestLinearNavier:
     def test_zero_state(self):

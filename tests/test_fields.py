@@ -87,12 +87,12 @@ class TestFieldConstruction:
 
     def test_vector_components_share_grid(self):
         other = make_grid((32, 32, 1), (TWO_PI, TWO_PI, TWO_PI))
+        mixed = (np.zeros(GRID_64.shape), np.zeros(other.shape),
+                 np.zeros(GRID_64.shape))
         with pytest.raises(FieldError):
-            VectorField(GRID_64, (
-                ScalarField.zeros(GRID_64),
-                ScalarField.zeros(other),
-                ScalarField.zeros(GRID_64),
-            ))
+            VectorField(GRID_64, mixed)
+        with pytest.raises(FieldError):
+            VectorField.from_arrays(GRID_64, mixed)
 
     def test_tensor_layout(self):
         t = TensorField.identity(GRID_64)
@@ -283,3 +283,20 @@ class TestSnapshots:
         np.testing.assert_array_equal(decoded, arr.ravel(order="C"))
         sidecar = json.loads((tmp_path / "f.json").read_text())
         assert sidecar["field_name"] == "f"
+
+    def test_data_size_not_matching_dims_names_the_file(self, tmp_path):
+        write_snapshot(ScalarField.zeros(GRID_64), tmp_path, "f", time=0.0)
+        data = tmp_path / "f.f64"
+        data.write_bytes(data.read_bytes()[:-8])
+        with pytest.raises(FieldError, match="f.f64"):
+            read_snapshot_scalar(tmp_path, "f")
+
+    @pytest.mark.parametrize("key", ["dims", "lengths"])
+    def test_sidecar_without_grid_names_the_file(self, tmp_path, key):
+        write_snapshot(VectorField.zeros(GRID_64), tmp_path, "v", time=0.0)
+        sidecar = tmp_path / "v_y.json"
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(FieldError, match="v_y.json"):
+            read_snapshot_vector(tmp_path, "v")

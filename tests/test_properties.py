@@ -9,10 +9,15 @@ runs are derandomized: the same examples are drawn every time.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from metacont.diffops import curl, div, grad, leray_project
+from metacont.diffops import curl, div, grad, laplacian, leray_project
 from metacont.fields import (
     ScalarField,
+    TensorField,
     VectorField,
+    axpy,
+    cross,
+    dealias_field,
+    dot,
     from_spectral,
     make_grid,
     norm_l2,
@@ -77,3 +82,38 @@ def test_transform_round_trip_and_parseval(grid, seed):
     phys = norm_l2(f)
     assert abs(spectral_norm_l2(to_spectral(f)) - phys) <= 1e-12 * phys
 
+
+def _components(f) -> list[ScalarField]:
+    return [ScalarField(f.grid, a) for a in f.values.reshape((-1,) + f.grid.shape)]
+
+
+@SETTINGS
+@given(grids(), seeds, st.sampled_from((VectorField, TensorField)))
+def test_stacked_algebra_equals_componentwise(grid, seed, kind):
+    rng = np.random.default_rng(seed)
+    shape = kind.COMPONENTS + grid.shape
+    x = kind(grid, rng.standard_normal(shape))
+    y = kind(grid, rng.standard_normal(shape))
+    s = ScalarField(grid, rng.standard_normal(grid.shape))
+    a = float(rng.uniform(0.5, 2.0))
+    # (stacked result, the same operation on one component)
+    cases = {
+        "+": (x + y, lambda p, q: p + q),
+        "-": (x - y, lambda p, q: p - q),
+        "neg": (-x, lambda p, q: -p),
+        "* real": (x * a, lambda p, q: p * a),
+        "* scalar field": (x * s, lambda p, q: p * s),
+        "/": (x / a, lambda p, q: p / a),
+        "axpy": (axpy(a, x, y), lambda p, q: axpy(a, p, q)),
+        "dealias_field": (dealias_field(x), lambda p, q: dealias_field(p)),
+        "laplacian": (laplacian(x), lambda p, q: laplacian(p)),
+    }
+    for name, (stacked, op) in cases.items():
+        expected = [op(p, q).values for p, q in zip(_components(x), _components(y))]
+        assert np.array_equal(stacked.values, np.reshape(expected, shape)), name
+    assert norm_linf(x) == max(norm_linf(p) for p in _components(x))
+    if kind is VectorField:
+        (x1, x2, x3), (y1, y2, y3) = _components(x), _components(y)
+        assert np.array_equal(dot(x, y).values, (x1 * y1 + x2 * y2 + x3 * y3).values)
+        expected = [x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1]
+        assert np.array_equal(cross(x, y).values, np.stack([c.values for c in expected]))

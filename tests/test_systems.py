@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from metacont.cli import ConfigError, RunConfig
-from metacont.dynamics import SYSTEMS, MediumParams, StepControl, auto_step_size, step
+from metacont.dynamics import (
+    SYSTEMS,
+    IntegrationError,
+    MediumParams,
+    StepControl,
+    auto_step_size,
+    step,
+)
 from metacont.fields import make_grid
 from metacont.scenarios import SCENARIO_KINDS, ScenarioSpec, generate
 
@@ -67,3 +74,23 @@ def test_unknown_system_name_raises_value_error():
         step(state, PARAMS, control, "navier_stokes")
     with pytest.raises(ValueError, match="unknown system"):
         auto_step_size(state, PARAMS, control, "navier_stokes")
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS))
+def test_blowup_raises_with_the_last_finite_state(system):
+    # a dt far beyond RK4's stability range amplifies the wave by ~1e10 per
+    # step until it overflows; kappa = 0 keeps the kappa*dt limit out of it
+    params = MediumParams(lam=2.0)
+    spec = ScenarioSpec("standing_shear_wave", amplitude=1.0, **SCENARIOS[
+        "standing_shear_wave"])
+    record = SYSTEMS[system]
+    state = record.initial(generate(spec, GRID, params), params)
+    control = StepControl(t_end=1e9, dt=1e3)
+    with pytest.raises(IntegrationError) as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            state = step(state, params, control, system)
+    last = info.value.state
+    assert last is state
+    for name in record.snapshot:
+        assert np.isfinite(getattr(last, name).values).all(), name
