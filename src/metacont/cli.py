@@ -168,11 +168,6 @@ def config_content_hash(doc: dict) -> str:
 # run
 # ---------------------------------------------------------------------------
 
-def _report_for(system: str, state, params: MediumParams):
-    record = SYSTEMS[system]
-    return record.report(state, params, record.rhs(state, params))
-
-
 def _measurement_target(config: RunConfig):
     """(component picker, k magnitude) for scenarios with a wave oracle."""
     kind = config.scenario.kind
@@ -189,10 +184,12 @@ def _measurement_target(config: RunConfig):
         direction = k / kmag
 
     def pick(state):
+        # each coefficient costs a transform: skip the zero weights, whose
+        # terms add exactly nothing
         field = getattr(state, name)
         return sum(
             d * mode_coefficient(c, config.scenario.wavevector)
-            for d, c in zip(direction, (field.x, field.y, field.z))
+            for d, c in zip(direction, (field.x, field.y, field.z)) if d != 0.0
         )
 
     return pick, kmag
@@ -227,19 +224,33 @@ def _oracle_summary(config: RunConfig, kmag: float) -> dict:
     }
 
 
-def _snapshot_fields(system: str, state):
-    """(artifact name, field) of what the system advances, plus fi's p."""
-    return [("mu" if name == "mu_field" else name, getattr(state, name))
-            for name in SYSTEMS[system].snapshot if getattr(state, name) is not None]
+# artifact names of state attributes and rates that differ from the attribute
+_ARTIFACT_NAMES = {"mu_field": "mu", "pressure": "p"}
 
 
-def run(config: RunConfig):
-    """Execute one configured simulation; returns (summary dict, final state)."""
+def _snapshot_fields(system: str, state, rates=None):
+    """(artifact name, field) of what the system advances, plus the rates it
+    observes (fi's pressure) when `rates()` of the state is given."""
+    record = SYSTEMS[system]
+    fields = [(name, getattr(state, name)) for name in record.fields]
+    if rates is not None:
+        fields += [(name, getattr(rates(), name)) for name in record.observed]
+    return [(_ARTIFACT_NAMES.get(name, name), field)
+            for name, field in fields if field is not None]
+
+
+def run(config: RunConfig, observer=None):
+    """Execute one configured simulation; returns (summary dict, final state).
+
+    `observer(i, state, rates)`, when given, sees every accepted state after
+    the run has recorded it (see `dynamics.integrate`).
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     snap_root = out / "snapshots"
+    record = SYSTEMS[config.system]
 
-    state0 = SYSTEMS[config.system].initial(
+    state0 = record.initial(
         generate(config.scenario, config.grid, config.params), config.params)
     target = _measurement_target(config)
     times, series = [], []
@@ -248,45 +259,45 @@ def run(config: RunConfig):
     reported_at: set[int] = set()
     snapped_at: set[int] = set()
 
-    def snap(step_index: int, state) -> None:
+    def snap(step_index: int, state, rates) -> None:
         snap_dir = snap_root / f"step_{step_index:08d}"
-        for name, field in _snapshot_fields(config.system, state):
+        for name, field in _snapshot_fields(config.system, state, rates):
             written.extend(write_snapshot(field, snap_dir, name, state.time))
         snapped_at.add(step_index)
 
-    def report(step_index: int, state) -> None:
-        if SYSTEMS[config.system].report is not None:
-            reports.append(_report_for(config.system, state, config.params))
+    def report(step_index: int, state, rates) -> None:
+        if record.report is not None:
+            reports.append(record.report(state, config.params, rates()))
         reported_at.add(step_index)
 
-    last = {"index": 0, "state": state0}
+    last = {}
 
-    def observer(i, state):
-        last["index"] = i
-        last["state"] = state
+    def observe(i, state, rates):
+        last.update(index=i, state=state, rates=rates)
         if target is not None:
             times.append(state.time)
             series.append(target[0](state))
         if i == 0 or (config.report_every and i % config.report_every == 0):
-            report(i, state)
+            report(i, state, rates)
         if i == 0 or (config.snapshot_every and i % config.snapshot_every == 0):
-            snap(i, state)
+            snap(i, state, rates)
+        if observer is not None:
+            observer(i, state, rates)
 
     try:
         final_state = integrate(state0, config.params, config.control,
-                                config.system, observer=observer)
+                                config.system, observer=observe)
+        # the final state is always reported and snapshotted
+        if last["index"] not in reported_at:
+            report(last["index"], final_state, last["rates"])
+        if last["index"] not in snapped_at:
+            snap(last["index"], final_state, last["rates"])
     except dynamics.IntegrationError as exc:
         # keep a diagnostic snapshot of the last accepted state
-        diag = exc.state if exc.state is not None else last["state"]
-        for name, field in _snapshot_fields(config.system, diag):
+        diag = exc.state
+        for name, field in _snapshot_fields(config.system, diag, exc.rates):
             write_snapshot(field, out / "diagnostic", name, diag.time)
         raise
-
-    # the final state is always reported and snapshotted
-    if last["index"] not in reported_at:
-        report(last["index"], final_state)
-    if last["index"] not in snapped_at:
-        snap(last["index"], final_state)
 
     # measurement vs oracle
     measurement = None
@@ -339,7 +350,8 @@ def run(config: RunConfig):
         "final_time": final_state.time,
         "norms": {
             name: {"l2": norm_l2(field), "linf": norm_linf(field)}
-            for name, field in _snapshot_fields(config.system, final_state)
+            for name, field in _snapshot_fields(config.system, final_state,
+                                                last["rates"])
         },
         "measurement": measurement,
         "law_residual_max_normalized_linf": worst_laws,
@@ -547,7 +559,7 @@ def _verify_checks(level: str, tamper: str | None):
         state = generate(spec, grid2d, params)
         times, series = [], []
 
-        def obs(i, s):
+        def obs(i, s, rates):
             times.append(s.time)
             series.append(mode_coefficient(s.v.y, (1, 0, 0)))
 
@@ -650,43 +662,55 @@ def _config_with(doc: dict, axis: str, value: float) -> dict:
     return out
 
 
-def _maxwell_limit_distance(config: RunConfig) -> float:
-    """Sup over sampled times of the (E, mu curl v) distance to the classical twin."""
+def _maxwell_twin(config: RunConfig):
+    """(observer, distance) for an fi run of `config`: the observer steps the
+    classical twin of the run's initial state alongside it, with the run's
+    own steps, and distance() is the sup over sampled times of the
+    (E, mu curl v) distance between the two."""
     params, control = config.params, config.control
-    state = generate(config.scenario, config.grid, params)
-    if control.dt == "auto":
-        control = dataclasses.replace(control, dt=dynamics.auto_step_size(
-            state, params, control, "fi_incompressible"))
-    twin = SYSTEMS["classical_maxwell"].initial(state, params)
+    twin = prev = None
     worst = 0.0
 
-    def observer(i, fi_state):
-        nonlocal twin, worst
+    def observer(i, fi_state, rates):
+        nonlocal twin, prev, worst
         if i == 0:
-            return
-        # the same step as integrate takes for fi_state
-        h = min(float(control.dt), control.t_end - twin.time)
-        twin = dynamics.step(twin, params, control, "classical_maxwell", dt=h)
-        worst = max(worst, float(np.sqrt(
-            norm_l2(fi_state.E - twin.E) ** 2
-            + norm_l2(curl(fi_state.v) * params.mu - twin.B) ** 2)))
+            twin = SYSTEMS["classical_maxwell"].initial(fi_state, params)
+        else:
+            # the step integrate took from the previous fi state
+            h = min(dynamics._resolve_dt(prev, params, control, "fi_incompressible"),
+                    control.t_end - twin.time)
+            twin = dynamics.step(twin, params, control, "classical_maxwell", dt=h)
+            worst = max(worst, float(np.sqrt(
+                norm_l2(fi_state.E - twin.E) ** 2
+                + norm_l2(curl(fi_state.v) * params.mu - twin.B) ** 2)))
+        prev = fi_state
 
-    integrate(state, params, control, "fi_incompressible", observer)
-    return worst
+    return observer, lambda: worst
+
+
+def _maxwell_limit_distance(config: RunConfig) -> float:
+    """Sup over sampled times of the (E, mu curl v) distance to the classical twin."""
+    observer, distance = _maxwell_twin(config)
+    state = generate(config.scenario, config.grid, config.params)
+    integrate(state, config.params, config.control, "fi_incompressible", observer)
+    return distance()
 
 
 def _sweep_one(doc: dict, axis: str, value: float, out_dir: Path,
                reference_v: VectorField | None = None) -> dict:
     config = RunConfig.from_dict(_config_with(doc, axis, value), out_dir=out_dir)
-    summary, final = run(config)
+    twin = None
+    if axis == "amplitude" and config.system == "fi_incompressible":
+        twin = _maxwell_twin(config)
+    summary, final = run(config, None if twin is None else twin[0])
     row = {"axis": axis, "value": value, "status": "ok",
            "run_dir": str(out_dir)}
     m = summary.get("measurement")
     if m:
         row["phase_speed"] = m["measured_phase_speed"]
         row["decay_rate"] = m["measured_decay_rate"]
-    if axis == "amplitude" and config.system == "fi_incompressible":
-        row["maxwell_distance"] = _maxwell_limit_distance(config)
+    if twin is not None:
+        row["maxwell_distance"] = twin[1]()
     if axis == "lambda":
         row["delta"] = config.params.delta
     if reference_v is not None:

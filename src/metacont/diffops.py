@@ -14,6 +14,7 @@ represented, and the vector identities below hold discretely to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,16 +205,27 @@ def leray_project(v: VectorField) -> ProjectionResult:
                             ScalarField._wrap(g, ifftn_array(g, phi_hat)))
 
 
+@lru_cache(maxsize=128)
+def _projection_symbols(g) -> tuple[np.ndarray, np.ndarray]:
+    """(i k, |k|^2 with 1 where it is 0) of the Leray projection.  k = 0 at
+    the mean and the all-Nyquist modes, where div_hat is zero too, so the
+    guard pins phi_hat to zero there."""
+    k2 = _k_squared(g)
+    guarded = np.where(k2 > 0.0, k2, 1.0)
+    ik = 1j * _k_vector(g)
+    for a in (guarded, ik):
+        a.setflags(write=False)
+    return ik, guarded
+
+
 def _leray_hat(g, hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral Leray projection of stacked coefficients: (solenoidal
     coefficients, potential coefficients)."""
     k = _k_vector(g)
+    ik, k2 = _projection_symbols(g)
     div_hat = 1j * (k[0] * hats[0] + k[1] * hats[1] + k[2] * hats[2])
-    # k = 0 at the mean and the all-Nyquist modes; div_hat is zero there, so
-    # the guard pins phi_hat to zero
-    k2 = _k_squared(g)
-    phi_hat = -div_hat / np.where(k2 > 0.0, k2, 1.0)
-    return hats - (1j * k) * phi_hat, phi_hat
+    phi_hat = -div_hat / k2
+    return hats - ik * phi_hat, phi_hat
 
 
 def identity_residual_triple(v: VectorField, e: VectorField) -> VectorField:

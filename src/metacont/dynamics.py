@@ -20,30 +20,52 @@ Systems
 - ``classical_maxwell``      reference linear evolution in (E, B):
       B_t = -curl E,   E_t = c^2 curl B.
 
-The fi and compressible systems share one pseudo-spectral core (`_Core`):
-v and E are transformed once, only derivatives along active axes are
-inverse-transformed, the advection (v.grad)v and the convected bracket
-v.grad E - E.grad v + (div v) E are formed in physical space and dealiased
-with one forward transform each, and the linear terms (Leray projection,
-eta curl(curl v), the dilational gradient, kappa E) stay in spectral space.
+Spectral core.  The fi and compressible systems share one pseudo-spectral
+core (`_Core`).  It takes physical v and E and, for fi, their half-spectrum
+coefficients too, and transforms only what is missing.  Only derivatives
+along active axes are inverse-transformed; div v is the sum of the d_i v_i
+that the products need anyway.  The advection (v.grad)v and the
+convected bracket v.grad E - E.grad v + (div v) E are formed in physical
+space and dealiased with one forward transform each.  The linear terms (the
+Leray projection, eta curl(curl v), the dilational gradient, kappa E) stay
+in spectral space.
 
 Each system is one `System` record in the `SYSTEMS` table, keyed by its
 name: the state fields it advances and their rates, its RHS, the fields
-projected after each step, its CFL speed, its law report, its initial-state
-builder and the scenario kinds it accepts.  `step`, `integrate` and the
-runner read only the record, so adding a system means adding one record.
+projected after each step, its CFL speed and diffusivity, its law report,
+its initial-state builder and the scenario kinds it accepts.  `step`,
+`integrate` and the runner read only the record, so adding a system means
+adding one record.
 
-Time stepping is a fixed four-stage explicit Runge-Kutta scheme; for the
-incompressible systems the velocity is re-projected after each step so the
-solenoidality invariant holds to round-off along the whole trajectory.
+State layout.  Time stepping is one four-stage explicit Runge-Kutta scheme
+for every system.  fi's RK stages hold the half-spectrum coefficients of v
+and E (`GridSpec.spectral_shape`), and its RHS (`_rhs_fi_hat`) returns rate
+coefficients, so a stage inverse-transforms v, E and their derivatives
+once and forward-transforms only the two products.  The post-step Leray
+projection is then one multiply.  The compressible systems keep physical
+stages, because their 1/mu_field factor and positivity check need the
+density in physical space at every stage; the other systems are built from
+the `diffops` operators.  `step` and `integrate` take and return physical
+states whatever the layout.
+
+`integrate` evaluates the RHS once per accepted state: the evaluation is
+the next step's first stage and is what the observer sees.  The physical
+rates, and fi's pressure, are formed only when the observer asks for them.
+
+Finiteness.  Operators do not scan their results.  The stepper scans the
+rates of every RK stage and each accepted state in the stage layout, and a
+physical state it forms from coefficients.  A non-finite value, like a
+DensityError or SolenoidalityError raised in a stage, aborts with an
+IntegrationError carrying the last accepted state.
 The systems are hyperbolic; kappa of order 1 adds mild attenuation, while
-kappa*dt beyond the explicit stability range is rejected rather than treated
-implicitly.
+kappa*dt beyond the explicit stability range is rejected rather than
+treated implicitly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,6 +93,7 @@ from .fields import (
     ScalarField,
     TensorField,
     VectorField,
+    _k_squared,
     _k_vector,
     angular_wavenumbers,
     dealias_array,
@@ -127,11 +150,13 @@ class StepSizeError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A step failed; carries the last accepted state for diagnostics."""
+    """A step failed; carries the last accepted state for diagnostics and,
+    when the RHS was evaluated there, `rates()` of that state."""
 
-    def __init__(self, message: str, state=None):
+    def __init__(self, message: str, state=None, rates=None):
         super().__init__(message)
         self.state = state
+        self.rates = rates
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +235,15 @@ class MediumParams:
 class FluidState:
     """Evolving unknowns of the fluid systems.
 
-    v is always present; E (negative shear-stress vector) and p (pressure from
-    the projection) belong to the incompressible/compressible systems;
-    mu_field and u belong to the compressible ones (u only on the solid
-    dilational branch, where v = du/dt).
+    v is always present; E (negative shear-stress vector) belongs to the
+    incompressible/compressible systems; mu_field and u belong to the
+    compressible ones (u only on the solid dilational branch, where
+    v = du/dt).  The fi pressure is a rate, `FiRates.pressure`, not state.
     """
 
     time: float
     v: VectorField
     E: VectorField | None = None
-    p: ScalarField | None = None
     mu_field: ScalarField | None = None
     u: VectorField | None = None
 
@@ -270,9 +294,10 @@ def upper_convected_vector(E: VectorField, v: VectorField,
                            dE_partial: VectorField | None) -> VectorField:
     """Upper-convected rate of a vector density:
     dE_partial + v.grad E - E.grad v + (div v) E, products dealiased."""
-    core = _Core(v, E)
-    out = VectorField._wrap(v.grid, np.stack(
-        [core.physical(core.products(j)[1]) for j in range(3)]))
+    core = _Core(v.grid, v.values, E.values)
+    out = VectorField._wrap(v.grid, np.stack([
+        core.physical(core.dealiased_hat(core.products(j, momentum=False)[1]))
+        for j in range(3)]))
     return out if dE_partial is None else dE_partial + out
 
 
@@ -311,18 +336,43 @@ def oldroyd_discrepancy(sigma: TensorField, v: VectorField) -> VectorField:
 # spectral core of the elastic-fluid systems
 # ---------------------------------------------------------------------------
 
-class _Core:
-    """The spectral core of one elastic-fluid RHS call (see the module
-    docstring).  Callers take E one component at a time, so the coefficients
-    and gradients of only one component are alive at once."""
+@functools.lru_cache(maxsize=128)
+def _ik_active(g) -> np.ndarray:
+    """i k_i over the active axes i: shape (n_active,) + spectral_shape."""
+    ik = 1j * _k_vector(g)[[i for i, a in enumerate(g.active) if a]]
+    ik.setflags(write=False)
+    return ik
 
-    def __init__(self, v: VectorField, E: VectorField):
-        self.grid = g = v.grid
+
+class _Core:
+    """The spectral core of one elastic-fluid RHS evaluation (see the module
+    docstring).
+
+    It always takes physical v and E.  Without their coefficients (the
+    compressible systems), v is transformed once and E one component at a
+    time in `products`, so the coefficients and derivatives of only one
+    component are alive at once.  Given the stacked coefficients
+    hats = [v_hat, E_hat] (fi), every derivative comes back from one batched
+    inverse transform per active axis and nothing is forward-transformed
+    here.  Either way only derivatives along active axes are formed, and
+    div v is the sum of the d_i v_i."""
+
+    def __init__(self, g, va, ea, hats=None):
+        self.grid = g
         self.ks = angular_wavenumbers(g)
         self.axes = tuple(i for i, a in enumerate(g.active) if a)
-        self.va, self.ea = v.values, E.values
-        self.vh = fftn_array(g, self.va)
-        self.divv = ifftn_array(g, self.div_hat(self.vh))
+        self.va, self.ea = va, ea
+        if hats is None:
+            self.vh = fftn_array(g, va)
+            self.eh = self.grad = None
+            self.dvv = {i: self.d(self.vh[i], i) for i in self.axes}
+        else:
+            self.vh, self.eh = hats
+            # grad[a][0, j] = d_i v_j and grad[a][1, j] = d_i E_j, i = axes[a];
+            # one transform per axis: larger batches run slower at 64^2
+            self.grad = [ifftn_array(g, ik * hats) for ik in _ik_active(g)]
+            self.dvv = {i: self.grad[a][0, i] for a, i in enumerate(self.axes)}
+        self.divv = sum(self.dvv.values(), np.zeros(g.shape))
         # formed here, while no component's products are alive
         self.curl_curl_hat = _curl_curl_hat(_k_vector(g), self.vh)
 
@@ -338,27 +388,39 @@ class _Core:
     def physical(self, hat: np.ndarray) -> np.ndarray:
         return ifftn_array(self.grid, hat)
 
-    def products(self, j: int, body=None):
-        """Coefficients of (momentum_j, bracket_j, E_j), the products dealiased:
+    def dealiased_hat(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of physical products, with the two-thirds mask."""
+        return fftn_array(self.grid, values) * dealias_mask(self.grid)
+
+    def products(self, j, body=None, momentum: bool = True):
+        """(momentum_j, bracket_j, E_j coefficients), the products physical
+        and not yet dealiased:
             momentum_j = body(j) - (v.grad v)_j     (body(j) = 0 when body is None)
             bracket_j  = (v.grad E)_j - (E.grad v)_j + (div v) E_j
-        body(j) is a physical array."""
+        body(j) is a physical array; momentum_j is None when momentum is False.
+        With coefficients given, j may be slice(None): all three at once."""
         g, va, ea = self.grid, self.va, self.ea
-        e_hat = fftn_array(g, ea[j])
-        mom = np.zeros(g.shape) if body is None else body(j)
+        e_hat = fftn_array(g, ea[j]) if self.eh is None else self.eh[j]
+        mom = None
+        if momentum:
+            mom = np.zeros(g.shape) if body is None else body(j)
         conv = ea[j] * self.divv
-        for i in self.axes:
-            d_v = self.d(self.vh[j], i)
-            d_e = self.d(e_hat, i)
-            mom = mom - va[i] * d_v
+        for a, i in enumerate(self.axes):
+            if self.grad is None:
+                d_v = self.dvv[i] if i == j else self.d(self.vh[j], i)
+                d_e = self.d(e_hat, i)
+            else:
+                d_v, d_e = self.grad[a][0, j], self.grad[a][1, j]
+            if momentum:
+                mom = mom - va[i] * d_v
             conv = conv + va[i] * d_e - ea[i] * d_v
-        mask = dealias_mask(g)
-        return fftn_array(g, mom) * mask, fftn_array(g, conv) * mask, e_hat
+        return mom, conv, e_hat
 
-    def stress_rate(self, j: int, bracket, e_hat, params: MediumParams) -> np.ndarray:
-        """Component j of E_t = eta curl(curl v) - bracket - kappa E."""
-        return self.physical(params.eta * self.curl_curl_hat[j]
-                             - bracket - params.kappa * e_hat)
+    def stress_rate_hat(self, bracket_hat, e_hat, params: MediumParams,
+                        j=slice(None)) -> np.ndarray:
+        """Coefficients of E_t = eta curl(curl v) - bracket - kappa E, of
+        component j (all three by default)."""
+        return params.eta * self.curl_curl_hat[j] - bracket_hat - params.kappa * e_hat
 
 
 # ---------------------------------------------------------------------------
@@ -419,32 +481,51 @@ def rhs_fi_incompressible(state: FluidState, params: MediumParams) -> FiRates:
     with the (div v) E term retained even though div v = 0 analytically, so
     that the derived-law residuals close discretely.
 
-    This is the hot path of every incompressible run.  It runs on the spectral
-    core shared with the compressible systems: v and E are transformed once,
-    the two quadratic terms are dealiased products, and the projection,
-    curl(curl v) and kappa E never leave spectral space.  Each term equals
-    the composed diffops evaluation up to rounding.
+    The physical form of `_rhs_fi_hat`, which the stepper calls on
+    coefficients: v and E are transformed once and the rates and pressure
+    are transformed back.  Each term equals the composed diffops evaluation
+    up to rounding.
     """
     if state.E is None:
         raise ValueError("fi_incompressible needs the stress vector E")
-    core = _Core(state.v, state.E)
+    g = state.v.grid
+    physical = np.stack([state.v.values, state.E.values])
+    return _rhs_fi_hat(g, fftn_array(g, physical), params, physical)[2]()
+
+
+def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
+    """The fi right-hand side on the stacked half-spectrum coefficients
+    hats = [v_hat, E_hat].
+
+    Returns the stacked rate coefficients [dv_hat, dE_hat], the stacked
+    physical [v, E] that the products used (inverse-transformed unless
+    `physical` gives them) and a function that forms the physical `FiRates`
+    once, on request.  The quadratic terms are the only ones that leave
+    spectral space.
+    """
+    if physical is None:
+        physical = ifftn_array(g, hats)
+    core = _Core(g, *physical, hats=hats)
     divv_linf = float(np.max(np.abs(core.divv)))
     if divv_linf > DIV_INPUT_TOL:
         raise SolenoidalityError(
             f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
         )
-    g = core.grid
-    raw, dE = [], []
-    for j in range(3):
-        momentum, bracket, e_hat = core.products(j)
-        raw.append(momentum - e_hat / params.mu)
-        dE.append(core.stress_rate(j, bracket, e_hat, params))
-    sol_hats, phi_hat = _leray_hat(g, np.stack(raw))
-    return FiRates(
-        dv=VectorField._wrap(g, core.physical(sol_hats)),
-        dE=VectorField._wrap(g, np.stack(dE)),
-        pressure=ScalarField._wrap(g, core.physical(phi_hat * params.mu)),
-    )
+    momentum, bracket, eh = core.products(slice(None))
+    products = core.dealiased_hat(np.stack([momentum, bracket]))
+    dv_hat, phi_hat = _leray_hat(g, products[0] - eh / params.mu)
+    rates_hat = np.stack([dv_hat, core.stress_rate_hat(products[1], eh, params)])
+
+    @functools.cache
+    def rates() -> FiRates:
+        dv, dE = ifftn_array(g, rates_hat)
+        return FiRates(
+            dv=VectorField._wrap(g, dv),
+            dE=VectorField._wrap(g, dE),
+            pressure=ScalarField._wrap(g, ifftn_array(g, phi_hat * params.mu)),
+        )
+
+    return rates_hat, physical, rates
 
 
 def rhs_second_order(state: SecondOrderState, params: MediumParams) -> SecondOrderRates:
@@ -485,7 +566,7 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         raise DensityError(
             f"density lost positivity (min = {float(mu_f.values.min()):.3e})"
         )
-    core = _Core(v, E)
+    core = _Core(v.grid, v.values, E.values)
     if rheology == "liquid":
         dilational_hat = core.div_hat(core.vh) * (params.nu + 2.0 * params.zeta)
         du = None
@@ -506,8 +587,9 @@ def rhs_compressible(state: FluidState, params: MediumParams,
     dv, dE = [], []
     for j in range(3):
         momentum, bracket, e_hat = core.products(j, force_per_mass)
-        dv.append(core.physical(momentum))
-        dE.append(core.stress_rate(j, bracket, e_hat, params))
+        dv.append(core.physical(core.dealiased_hat(momentum)))
+        dE.append(core.physical(core.stress_rate_hat(
+            core.dealiased_hat(bracket), e_hat, params, j)))
         del momentum, bracket, e_hat   # free before the next component
     dv, dE = np.stack(dv), np.stack(dE)
     mu_hat = fftn_array(g, mu_f.values)
@@ -534,34 +616,35 @@ def rhs_classical_maxwell(state: MaxwellState, params: MediumParams) -> MaxwellR
 class System:
     """What the integrator and the runner know about one governing system.
 
-    fields      state attributes the integrator advances, in order
-    rates       the attribute of the RHS result that is each field's rate
-    rhs         (state, params) -> rates
-    scenarios   the scenario kinds whose initial state the system accepts
-    projected   fields Leray-projected after every step
-    carried     (state attribute, rate attribute) pairs taken from the rates
-                at the step's start (fi's pressure)
-    cfl_speed   the MediumParams attribute that is the fastest signal speed
-    uses_kappa  whether kappa*dt is held to KAPPA_DT_LIMIT
-    report      (state, params, rates) -> law report, or None
-    initial     (scenario state, params) -> the system's initial state
+    fields       state attributes the integrator advances, in order
+    rates        the attribute of the RHS result that is each field's rate
+    scenarios    the scenario kinds whose initial state the system accepts
+    rhs          (state, params) -> rates, evaluated on physical RK stages
+    rhs_hat      or the RHS on the fields' stacked half-spectrum coefficients
+                 (the signature of `_rhs_fi_hat`): the RK stages then hold
+                 coefficients
+    observed     rate attributes a run writes beside the fields (fi's pressure)
+    projected    fields Leray-projected after every step
+    cfl_speed    the MediumParams attribute that is the fastest signal speed
+    diffusivity  None, or params -> the diffusivity D of an explicit diffusion
+                 term; auto dt then also keeps below RK4's diffusive limit
+    uses_kappa   whether kappa*dt is held to KAPPA_DT_LIMIT
+    report       (state, params, rates) -> law report, or None
+    initial      (scenario state, params) -> the system's initial state
     """
 
     fields: tuple[str, ...]
     rates: tuple[str, ...]
-    rhs: Callable
     scenarios: frozenset[str]
+    rhs: Callable | None = None
+    rhs_hat: Callable | None = None
+    observed: tuple[str, ...] = ()
     projected: tuple[str, ...] = ()
-    carried: tuple[tuple[str, str], ...] = ()
     cfl_speed: str = "c"
+    diffusivity: Callable | None = None
     uses_kappa: bool = False
     report: Callable | None = None
     initial: Callable = lambda state, params: state
-
-    @property
-    def snapshot(self) -> tuple[str, ...]:
-        """State attributes a run writes: the advanced and the carried ones."""
-        return self.fields + tuple(name for name, _ in self.carried)
 
 
 _WAVES = frozenset({"plane_shear_wave", "standing_shear_wave"})
@@ -577,12 +660,9 @@ SYSTEMS: dict[str, System] = {
         scenarios=_WAVES | {"compression_pulse"}, cfl_speed="c_s"),
     "fi_incompressible": System(
         fields=("v", "E"), rates=("dv", "dE"),
-        rhs=lambda s, p: rhs_fi_incompressible(s, p),
-        scenarios=_STRESSED, projected=("v",), carried=(("p", "pressure"),),
-        uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r),
-        # p = 0 stands in for the pressure until the first step sets it
-        initial=lambda state, params: dataclasses.replace(
-            state, p=ScalarField.zeros(state.v.grid))),
+        rhs_hat=lambda g, hats, p, physical: _rhs_fi_hat(g, hats, p, physical),
+        observed=("pressure",), scenarios=_STRESSED, projected=("v",),
+        uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "second_order": System(
         fields=("v", "v_t"), rates=("dv", "dv_t"),
         rhs=lambda s, p: rhs_second_order(s, p),
@@ -594,6 +674,9 @@ SYSTEMS: dict[str, System] = {
         fields=("v", "E", "mu_field"), rates=("dv", "dE", "dmu"),
         rhs=lambda s, p: rhs_compressible(s, p, "liquid"),
         scenarios=_STRESSED, cfl_speed="c_s", uses_kappa=True,
+        # the dilational stress (nu + 2 zeta) div v diffuses v with
+        # D = (nu + 2 zeta) / mu
+        diffusivity=lambda p: (p.nu + 2.0 * p.zeta) / p.mu,
         report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "compressible_solid": System(
         fields=("v", "E", "mu_field", "u"), rates=("dv", "dE", "dmu", "du"),
@@ -621,15 +704,25 @@ def _record(system: str) -> System:
 # time integration
 # ---------------------------------------------------------------------------
 
+RK4_DIFFUSIVE_LIMIT = 2.78    # RK4 is stable for real h*lambda in [-2.78, 0]
+
+
 def auto_step_size(state, params: MediumParams, control: StepControl,
                    system: str) -> float:
-    """cfl * h_min / (c_max + |v|_max); |v|_max is zero for the classical system."""
+    """cfl * h_min / (c_max + |v|_max), |v|_max zero for the classical system;
+    for a system with a diffusivity D, at most cfl * RK4_DIFFUSIVE_LIMIT /
+    (D k2_max), with k2_max the largest |k|^2 of the grid."""
     record = _record(system)
     grid = getattr(state, record.fields[0]).grid
     vmax = norm_linf(state.v) if hasattr(state, "v") else 0.0
-    return control.cfl * grid.min_active_spacing() / (
+    h = control.cfl * grid.min_active_spacing() / (
         getattr(params, record.cfl_speed) + vmax
     )
+    if record.diffusivity is not None:
+        rate = record.diffusivity(params) * float(_k_squared(grid).max())
+        if rate > 0.0:
+            h = min(h, control.cfl * RK4_DIFFUSIVE_LIMIT / rate)
+    return h
 
 
 def _resolve_dt(state, params, control, system) -> float:
@@ -638,84 +731,221 @@ def _resolve_dt(state, params, control, system) -> float:
     return float(control.dt)
 
 
-def step(state, params: MediumParams, control: StepControl, system: str,
-         dt: float | None = None):
-    """One explicit RK4 step.
+# what an RHS evaluation inside a step may raise; the step turns each into
+# an IntegrationError that carries the last accepted state
+_STAGE_ERRORS = (FieldError, FloatingPointError, DensityError, SolenoidalityError)
 
-    dt overrides the control (used by `integrate` to land exactly on t_end).
-    For the incompressible systems the velocity (and velocity rate) are
-    re-projected after the update so the solenoidality invariant is restored
-    to round-off.  Operators do not scan their results, so the step scans
-    the input fields of each of the four stages and the accepted state
-    (carried fields included); a non-finite value aborts with an
-    IntegrationError carrying the last accepted state.
-    """
-    record = _record(system)
-    h = float(dt) if dt is not None else _resolve_dt(state, params, control, system)
-    if not h > 0:
-        raise StepSizeError(f"step size must be positive, got {h}")
-    if record.uses_kappa and params.kappa * h > KAPPA_DT_LIMIT:
-        raise StepSizeError(
-            f"kappa*dt = {params.kappa * h:.3g} exceeds the explicit stability "
-            f"range ({KAPPA_DT_LIMIT}); reduce dt"
+
+class _Physical:
+    """RK stages that hold the physical values of the advanced fields."""
+
+    def __init__(self, record: System, grid):
+        self.record, self.grid = record, grid
+
+    def encode(self, state) -> list[np.ndarray]:
+        return [getattr(state, name).values for name in self.record.fields]
+
+    def decode(self, y, like, time: float):
+        """The state at `time` with field values y; `like` supplies the other
+        attributes and the field types."""
+        fields = {name: type(getattr(like, name))._wrap(self.grid, values)
+                  for name, values in zip(self.record.fields, y)}
+        return dataclasses.replace(like, time=time, **fields)
+
+    def evaluate(self, y, like, time: float, params, state=None):
+        """(stage rates k, physical state, rates on request) at y; `state` is
+        the physical state of y when the caller already has it."""
+        if state is None:
+            state = self.decode(y, like, time)
+        rates = self.record.rhs(state, params)
+        k = [getattr(rates, name).values for name in self.record.rates]
+        return k, state, lambda: rates
+
+    def project(self, y: list) -> None:
+        for i, name in enumerate(self.record.fields):
+            if name in self.record.projected:
+                field = VectorField._wrap(self.grid, y[i])
+                y[i] = leray_project(field).solenoidal.values
+
+
+class _Spectral(_Physical):
+    """RK stages that hold one array: the stacked half-spectrum coefficients
+    of the advanced fields, which the record's `rhs_hat` evaluates."""
+
+    def encode(self, state) -> list[np.ndarray]:
+        return [fftn_array(self.grid, np.stack(super().encode(state)))]
+
+    def decode(self, y, like, time: float):
+        # finite coefficients near the float limit can still overflow
+        physical = ifftn_array(self.grid, y[0])
+        _check_finite([physical])
+        return super().decode(physical, like, time)
+
+    def evaluate(self, y, like, time: float, params, state=None):
+        physical = None if state is None else np.stack(super().encode(state))
+        k, physical, rates = self.record.rhs_hat(self.grid, y[0], params, physical)
+        if state is None:
+            state = super().decode(physical, like, time)
+        return [k], state, rates
+
+    def project(self, y: list) -> None:
+        for i, name in enumerate(self.record.fields):
+            if name in self.record.projected:
+                # y[0] is the step's own new array
+                y[0][i] = _leray_hat(self.grid, y[0][i])[0]
+
+
+class _Sample:
+    """One accepted state on a stepper's path: its stage values y and, once
+    evaluated, its stage rates k (the first RK stage of the step from it).
+    The physical state and the rates are formed on request.
+
+    A sample that fails to evaluate or to decode to a finite physical state
+    was not a good state after all: the error carries `previous`, the
+    sample it was stepped from (None for a start state, which then carries
+    itself)."""
+
+    def __init__(self, stepper: "_Stepper", y: list, time: float, state=None,
+                 previous: "_Sample | None" = None, h: float | None = None):
+        self.stepper, self.y, self.time = stepper, y, time
+        self.previous, self.h = previous, h
+        self._state = state
+        self._k = None
+        self._rates = None
+
+    def _failed(self, exc: Exception) -> "IntegrationError":
+        good = self if self.previous is None else self.previous
+        return self.stepper.failure(good, self.h, exc)
+
+    @property
+    def state(self):
+        if self._state is None:
+            st = self.stepper
+            try:
+                self._state = st.layout.decode(self.y, st.like, self.time)
+            except _STAGE_ERRORS as exc:
+                raise self._failed(exc) from exc
+        return self._state
+
+    @property
+    def k(self) -> list:
+        if self._k is None:
+            st = self.stepper
+            try:
+                k, state, rates = st.layout.evaluate(
+                    self.y, st.like, self.time, st.params, self._state)
+                _check_finite(k)
+            except _STAGE_ERRORS as exc:
+                raise self._failed(exc) from exc
+            self._k, self._state, self._rates = k, state, rates
+            self.previous = None   # keep no chain of earlier samples alive
+        return self._k
+
+    def rates(self):
+        """The system's physical RHS result at this state."""
+        self.k
+        return self._rates()
+
+
+class _Stepper:
+    """RK4 for one system and one parameter set; `like` is a state of the
+    system that supplies the attributes the integrator does not advance."""
+
+    def __init__(self, system: str, params: MediumParams, like):
+        self.system, self.params, self.like = system, params, like
+        self.record = record = _record(system)
+        grid = getattr(like, record.fields[0]).grid
+        self.layout = (_Physical if record.rhs_hat is None else _Spectral)(record, grid)
+
+    def start(self, state) -> _Sample:
+        return _Sample(self, self.layout.encode(state), state.time, state)
+
+    def advance(self, sample: _Sample, h: float) -> _Sample:
+        """The accepted state one RK4 step of size h after `sample`."""
+        if not h > 0:
+            raise StepSizeError(f"step size must be positive, got {h}")
+        kappa = self.params.kappa
+        if self.record.uses_kappa and kappa * h > KAPPA_DT_LIMIT:
+            raise StepSizeError(
+                f"kappa*dt = {kappa * h:.3g} exceeds the explicit stability "
+                f"range ({KAPPA_DT_LIMIT}); reduce dt"
+            )
+        layout, y0 = self.layout, sample.y
+        k1 = sample.k
+
+        def rates_at(y):
+            k = layout.evaluate(y, self.like, sample.time, self.params)[0]
+            _check_finite(k)
+            return k
+
+        try:
+            k2 = rates_at([y + k * (h / 2.0) for y, k in zip(y0, k1)])
+            k3 = rates_at([y + k * (h / 2.0) for y, k in zip(y0, k2)])
+            k4 = rates_at([y + k * h for y, k in zip(y0, k3)])
+            new = [y + (a + (b + c) * 2.0 + d) * (h / 6.0)
+                   for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+            layout.project(new)
+            _check_finite(new)
+        except _STAGE_ERRORS as exc:
+            raise self.failure(sample, h, exc) from exc
+        return _Sample(self, new, sample.time + h, previous=sample, h=h)
+
+    def failure(self, sample: _Sample, h, exc: Exception) -> "IntegrationError":
+        step = "" if h is None else f" with dt={h:.3e}"
+        return IntegrationError(
+            f"step from t={sample.time:.6g}{step} failed in system "
+            f"{self.system!r}: {type(exc).__name__}: {exc}",
+            state=sample.state,
+            rates=None if sample._rates is None else sample.rates,
         )
 
-    y0 = [getattr(state, name) for name in record.fields]
 
-    def eval_rhs(fields):
-        _check_finite(fields)
-        trial = dataclasses.replace(state, **dict(zip(record.fields, fields)))
-        rates = record.rhs(trial, params)
-        return [getattr(rates, name) for name in record.rates], rates
-
-    try:
-        k1, rates1 = eval_rhs(y0)
-        k2, _ = eval_rhs([y + ki * (h / 2.0) for y, ki in zip(y0, k1)])
-        k3, _ = eval_rhs([y + ki * (h / 2.0) for y, ki in zip(y0, k2)])
-        k4, _ = eval_rhs([y + ki * h for y, ki in zip(y0, k3)])
-        new_fields = [
-            y + (a + (b + c) * 2.0 + d) * (h / 6.0)
-            for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
-        ]
-        new = dict(zip(record.fields, new_fields))
-        for name in record.projected:
-            new[name] = leray_project(new[name]).solenoidal
-        # fi's pressure is the projection potential of the first stage, i.e.
-        # the pressure at the step's start; reports re-evaluate the RHS at
-        # sample times
-        new.update((name, getattr(rates1, rate)) for name, rate in record.carried)
-        _check_finite(new.values())
-    except (FieldError, FloatingPointError) as exc:
-        raise IntegrationError(
-            f"step from t={state.time:.6g} with dt={h:.3e} produced non-finite "
-            f"values in system {system!r}: {exc}",
-            state=state,
-        ) from exc
-    return dataclasses.replace(state, time=state.time + h, **new)
+def _check_finite(arrays) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise FieldError("non-finite values in an RK stage")
 
 
-def _check_finite(fields) -> None:
-    for f in fields:
-        if f is not None and not np.isfinite(f.values).all():
-            raise FieldError(f"{type(f).__name__} contains non-finite values")
+def step(state, params: MediumParams, control: StepControl, system: str,
+         dt: float | None = None):
+    """One explicit RK4 step from a physical state to a physical state.
+
+    dt overrides the control.  The stages hold what the system's record
+    says: physical values, or half-spectrum coefficients for a system with
+    an `rhs_hat` (fi), whose state is transformed in and out here.  Fields
+    named `projected` are Leray-projected after the update, so the
+    solenoidality invariant holds to round-off.  Any failure inside a stage
+    (a non-finite value, DensityError, SolenoidalityError) raises an
+    IntegrationError that carries `state`, with the original as __cause__.
+    """
+    stepper = _Stepper(system, params, state)
+    h = float(dt) if dt is not None else _resolve_dt(state, params, control, system)
+    return stepper.advance(stepper.start(state), h).state
 
 
 def integrate(state, params: MediumParams, control: StepControl, system: str,
               observer=None):
     """Advance to control.t_end, shortening the final step to land exactly.
 
-    `observer(step_index, state)` is called with the initial state (index 0)
-    and after every accepted step.
+    `observer(step_index, state, rates)` is called with the initial state
+    (index 0) and after every accepted step.  `rates()` returns the system's
+    physical RHS result at that state.  The RHS is evaluated once per
+    accepted state: that evaluation is the next step's first stage, and the
+    final state is evaluated only if the observer calls `rates()`.  A failed
+    step raises an IntegrationError carrying the last accepted state and,
+    when it was evaluated, its `rates`.
     """
-    if observer is not None:
-        observer(0, state)
+    stepper = _Stepper(system, params, state)
+    sample = stepper.start(state)
     n = 0
     t_end = control.t_end
     eps = 1e-12 * max(1.0, abs(t_end))
-    while state.time < t_end - eps:
-        h = min(_resolve_dt(state, params, control, system), t_end - state.time)
-        state = step(state, params, control, system, dt=h)
-        n += 1
+    while True:
         if observer is not None:
-            observer(n, state)
-    return state
+            observer(n, sample.state, sample.rates)
+        if not sample.time < t_end - eps:
+            return sample.state
+        h = min(_resolve_dt(sample.state, params, control, system),
+                t_end - sample.time)
+        sample = stepper.advance(sample, h)
+        n += 1

@@ -22,8 +22,10 @@ Finiteness is checked where values come from outside: the public
 constructors (`ScalarField(grid, values)`, `from_arrays`, `full`) copy their
 input and reject a misshaped or non-finite one with `FieldError`, as the
 snapshot reader does.  Operator results are adopted as they are, without a
-copy or a scan; `dynamics.step` scans the input of every RK stage and the
-accepted state instead.
+copy or a scan.  The time stepper in `dynamics` scans instead: the rates of
+every RK stage and each accepted state, in the layout the stages hold
+(physical values, or fi's half-spectrum coefficients), and a physical state
+it forms from coefficients.
 
 Spectral layout.  Every field is real, so the forward transform is the
 real-to-complex `scipy.fft.rfftn` over the active axes and the inverse is
@@ -452,8 +454,9 @@ _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # component j -> (j + 1) % 3, (j + 2) % 3
 
 
 def _cross_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product over the leading axis of two stacked triples."""
-    return a[_NEXT] * b[_AFTER] - a[_AFTER] * b[_NEXT]
+    """Cross product over the leading axis of two stacked triples (formed
+    per component: indexing the whole stacks would copy four of them)."""
+    return np.stack([a[n] * b[f] - a[f] * b[n] for n, f in zip(_NEXT, _AFTER)])
 
 
 def cross(v: VectorField, w: VectorField) -> VectorField:

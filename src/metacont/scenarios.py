@@ -16,8 +16,8 @@ Scenario kinds
                            and E decays at exactly exp(-kappa t)
 
 Every generated state carries v, E, u (zero unless the scenario defines them)
-and mu_field = mu, so any governing system can consume it; the pressure p is
-left to the system that defines one.
+and mu_field = mu, so any governing system can consume it.  A pressure is
+not state: the fi right-hand side returns it with its rates.
 
 Oracles
 -------

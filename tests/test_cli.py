@@ -20,7 +20,7 @@ from metacont.cli import (
     sweep,
     verify,
 )
-from metacont.dynamics import IntegrationError
+from metacont.dynamics import DensityError, IntegrationError
 from metacont.fields import read_snapshot_scalar, read_snapshot_vector
 from metacont.scenarios import delta_sweep
 
@@ -167,7 +167,7 @@ class TestRun:
         doc["system"] = system
         doc["params"]["lam"] = 2.0
         summary, final = run(RunConfig.from_dict(doc))
-        assert final.p is None
+        assert not hasattr(final, "p")  # a pressure is a rate, not state
         assert "p" not in summary["norms"]
         written = {p.name for p in (out / "snapshots").rglob("*.f64")}
         assert "v_x.f64" in written
@@ -241,6 +241,29 @@ class TestRun:
             assert np.isfinite(field.values).all()
             assert meta["time"] > 0.0
         assert np.isfinite(read_snapshot_scalar(diagnostic, "p")[0].values).all()
+
+    def test_stage_failure_writes_a_finite_diagnostic_snapshot(self, tmp_path):
+        # a fixed dt about 18x the explicit limit of the liquid's dilational
+        # diffusion: the density loses positivity inside an RK stage
+        out = tmp_path / "out"
+        doc = {"grid": {"dims": [32, 32, 1]}, "system": "compressible_liquid",
+               "scenario": {"kind": "random_solenoidal", "amplitude": 0.05,
+                            "seed": 1},
+               "control": {"t_end": 0.5, "dt": 0.055},
+               "outputs": {"out_dir": str(out)}}
+        with pytest.raises(IntegrationError) as info:
+            run(RunConfig.from_dict(doc))
+        assert isinstance(info.value.__cause__, DensityError)
+        diagnostic = out / "diagnostic"
+        for name in ("v", "E"):
+            field, meta = read_snapshot_vector(diagnostic, name)
+            assert np.isfinite(field.values).all()
+            assert meta["time"] == pytest.approx(info.value.state.time)
+        mu, _ = read_snapshot_scalar(diagnostic, "mu")
+        assert np.isfinite(mu.values).all() and mu.values.min() > 0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 1
 
 
 class TestVerify:

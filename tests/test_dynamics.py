@@ -50,7 +50,6 @@ def _zeros_state(grid, with_u=False, with_mu=False, mu=1.0):
         time=0.0,
         v=VectorField.zeros(grid),
         E=VectorField.zeros(grid),
-        p=ScalarField.zeros(grid),
         mu_field=ScalarField.full(grid, mu) if with_mu else None,
         u=VectorField.zeros(grid) if with_u else None,
     )
@@ -391,7 +390,7 @@ class TestStepAndIntegrate:
 
         worst = 0.0
 
-        def observer(i, s):
+        def observer(i, s, rates):
             nonlocal worst
             worst = max(worst, norm_linf(div(s.v)))
 
@@ -438,13 +437,20 @@ class TestStepAndIntegrate:
         assert info.value.state is not None
 
     def test_pressure_populated_on_fi_steps(self):
+        # the pressure is a rate of each observed state, not carried state
         v = band_limited_vector(GRID_64, seed=68, fraction=1 / 6,
                                 amplitude=0.2, solenoidal=True)
         state = FluidState(time=0.0, v=v, E=VectorField.zeros(GRID_64))
-        out = step(state, MediumParams(), StepControl(t_end=1.0, dt=0.01),
-                   "fi_incompressible")
-        assert out.p is not None
-        assert norm_linf(out.p) > 0.0
+        pressures = []
+        integrate(state, MediumParams(), StepControl(t_end=0.02, dt=0.01),
+                  "fi_incompressible",
+                  lambda i, s, rates: pressures.append(rates().pressure))
+        assert len(pressures) == 3
+        assert all(norm_linf(p) > 0.0 for p in pressures)
+        # step 0 is the pressure of the initial state itself
+        np.testing.assert_array_equal(
+            pressures[0].values,
+            rhs_fi_incompressible(state, MediumParams()).pressure.values)
 
     def test_compressible_liquid_preserves_solenoidality_single_mode(self):
         # single-mode transverse data: (v.grad)v vanishes identically, so the

@@ -1,13 +1,17 @@
 """The spectral core shared by the fi and compressible right-hand sides.
 
-Pins its transform budget, checks it against the composed diffops
-expressions it replaced, and checks that the FFT worker count does not change
-a single bit of its output.
+Pins its transform budget per RHS call and per accepted step of every
+system, checks it against the composed diffops expressions it replaced,
+checks that the FFT worker count does not change a single bit of its output,
+and checks that `integrate` evaluates the RHS once per accepted state.
 """
 
 import numpy as np
 import pytest
 import scipy.fft
+
+from metacont import dynamics
+from metacont.cli import RunConfig, run
 
 from metacont.diffops import (
     advect_scalar,
@@ -18,15 +22,28 @@ from metacont.diffops import (
     vector_advection,
 )
 from metacont.dynamics import (
+    SYSTEMS as SYSTEM_TABLE,
     FluidState,
     MediumParams,
     SecondOrderState,
+    StepControl,
+    _rhs_fi_hat,
+    integrate,
     rhs_compressible,
     rhs_fi_incompressible,
     rhs_second_order,
+    step,
     upper_convected_vector,
 )
-from metacont.fields import ScalarField, dealias_field, make_grid, norm_linf
+from metacont.fields import (
+    ScalarField,
+    dealias_field,
+    fftn_array,
+    make_grid,
+    norm_linf,
+    read_snapshot_scalar,
+)
+from metacont.scenarios import ScenarioSpec, generate
 
 from helpers import band_limited_scalar, band_limited_vector
 
@@ -58,13 +75,29 @@ def _rhs(system, state, params=PARAMS):
 
 # component transforms per RHS call (a call on a stack of n components counts
 # n); the count depends only on which axes are active, so 16^3 stands in for
-# every 3D grid
+# every 3D grid.  "fi" is the physical rhs_fi_incompressible (v and E
+# transformed in, the rates and pressure out); "fi_hat" is the coefficient
+# RHS that one RK stage of fi evaluates.
 BUDGET = {
-    ("fi", "2d"): 32, ("fi", "3d"): 38,
-    ("compressible_solid", "2d"): 40, ("compressible_solid", "3d"): 49,
-    ("compressible_liquid", "2d"): 38, ("compressible_liquid", "3d"): 46,
+    ("fi", "2d"): 31, ("fi", "3d"): 37,
+    ("fi_hat", "2d"): 24, ("fi_hat", "3d"): 30,
+    ("compressible_solid", "2d"): 39, ("compressible_solid", "3d"): 48,
+    ("compressible_liquid", "2d"): 37, ("compressible_liquid", "3d"): 45,
     ("second_order", "2d"): 66, ("second_order", "3d"): 66,
+    ("upper_convected_vector", "2d"): 24, ("upper_convected_vector", "3d"): 30,
 }
+# component transforms per accepted step of `integrate`, the post-step
+# projection included; for every system but fi this is also one `step` call
+STEP_BUDGET = {
+    ("fi_incompressible", "2d"): 96, ("fi_incompressible", "3d"): 120,
+    ("compressible_liquid", "2d"): 148, ("compressible_liquid", "3d"): 180,
+    ("compressible_solid", "2d"): 156, ("compressible_solid", "3d"): 192,
+    ("second_order", "2d"): 278, ("second_order", "3d"): 278,
+    ("linear_navier", "2d"): 80, ("linear_navier", "3d"): 80,
+    ("classical_maxwell", "2d"): 48, ("classical_maxwell", "3d"): 48,
+}
+# one public fi `step`: v and E transformed in and out around the 4 stages
+FI_PUBLIC_STEP = {"2d": 102, "3d": 126}
 BUDGET_GRIDS = {
     "2d": make_grid((64, 64, 1), (2 * np.pi,) * 3),
     "3d": make_grid((16, 16, 16), (2 * np.pi,) * 3),
@@ -76,13 +109,8 @@ FFT_ENTRY_POINTS = C2C + ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
                           "hfft", "ihfft", "hfft2", "ihfft2", "hfftn", "ihfftn")
 
 
-@pytest.mark.parametrize("system", SYSTEMS + ("second_order",))
-@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
-def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
-    state = _state(BUDGET_GRIDS[shape])
-    if system == "second_order":
-        state = SecondOrderState(time=0.0, v=state.v,
-                                 v_t=rhs_fi_incompressible(state, PARAMS).dv)
+def _count_transforms(monkeypatch, fn) -> int:
+    """Component transforms of fn(); fails on a complex-to-complex call."""
     calls = []
     for name in FFT_ENTRY_POINTS:
         original = getattr(scipy.fft, name)
@@ -93,10 +121,66 @@ def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counted)
-    _rhs(system, state)
-    assert sum(n for _, n in calls) == BUDGET[(system, shape)]
+    try:
+        fn()
+    finally:
+        monkeypatch.undo()
     names = {name for name, _ in calls}
     assert not names & set(C2C), sorted(names)
+    return sum(n for _, n in calls)
+
+
+@pytest.mark.parametrize("system", SYSTEMS + ("second_order", "fi_hat",
+                                              "upper_convected_vector"))
+@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
+    g = BUDGET_GRIDS[shape]
+    state = _state(g)
+    if system == "second_order":
+        state = SecondOrderState(time=0.0, v=state.v,
+                                 v_t=rhs_fi_incompressible(state, PARAMS).dv)
+    if system == "fi_hat":
+        hats = fftn_array(g, np.stack([state.v.values, state.E.values]))
+        call = lambda: _rhs_fi_hat(g, hats, PARAMS)  # noqa: E731
+    elif system == "upper_convected_vector":
+        call = lambda: upper_convected_vector(state.E, state.v, None)  # noqa: E731
+    else:
+        call = lambda: _rhs(system, state)  # noqa: E731
+    assert _count_transforms(monkeypatch, call) == BUDGET[(system, shape)]
+
+
+def _system_state(system, grid):
+    kind = "compression_pulse" if system == "linear_navier" else "random_solenoidal"
+    spec = ScenarioSpec(kind, amplitude=1e-2, seed=5)
+    return SYSTEM_TABLE[system].initial(generate(spec, grid, PARAMS), PARAMS)
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEM_TABLE))
+@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+def test_transform_budget_per_step(system, shape, monkeypatch):
+    state = _system_state(system, BUDGET_GRIDS[shape])
+    dt = 1e-3
+
+    def steps(n):
+        control = StepControl(t_end=n * dt, dt=dt)
+        return _count_transforms(
+            monkeypatch, lambda: integrate(state, PARAMS, control, system))
+
+    assert steps(3) - steps(2) == STEP_BUDGET[(system, shape)]
+    if system != "fi_incompressible":
+        control = StepControl(t_end=1.0, dt=dt)
+        assert _count_transforms(
+            monkeypatch, lambda: step(state, PARAMS, control, system)
+        ) == STEP_BUDGET[(system, shape)]
+
+
+@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+def test_transform_budget_of_a_public_fi_step(shape, monkeypatch):
+    state = _system_state("fi_incompressible", BUDGET_GRIDS[shape])
+    control = StepControl(t_end=1.0, dt=1e-3)
+    assert _count_transforms(
+        monkeypatch, lambda: step(state, PARAMS, control, "fi_incompressible")
+    ) == FI_PUBLIC_STEP[shape]
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +265,86 @@ def test_rhs_bitwise_equal_across_thread_counts(system, shape, monkeypatch):
     monkeypatch.setenv("METACONT_THREADS", "2")
     two = _digest(_rhs(system, state))
     assert one == two
+
+
+@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+def test_fi_integrate_bitwise_equal_across_thread_counts(shape, monkeypatch):
+    state = _system_state("fi_incompressible", BUDGET_GRIDS[shape])
+    control = StepControl(t_end=0.05, dt=0.01)
+    digests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("METACONT_THREADS", threads)
+        out = integrate(state, PARAMS, control, "fi_incompressible")
+        digests.append([out.v.values.tobytes(), out.E.values.tobytes()])
+    assert digests[0] == digests[1]
+
+
+# ---------------------------------------------------------------------------
+# one RHS evaluation per accepted state
+# ---------------------------------------------------------------------------
+
+# the function each system's stepper calls once per RK stage
+STAGE_RHS = {"fi_incompressible": "_rhs_fi_hat",
+             "compressible_liquid": "rhs_compressible",
+             "compressible_solid": "rhs_compressible",
+             "second_order": "rhs_second_order",
+             "linear_navier": "rhs_linear_navier",
+             "classical_maxwell": "rhs_classical_maxwell"}
+
+
+def _count_evaluations(monkeypatch, name):
+    calls = []
+    original = getattr(dynamics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("system", sorted(STAGE_RHS))
+@pytest.mark.parametrize("observed", ("none", "every", "final", "states"))
+def test_integrate_evaluates_the_rhs_four_times_per_step(system, observed,
+                                                         monkeypatch):
+    state = _system_state(system, BUDGET_GRIDS["2d"])
+    calls = _count_evaluations(monkeypatch, STAGE_RHS[system])
+    n = 5
+    control = StepControl(t_end=n * 1e-3, dt=1e-3)
+
+    def observer(i, s, rates):
+        if observed == "every" or (observed == "final" and i == n):
+            rates()
+
+    integrate(state, PARAMS, control, system,
+              None if observed == "none" else observer)
+    # the evaluation at each accepted state is the next step's first stage;
+    # the final state is evaluated only when its rates are asked for
+    assert len(calls) == 4 * n + (observed in ("every", "final"))
+
+
+def test_pressure_at_step_n_is_the_rhs_pressure_of_state_n(tmp_path, monkeypatch):
+    calls = _count_evaluations(monkeypatch, "_rhs_fi_hat")
+    out = tmp_path / "out"
+    doc = {"grid": {"dims": [32, 32, 1]}, "params": {"kappa": 0.1},
+           "system": "fi_incompressible",
+           "scenario": {"kind": "random_solenoidal", "amplitude": 0.05, "seed": 2},
+           "control": {"t_end": 0.1, "dt": 0.02},
+           "outputs": {"snapshot_every": 1, "out_dir": str(out)}}
+    run(RunConfig.from_dict(doc))
+    n_steps = 5
+    assert len(calls) == 4 * n_steps + 1
+    grid = make_grid((32, 32, 1), (2 * np.pi,) * 3)
+    previous = None
+    for n in range(n_steps + 1):
+        # the evaluation at accepted state n is call 4n; evaluate its inputs again
+        args = calls[4 * n]
+        expected = _rhs_fi_hat(*args)[2]().pressure.values
+        written, meta = read_snapshot_scalar(out / "snapshots" / f"step_{n:08d}", "p")
+        assert written.grid == grid
+        np.testing.assert_array_equal(written.values, expected)
+        assert meta["time"] == pytest.approx(0.02 * n)
+        if previous is not None:
+            assert not np.array_equal(expected, previous)  # not one step stale
+        previous = expected

@@ -7,13 +7,17 @@ import pytest
 from metacont.cli import ConfigError, RunConfig
 from metacont.dynamics import (
     SYSTEMS,
+    DensityError,
+    FluidState,
     IntegrationError,
     MediumParams,
+    SolenoidalityError,
     StepControl,
     auto_step_size,
+    integrate,
     step,
 )
-from metacont.fields import make_grid
+from metacont.fields import ScalarField, VectorField, make_grid
 from metacont.scenarios import SCENARIO_KINDS, ScenarioSpec, generate
 
 GRID = make_grid((16, 16, 1), (2 * np.pi, 2 * np.pi, 2 * np.pi))
@@ -54,7 +58,7 @@ def test_system_steps_from_every_declared_scenario(system):
         out = step(state, PARAMS, StepControl(t_end=1.0, dt=0.01), system)
         assert type(out) is type(state)
         assert out.time == pytest.approx(0.01)
-        for name in record.snapshot:
+        for name in record.fields:
             assert getattr(out, name) is not None, (kind, name)
         assert RunConfig.from_dict(_doc(system, kind)).system == system
 
@@ -92,5 +96,71 @@ def test_blowup_raises_with_the_last_finite_state(system):
             state = step(state, params, control, system)
     last = info.value.state
     assert last is state
-    for name in record.snapshot:
+    for name in record.fields:
         assert np.isfinite(getattr(last, name).values).all(), name
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS))
+@pytest.mark.parametrize("dims", [(32, 32, 1), (64, 64, 1), (16, 16, 16)])
+def test_auto_dt_keeps_every_system_stable(system, dims):
+    # compressible_liquid's dilational stress is a diffusion with
+    # D = (nu + 2 zeta) / mu = 2 here; a wave-only auto dt loses density
+    # positivity on 64x64x1 before t = 0.05
+    grid = make_grid(dims, (2 * np.pi,) * 3)
+    params = MediumParams()
+    record = SYSTEMS[system]
+    kind = ("random_solenoidal" if "random_solenoidal" in record.scenarios
+            else "compression_pulse")
+    spec = ScenarioSpec(kind, amplitude=0.05, seed=1)
+    state = record.initial(generate(spec, grid, params), params)
+    out = integrate(state, params, StepControl(t_end=0.05, dt="auto"), system)
+    assert out.time == pytest.approx(0.05)
+    for name in record.fields:
+        assert np.isfinite(getattr(out, name).values).all(), name
+    if "mu_field" in record.fields:
+        assert out.mu_field.values.min() > 0.0
+
+
+def test_auto_dt_obeys_the_diffusive_limit():
+    grid = make_grid((32, 32, 1), (2 * np.pi,) * 3)
+    params = MediumParams(nu=0.5)
+    state = generate(ScenarioSpec("random_solenoidal", amplitude=1e-3, seed=1),
+                     grid, params)
+    control = StepControl(t_end=1.0, cfl=0.4)
+    k2_max = 2 * 15.0 ** 2          # |m| <= 15: the Nyquist mode has k = 0
+    diffusive = 0.4 * 2.78 / ((0.5 + 2.0) * k2_max)
+    assert auto_step_size(state, params, control, "compressible_liquid") == \
+        pytest.approx(diffusive, rel=1e-12)
+    # the solid's dilational stress is elastic: a wave limit only
+    assert auto_step_size(state, params, control, "compressible_solid") > diffusive
+
+
+def test_density_error_in_a_stage_raises_integration_error():
+    params = MediumParams()
+    spec = ScenarioSpec("random_solenoidal", amplitude=1e-3, seed=1)
+    state = generate(spec, GRID, params)
+    mu = np.ones(GRID.shape)
+    mu[3, 4, 0] = -0.5
+    state = FluidState(time=0.0, v=state.v, E=state.E,
+                       mu_field=ScalarField(GRID, mu))
+    with pytest.raises(IntegrationError) as info:
+        step(state, params, StepControl(t_end=1.0, dt=0.01), "compressible_liquid")
+    assert info.value.state is state
+    assert info.value.rates is None
+    assert isinstance(info.value.__cause__, DensityError)
+
+
+def test_solenoidality_error_in_a_stage_raises_integration_error():
+    params = MediumParams()
+    v = np.zeros((3,) + GRID.shape)
+    v[0] = np.sin(GRID.coordinates()[0])      # div v = cos x
+    state = FluidState(time=0.0, v=VectorField(GRID, v),
+                       E=VectorField.zeros(GRID))
+    for run in (lambda: step(state, params, StepControl(t_end=1.0, dt=0.01),
+                             "fi_incompressible"),
+                lambda: integrate(state, params, StepControl(t_end=0.1, dt=0.01),
+                                  "fi_incompressible")):
+        with pytest.raises(IntegrationError) as info:
+            run()
+        assert info.value.state is state
+        assert isinstance(info.value.__cause__, SolenoidalityError)
