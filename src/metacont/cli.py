@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import numbers
 import sys
 import time as _time
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .dynamics import (
     SYSTEMS,
     MediumParams,
     StepControl,
+    auto_step_size,
     integrate,
     oldroyd_discrepancy,
     rhs_fi_incompressible,
@@ -71,6 +73,26 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+# the keys of the sections that no dataclass checks, and the keys that take
+# integers (or lists of them); no key takes a JSON boolean
+_SECTION_KEYS = {"grid": {"dims", "lengths"},
+                 "outputs": {"snapshot_every", "report_every", "out_dir"}}
+_INTEGER_KEYS = {"dims", "wavevector", "seed", "snapshot_every", "report_every"}
+
+
+def _check_section(section: str, body: dict) -> None:
+    unknown = set(body) - _SECTION_KEYS.get(section, set(body))
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    for key, value in body.items():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(x, (bool, np.bool_)) for x in items):
+            raise ConfigError(f"{section}.{key} must not be a boolean")
+        if key in _INTEGER_KEYS and not all(
+                isinstance(x, numbers.Integral) for x in items):
+            raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     grid: GridSpec
@@ -97,6 +119,7 @@ class RunConfig:
                     f"config section {section!r} must be a JSON object, "
                     f"got {type(doc[section]).__name__}"
                 )
+            _check_section(section, doc.get(section, {}))
         try:
             grid_doc = doc.get("grid", {})
             grid = make_grid(
@@ -112,8 +135,6 @@ class RunConfig:
             scen_doc = dict(doc.get("scenario", {}))
             if "kind" not in scen_doc or "amplitude" not in scen_doc:
                 raise ConfigError("scenario needs at least 'kind' and 'amplitude'")
-            if "wavevector" in scen_doc:
-                scen_doc["wavevector"] = tuple(scen_doc["wavevector"])
             if scen_doc.get("polarization") is not None:
                 scen_doc["polarization"] = tuple(scen_doc["polarization"])
             scenario = ScenarioSpec(**scen_doc)
@@ -662,59 +683,89 @@ def _config_with(doc: dict, axis: str, value: float) -> dict:
     return out
 
 
-def _maxwell_twin(config: RunConfig):
-    """(observer, distance) for an fi run of `config`: the observer steps the
-    classical twin of the run's initial state alongside it, with the run's
-    own steps, and distance() is the sup over sampled times of the
+def _maxwell_twin(config: RunConfig, row: dict):
+    """The observer of an fi run of `config` that steps the classical twin of
+    the run's initial state alongside it, with the run's own steps, and keeps
+    in row["maxwell_distance"] the sup over sampled times of the
     (E, mu curl v) distance between the two."""
     params, control = config.params, config.control
     twin = prev = None
-    worst = 0.0
 
     def observer(i, fi_state, rates):
-        nonlocal twin, prev, worst
+        nonlocal twin, prev
         if i == 0:
             twin = SYSTEMS["classical_maxwell"].initial(fi_state, params)
+            row["maxwell_distance"] = 0.0
         else:
             # the step integrate took from the previous fi state
             h = min(dynamics._resolve_dt(prev, params, control, "fi_incompressible"),
                     control.t_end - twin.time)
             twin = dynamics.step(twin, params, control, "classical_maxwell", dt=h)
-            worst = max(worst, float(np.sqrt(
+            row["maxwell_distance"] = max(row["maxwell_distance"], float(np.sqrt(
                 norm_l2(fi_state.E - twin.E) ** 2
                 + norm_l2(curl(fi_state.v) * params.mu - twin.B) ** 2)))
         prev = fi_state
 
-    return observer, lambda: worst
+    return observer
 
 
-def _maxwell_limit_distance(config: RunConfig) -> float:
-    """Sup over sampled times of the (E, mu curl v) distance to the classical twin."""
-    observer, distance = _maxwell_twin(config)
-    state = generate(config.scenario, config.grid, config.params)
-    integrate(state, config.params, config.control, "fi_incompressible", observer)
-    return distance()
+def _delta_reference(stiff: RunConfig) -> tuple[float, VectorField]:
+    """(common dt, incompressible reference velocity at t_end) of a lambda
+    sweep, from its config at the stiffest lambda.
+
+    Every run of the sweep, the incompressible reference included, takes the
+    time step that the stiffest lambda dictates, so that the time-integration
+    error cancels in the deviation.
+    """
+    state0 = generate(stiff.scenario, stiff.grid, stiff.params)
+    dt = auto_step_size(state0, stiff.params, stiff.control, "compressible_solid")
+    reference = integrate(state0, stiff.params,
+                          StepControl(t_end=stiff.control.t_end, dt=dt),
+                          "fi_incompressible")
+    if norm_l2(reference.v) == 0.0:
+        raise ValueError("reference trajectory is identically zero")
+    return dt, reference.v
+
+
+def _delta_deviation(v: VectorField, reference_v: VectorField) -> float:
+    """|P v - v_ref|_2 / |v_ref|_2, where P is the Leray projection.
+
+    The acoustic (gradient) component of a compressible velocity rings at the
+    fast compressional frequency with amplitude ~ sqrt(delta) and has no
+    incompressible counterpart (it converges only weakly), so the comparison
+    is made on the common solenoidal subspace, where the convergence is first
+    order in delta.
+    """
+    return norm_l2(leray_project(v).solenoidal - reference_v) / norm_l2(reference_v)
+
+
+def _loglog_slope(points) -> float | None:
+    """Least-squares slope of log10 y against log10 x over the (x, y) pairs
+    where both are positive; None when fewer than two pairs are."""
+    pts = [(x, y) for x, y in points if x and y and x > 0 and y > 0]
+    if len(pts) < 2:
+        return None
+    return float(np.polyfit(np.log10([x for x, _ in pts]),
+                            np.log10([y for _, y in pts]), 1)[0])
 
 
 def _sweep_one(doc: dict, axis: str, value: float, out_dir: Path,
                reference_v: VectorField | None = None) -> dict:
     config = RunConfig.from_dict(_config_with(doc, axis, value), out_dir=out_dir)
-    twin = None
-    if axis == "amplitude" and config.system == "fi_incompressible":
-        twin = _maxwell_twin(config)
-    summary, final = run(config, None if twin is None else twin[0])
     row = {"axis": axis, "value": value, "status": "ok",
            "run_dir": str(out_dir)}
+    observer = None
+    if axis == "amplitude" and config.system == "fi_incompressible":
+        observer = _maxwell_twin(config, row)
+    summary, final = run(config, observer)
     m = summary.get("measurement")
     if m:
         row["phase_speed"] = m["measured_phase_speed"]
         row["decay_rate"] = m["measured_decay_rate"]
-    if twin is not None:
-        row["maxwell_distance"] = twin[1]()
     if axis == "lambda":
         row["delta"] = config.params.delta
     if reference_v is not None:
-        row["deviation_l2"] = scenarios.delta_deviation(final.v, reference_v)
+        row["deviation_l2"] = _delta_deviation(final.v, reference_v)
     return row
 
 
@@ -725,7 +776,7 @@ def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
     distance to the classical reference (slope ~ 2 expected); axis='lambda'
     on the compressible solid branch records the deviation from a common-dt
     incompressible reference against delta (slope ~ 1 expected, see
-    scenarios.delta_sweep).  Individual run failures are recorded and the
+    `_delta_deviation`).  Individual run failures are recorded and the
     sweep continues; the summary marks partial results.  At most `jobs`
     runs, and no more than there are values, execute in parallel.
     """
@@ -743,10 +794,7 @@ def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
     reference_v = None
     if axis == "lambda" and doc.get("system") == "compressible_solid":
         doc = _config_with(doc, "lambda", max(values))
-        stiff = RunConfig.from_dict(doc)
-        doc["control"]["dt"], reference_v = scenarios.delta_reference(
-            stiff.params, values, stiff.scenario, stiff.grid,
-            stiff.control.t_end, stiff.control.cfl)
+        doc["control"]["dt"], reference_v = _delta_reference(RunConfig.from_dict(doc))
 
     def row(value, result) -> dict:
         try:
@@ -769,10 +817,10 @@ def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
     ok_rows = [r for r in rows if r["status"] == "ok"]
     slope = None
     if axis == "amplitude":
-        slope = scenarios.loglog_slope(
+        slope = _loglog_slope(
             (r["value"], r.get("maxwell_distance")) for r in ok_rows)
     elif axis == "lambda":
-        slope = scenarios.loglog_slope(
+        slope = _loglog_slope(
             (r.get("delta"), r.get("deviation_l2")) for r in ok_rows)
 
     header = ["axis", "value", "status", "phase_speed", "decay_rate",

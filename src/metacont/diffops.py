@@ -27,6 +27,7 @@ from .fields import (
     _cross_arrays,
     _k_squared,
     _k_vector,
+    _transform_axes,
     cross,
     dealias_array,
     dealias_field,
@@ -54,22 +55,32 @@ __all__ = [
 ]
 
 
-def _ik(g, lead: int = 0) -> np.ndarray:
-    """i k over a leading axis, broadcastable against coefficients with `lead`
-    further leading component axes."""
-    k = _k_vector(g)
-    return 1j * k.reshape(k.shape[:1] + (1,) * lead + k.shape[1:])
+@lru_cache(maxsize=128)
+def _ik(g) -> np.ndarray:
+    """i k_x, i k_y, i k_z stacked like `_k_vector`, read-only."""
+    ik = 1j * _k_vector(g)
+    ik.setflags(write=False)
+    return ik
+
+
+def _div_hat(g, hats) -> np.ndarray:
+    """sum_i (i k_i) hats[i] over the active axes i: the divergence of stacked
+    coefficients over their leading axis.  Only the hats[i] of active axes
+    are read, so hats may be a dict of those."""
+    ik = _ik(g)
+    return sum((ik[i] * hats[i] for i in _transform_axes(g)),
+               np.zeros(g.spectral_shape, dtype=np.complex128))
 
 
 def _gradient(g, values: np.ndarray) -> np.ndarray:
     """d_i of every component of a stack; the new leading axis is i."""
-    return ifftn_array(g, _ik(g, values.ndim - 3) * fftn_array(g, values))
+    ik = _ik(g)[(slice(None),) + (None,) * (values.ndim - 3)]
+    return ifftn_array(g, ik * fftn_array(g, values))
 
 
 def _divergence(g, values: np.ndarray) -> np.ndarray:
     """sum_i d_i values[i]: the leading axis contracted with the gradient."""
-    return ifftn_array(g, np.sum(_ik(g, values.ndim - 4) * fftn_array(g, values),
-                                 axis=0))
+    return ifftn_array(g, _div_hat(g, fftn_array(g, values)))
 
 
 def grad(f: ScalarField) -> VectorField:
@@ -140,7 +151,7 @@ def advect_scalar(v: VectorField, f: ScalarField) -> ScalarField:
     """(v . grad) f with the product dealiased."""
     _check_same_grid(v, f)
     g = f.grid
-    out = _contract(g, v.values, 1j * _k_vector(g), f.values)
+    out = _contract(g, v.values, _ik(g), f.values)
     return ScalarField._wrap(g, dealias_array(g, out))
 
 
@@ -148,7 +159,7 @@ def vector_advection(v: VectorField, w: VectorField) -> VectorField:
     """(v . grad) w: contraction of v with the spectral gradient of w, dealiased."""
     _check_same_grid(v, w)
     g = v.grid
-    out = _contract(g, v.values, 1j * _k_vector(g), w.values)
+    out = _contract(g, v.values, _ik(g), w.values)
     return VectorField._wrap(g, dealias_array(g, out))
 
 
@@ -206,26 +217,21 @@ def leray_project(v: VectorField) -> ProjectionResult:
 
 
 @lru_cache(maxsize=128)
-def _projection_symbols(g) -> tuple[np.ndarray, np.ndarray]:
-    """(i k, |k|^2 with 1 where it is 0) of the Leray projection.  k = 0 at
-    the mean and the all-Nyquist modes, where div_hat is zero too, so the
-    guard pins phi_hat to zero there."""
+def _guarded_k_squared(g) -> np.ndarray:
+    """|k|^2 with 1 where it is 0, for the Leray projection.  k = 0 at the
+    mean and the all-Nyquist modes, where div_hat is zero too, so the guard
+    pins phi_hat to zero there."""
     k2 = _k_squared(g)
     guarded = np.where(k2 > 0.0, k2, 1.0)
-    ik = 1j * _k_vector(g)
-    for a in (guarded, ik):
-        a.setflags(write=False)
-    return ik, guarded
+    guarded.setflags(write=False)
+    return guarded
 
 
 def _leray_hat(g, hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral Leray projection of stacked coefficients: (solenoidal
     coefficients, potential coefficients)."""
-    k = _k_vector(g)
-    ik, k2 = _projection_symbols(g)
-    div_hat = 1j * (k[0] * hats[0] + k[1] * hats[1] + k[2] * hats[2])
-    phi_hat = -div_hat / k2
-    return hats - ik * phi_hat, phi_hat
+    phi_hat = -_div_hat(g, hats) / _guarded_k_squared(g)
+    return hats - _ik(g) * phi_hat, phi_hat
 
 
 def identity_residual_triple(v: VectorField, e: VectorField) -> VectorField:

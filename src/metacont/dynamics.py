@@ -76,6 +76,8 @@ from . import emlaws
 from .diffops import (
     _contract,
     _curl_curl_hat,
+    _div_hat,
+    _ik,
     _leray_hat,
     curl,
     curl_curl,
@@ -294,10 +296,11 @@ def upper_convected_vector(E: VectorField, v: VectorField,
                            dE_partial: VectorField | None) -> VectorField:
     """Upper-convected rate of a vector density:
     dE_partial + v.grad E - E.grad v + (div v) E, products dealiased."""
-    core = _Core(v.grid, v.values, E.values)
-    out = VectorField._wrap(v.grid, np.stack([
-        core.physical(core.dealiased_hat(core.products(j, momentum=False)[1]))
-        for j in range(3)]))
+    g = v.grid
+    core = _Core(g, v.values, E.values,
+                 hats=fftn_array(g, np.stack([v.values, E.values])))
+    bracket = core.products(slice(None))[1]
+    out = VectorField._wrap(g, core.physical(core.dealiased_hat(bracket)))
     return out if dE_partial is None else dE_partial + out
 
 
@@ -310,7 +313,7 @@ def upper_convected_tensor(sigma: TensorField, v: VectorField,
     s = sigma.values
     gv = grad_vector(v).values
     divv = gv[0, 0] + gv[1, 1] + gv[2, 2]
-    conv = _contract(g, v.values, 1j * _k_vector(g), s)
+    conv = _contract(g, v.values, _ik(g), s)
     lower = np.sum(s[:, :, None] * gv[None], axis=1)      # sum_k s_ik gv_kj
     upper = np.sum(gv[:, :, None] * s[:, None], axis=0)   # sum_k gv_ki s_kj
     out = TensorField._wrap(g, dealias_array(g, conv - lower - upper + s * divv))
@@ -336,14 +339,6 @@ def oldroyd_discrepancy(sigma: TensorField, v: VectorField) -> VectorField:
 # spectral core of the elastic-fluid systems
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=128)
-def _ik_active(g) -> np.ndarray:
-    """i k_i over the active axes i: shape (n_active,) + spectral_shape."""
-    ik = 1j * _k_vector(g)[[i for i, a in enumerate(g.active) if a]]
-    ik.setflags(write=False)
-    return ik
-
-
 class _Core:
     """The spectral core of one elastic-fluid RHS evaluation (see the module
     docstring).
@@ -352,9 +347,9 @@ class _Core:
     compressible systems), v is transformed once and E one component at a
     time in `products`, so the coefficients and derivatives of only one
     component are alive at once.  Given the stacked coefficients
-    hats = [v_hat, E_hat] (fi), every derivative comes back from one batched
-    inverse transform per active axis and nothing is forward-transformed
-    here.  Either way only derivatives along active axes are formed, and
+    hats = [v_hat, E_hat] (fi, `upper_convected_vector`), every derivative
+    comes back from one batched inverse transform per active axis and
+    nothing is forward-transformed here.  Either way only derivatives along active axes are formed, and
     div v is the sum of the d_i v_i."""
 
     def __init__(self, g, va, ea, hats=None):
@@ -370,16 +365,11 @@ class _Core:
             self.vh, self.eh = hats
             # grad[a][0, j] = d_i v_j and grad[a][1, j] = d_i E_j, i = axes[a];
             # one transform per axis: larger batches run slower at 64^2
-            self.grad = [ifftn_array(g, ik * hats) for ik in _ik_active(g)]
+            self.grad = [ifftn_array(g, _ik(g)[i] * hats) for i in self.axes]
             self.dvv = {i: self.grad[a][0, i] for a, i in enumerate(self.axes)}
         self.divv = sum(self.dvv.values(), np.zeros(g.shape))
         # formed here, while no component's products are alive
         self.curl_curl_hat = _curl_curl_hat(_k_vector(g), self.vh)
-
-    def div_hat(self, hats) -> np.ndarray:
-        """Sum over the active axes i of i k_i hats[i]."""
-        return sum(((1j * self.ks[i]) * hats[i] for i in self.axes),
-                   np.zeros(self.grid.spectral_shape, dtype=np.complex128))
 
     def d(self, hat: np.ndarray, i: int) -> np.ndarray:
         """Physical-space derivative along axis i of the coefficients hat."""
@@ -392,18 +382,16 @@ class _Core:
         """Coefficients of physical products, with the two-thirds mask."""
         return fftn_array(self.grid, values) * dealias_mask(self.grid)
 
-    def products(self, j, body=None, momentum: bool = True):
+    def products(self, j, body=None):
         """(momentum_j, bracket_j, E_j coefficients), the products physical
         and not yet dealiased:
             momentum_j = body(j) - (v.grad v)_j     (body(j) = 0 when body is None)
             bracket_j  = (v.grad E)_j - (E.grad v)_j + (div v) E_j
-        body(j) is a physical array; momentum_j is None when momentum is False.
-        With coefficients given, j may be slice(None): all three at once."""
+        body(j) is a physical array.  With coefficients given, j may be
+        slice(None): all three at once."""
         g, va, ea = self.grid, self.va, self.ea
         e_hat = fftn_array(g, ea[j]) if self.eh is None else self.eh[j]
-        mom = None
-        if momentum:
-            mom = np.zeros(g.shape) if body is None else body(j)
+        mom = np.zeros(g.shape) if body is None else body(j)
         conv = ea[j] * self.divv
         for a, i in enumerate(self.axes):
             if self.grad is None:
@@ -411,8 +399,7 @@ class _Core:
                 d_e = self.d(e_hat, i)
             else:
                 d_v, d_e = self.grad[a][0, j], self.grad[a][1, j]
-            if momentum:
-                mom = mom - va[i] * d_v
+            mom = mom - va[i] * d_v
             conv = conv + va[i] * d_e - ea[i] * d_v
         return mom, conv, e_hat
 
@@ -568,14 +555,14 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         )
     core = _Core(v.grid, v.values, E.values)
     if rheology == "liquid":
-        dilational_hat = core.div_hat(core.vh) * (params.nu + 2.0 * params.zeta)
+        dilational_hat = _div_hat(core.grid, core.vh) * (params.nu + 2.0 * params.zeta)
         du = None
     else:
         if state.u is None:
             raise ValueError("compressible solid branch needs u")
         ua = state.u.values
-        dilational_hat = (params.lam + 2.0 * params.eta) * core.div_hat(
-            {i: fftn_array(core.grid, ua[i]) for i in core.axes})
+        dilational_hat = (params.lam + 2.0 * params.eta) * _div_hat(
+            core.grid, {i: fftn_array(core.grid, ua[i]) for i in core.axes})
         du = v
     inv_mu = 1.0 / mu_f.values
 

@@ -35,29 +35,19 @@ in the test suite before being used as expected values anywhere.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
-import os
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diffops import curl, leray_project
-from .dynamics import (
-    FluidState,
-    MediumParams,
-    StepControl,
-    auto_step_size,
-    integrate,
-)
+from .dynamics import FluidState, MediumParams
 from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
     fftn_array,
     ifftn_array,
-    norm_l2,
     norm_linf,
     _mode_indices,
 )
@@ -75,13 +65,6 @@ __all__ = [
     "WaveMeasurement",
     "measure_wave",
     "trim_uniform",
-    "DeltaSweepRow",
-    "DeltaSweepResult",
-    "delta_reference",
-    "delta_deviation",
-    "delta_sweep",
-    "loglog_slope",
-    "write_delta_sweep_csv",
 ]
 
 SCENARIO_KINDS = (
@@ -133,6 +116,8 @@ class ScenarioSpec:
         if self.kind in _WAVE_KINDS and wv == (0, 0, 0):
             raise ScenarioError(f"{self.kind} needs a nonzero wavevector")
         object.__setattr__(self, "wavevector", wv)
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.kind in _SHEAR_KINDS:
             if self.polarization is None:
                 raise ScenarioError(f"{self.kind} needs a polarization vector")
@@ -435,99 +420,3 @@ def measure_wave(times, values, k_mag: float = 1.0) -> WaveMeasurement:
         valid=valid,
         degenerate=degenerate,
     )
-
-
-# ---------------------------------------------------------------------------
-# compressibility sweep
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeltaSweepRow:
-    delta: float
-    lam: float
-    deviation_l2: float
-
-
-@dataclass(frozen=True)
-class DeltaSweepResult:
-    """Deviation of the compressible solid branch from the incompressible run."""
-
-    rows: tuple[DeltaSweepRow, ...]  # sorted by delta descending
-    slope: float | None              # log-log slope of deviation vs delta
-
-
-def delta_reference(params: MediumParams, lambda_values, scenario: ScenarioSpec,
-                    grid: GridSpec, t_end: float, cfl: float = 0.4):
-    """(common dt, incompressible reference velocity at t_end) of a lam sweep.
-
-    Every run of the sweep, the incompressible reference included, takes the
-    time step that the stiffest lam dictates, so that the time-integration
-    error cancels in the deviation.
-    """
-    state0 = generate(scenario, grid, params)
-    dt = auto_step_size(state0, replace(params, lam=max(lambda_values)),
-                        StepControl(t_end=t_end, cfl=cfl), "compressible_solid")
-    reference = integrate(state0, params, StepControl(t_end=t_end, dt=dt),
-                          "fi_incompressible")
-    if norm_l2(reference.v) == 0.0:
-        raise ValueError("reference trajectory is identically zero")
-    return dt, reference.v
-
-
-def delta_deviation(v: VectorField, reference_v: VectorField) -> float:
-    """|P v - v_ref|_2 / |v_ref|_2, where P is the Leray projection.
-
-    The acoustic (gradient) component of a compressible velocity rings at the
-    fast compressional frequency with amplitude ~ sqrt(delta) and has no
-    incompressible counterpart (it converges only weakly), so the comparison
-    is made on the common solenoidal subspace, where the convergence is first
-    order in delta.
-    """
-    return norm_l2(leray_project(v).solenoidal - reference_v) / norm_l2(reference_v)
-
-
-def delta_sweep(params: MediumParams, lambda_values, scenario: ScenarioSpec,
-                grid: GridSpec, t_end: float, cfl: float = 0.4) -> DeltaSweepResult:
-    """Run the same solenoidal scenario incompressibly and at each lam value.
-
-    Each row's deviation is `delta_deviation` of the compressible velocity at
-    t_end from the `delta_reference` run.  Rows are sorted by delta
-    descending with a single log-log slope attached.
-    """
-    lambda_values = [float(lam) for lam in lambda_values]
-    if not lambda_values:
-        raise ValueError("lambda_values must be non-empty")
-    dt, reference_v = delta_reference(params, lambda_values, scenario, grid,
-                                      t_end, cfl)
-    control = StepControl(t_end=t_end, dt=dt)
-    rows = []
-    for lam in lambda_values:
-        p = replace(params, lam=lam)
-        final = integrate(generate(scenario, grid, p), p, control, "compressible_solid")
-        rows.append(DeltaSweepRow(delta=p.delta, lam=lam,
-                                  deviation_l2=delta_deviation(final.v, reference_v)))
-    rows.sort(key=lambda r: r.delta, reverse=True)
-    return DeltaSweepResult(rows=tuple(rows), slope=loglog_slope(
-        (r.delta, r.deviation_l2) for r in rows))
-
-
-def loglog_slope(points) -> float | None:
-    """Least-squares slope of log10 y against log10 x over the (x, y) pairs
-    where both are positive; None when fewer than two pairs are."""
-    pts = [(x, y) for x, y in points if x and y and x > 0 and y > 0]
-    if len(pts) < 2:
-        return None
-    return float(np.polyfit(np.log10([x for x, _ in pts]),
-                            np.log10([y for _, y in pts]), 1)[0])
-
-
-def write_delta_sweep_csv(result: DeltaSweepResult, path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "lambda", "deviation_l2", "slope_estimate"])
-        for r in result.rows:
-            writer.writerow([repr(r.delta), repr(r.lam), repr(r.deviation_l2),
-                             repr(result.slope)])
-    os.replace(tmp, path)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from metacont.cli import RunConfig, run, verify, _maxwell_limit_distance
+from metacont.cli import RunConfig, run, sweep, verify
 from metacont.diffops import div, hessian_contract, leray_project
 from metacont.dynamics import (
     FluidState,
@@ -26,7 +26,6 @@ from metacont.fields import VectorField, make_grid, norm_l2, norm_linf
 from metacont.diffops import curl
 from metacont.scenarios import (
     ScenarioSpec,
-    delta_sweep,
     dispersion_shear,
     generate,
 )
@@ -87,19 +86,18 @@ def test_criterion_02_compressional_wave_speed(tmp_path):
 def test_criterion_03_maxwell_limit_quadratic(tmp_path):
     # trajectory distance between the FI (E, mu curl v) pair and the classical
     # reference from matched initial data: log-log slope 2.0 +/- 0.1
-    amplitudes = (1e-1, 1e-2, 1e-3)
-    distances = []
-    for a in amplitudes:
-        doc = {
-            "grid": {"dims": [64, 64, 1]},
-            "params": {"mu": 1.0, "eta": 1.0, "kappa": 0.0},
-            "system": "fi_incompressible",
-            "scenario": {"kind": "random_solenoidal", "amplitude": a, "seed": 11},
-            "control": {"t_end": 2.0, "dt": 0.02},
-            "outputs": {"out_dir": str(tmp_path / f"c3_{a}")},
-        }
-        distances.append(_maxwell_limit_distance(RunConfig.from_dict(doc)))
-    slope = float(np.polyfit(np.log10(amplitudes), np.log10(distances), 1)[0])
+    doc = {
+        "grid": {"dims": [64, 64, 1]},
+        "params": {"mu": 1.0, "eta": 1.0, "kappa": 0.0},
+        "system": "fi_incompressible",
+        "scenario": {"kind": "random_solenoidal", "amplitude": 1e-1, "seed": 11},
+        "control": {"t_end": 2.0, "dt": 0.02},
+    }
+    summary = sweep(doc, "amplitude", [1e-1, 1e-2, 1e-3], tmp_path / "c3")
+    assert not summary["partial"]
+    distances = [r["maxwell_distance"] for r in summary["rows"]]
+    assert min(distances) > 0.0
+    slope = summary["slope_estimate"]
     assert abs(slope - 2.0) < 0.1
     _report(3, f"maxwell-limit slope {slope:.4f} in 2.0 +/- 0.1; "
                f"distances {['%.3e' % d for d in distances]}")
@@ -190,17 +188,26 @@ def test_criterion_07_second_order_equivalence():
     _report(7, f"first/second-order v difference {rel:.2e} < 1e-6 at t=1")
 
 
-def test_criterion_08_incompressible_limit_sweep():
+def test_criterion_08_incompressible_limit_sweep(tmp_path):
     # compressible-solid deviation from the incompressible reference is
     # monotone decreasing over lam in {10, 100, 1000} eta with a log-log
     # slope in delta of 1.0 +/- 0.25
-    params = MediumParams(mu=1.0, eta=1.0, kappa=0.0)
-    spec = ScenarioSpec("random_solenoidal", amplitude=0.05, seed=3)
-    result = delta_sweep(params, [10.0, 100.0, 1000.0], spec, GRID_64, t_end=0.5)
-    devs = [r.deviation_l2 for r in result.rows]
+    doc = {
+        "grid": {"dims": [64, 64, 1]},
+        "params": {"mu": 1.0, "eta": 1.0, "kappa": 0.0},
+        "system": "compressible_solid",
+        "scenario": {"kind": "random_solenoidal", "amplitude": 0.05, "seed": 3},
+        "control": {"t_end": 0.5, "dt": "auto", "cfl": 0.4},
+    }
+    summary = sweep(doc, "lambda", [10.0, 100.0, 1000.0], tmp_path / "c8")
+    assert not summary["partial"]
+    rows = summary["rows"]
+    assert rows[0]["delta"] > rows[1]["delta"] > rows[2]["delta"]
+    devs = [r["deviation_l2"] for r in rows]
     assert devs[0] > devs[1] > devs[2] > 0.0
-    assert abs(result.slope - 1.0) < 0.25
-    _report(8, f"delta slope {result.slope:.3f} in 1.0 +/- 0.25; "
+    slope = summary["slope_estimate"]
+    assert abs(slope - 1.0) < 0.25
+    _report(8, f"delta slope {slope:.3f} in 1.0 +/- 0.25; "
                f"deviations {['%.3e' % d for d in devs]}")
 
 

@@ -13,16 +13,29 @@ import pytest
 from metacont.cli import (
     ConfigError,
     RunConfig,
-    _maxwell_limit_distance,
     config_content_hash,
     main,
     run,
     sweep,
     verify,
 )
-from metacont.dynamics import DensityError, IntegrationError
-from metacont.fields import read_snapshot_scalar, read_snapshot_vector
-from metacont.scenarios import delta_sweep
+from metacont.diffops import curl, leray_project
+from metacont.dynamics import (
+    DensityError,
+    IntegrationError,
+    MaxwellState,
+    MediumParams,
+    StepControl,
+    auto_step_size,
+    integrate,
+)
+from metacont.fields import (
+    make_grid,
+    norm_l2,
+    read_snapshot_scalar,
+    read_snapshot_vector,
+)
+from metacont.scenarios import ScenarioSpec, generate
 
 TWO_PI = 2 * np.pi
 
@@ -313,7 +326,7 @@ class TestSweep:
         assert rows[0]["decay_rate"] == pytest.approx(0.05, rel=0.05)
         assert rows[1]["decay_rate"] == pytest.approx(0.10, rel=0.05)
 
-    def test_lambda_axis_matches_delta_sweep(self, tmp_path):
+    def test_lambda_axis_rows_equal_a_direct_deviation(self, tmp_path):
         doc = {
             "grid": {"dims": [16, 16, 1]},
             "params": {"mu": 1.0, "eta": 1.0},
@@ -323,15 +336,25 @@ class TestSweep:
         }
         summary = sweep(doc, "lambda", [10.0, 100.0], tmp_path / "s")
         assert not summary["partial"]
-        config = RunConfig.from_dict(doc)
-        expected = delta_sweep(config.params, [10.0, 100.0], config.scenario,
-                               config.grid, t_end=0.1, cfl=0.4)
-        by_lam = {r.lam: r.deviation_l2 for r in expected.rows}
+        # every run, the incompressible reference included, takes the auto dt
+        # of the stiffest lambda; the deviation is measured after projection
+        grid = make_grid((16, 16, 1), (TWO_PI,) * 3)
+        spec = ScenarioSpec("random_solenoidal", amplitude=0.05, seed=3)
+        stiff = MediumParams(lam=100.0)
+        state0 = generate(spec, grid, stiff)
+        dt = auto_step_size(state0, stiff, StepControl(t_end=0.1, cfl=0.4),
+                            "compressible_solid")
+        control = StepControl(t_end=0.1, dt=dt)
+        v_ref = integrate(state0, stiff, control, "fi_incompressible").v
         for row in summary["rows"]:
-            assert row["deviation_l2"] == pytest.approx(by_lam[row["value"]],
-                                                        rel=1e-12, abs=0.0)
+            params = MediumParams(lam=row["value"])
+            v = integrate(generate(spec, grid, params), params, control,
+                          "compressible_solid").v
+            assert row["delta"] == params.delta
+            assert row["deviation_l2"] == (
+                norm_l2(leray_project(v).solenoidal - v_ref) / norm_l2(v_ref))
 
-    def test_amplitude_axis_matches_maxwell_limit_distance(self, tmp_path):
+    def test_amplitude_axis_rows_equal_a_direct_maxwell_distance(self, tmp_path):
         doc = {
             "grid": {"dims": [16, 16, 1]},
             "params": {"mu": 1.0, "eta": 1.0},
@@ -341,13 +364,27 @@ class TestSweep:
         }
         summary = sweep(doc, "amplitude", [1e-2, 1e-1], tmp_path / "s")
         assert not summary["partial"]
+        # sup over steps >= 1 of the (E, mu curl v) distance between the fi
+        # run and the classical run from the matched initial data
+        grid = make_grid((16, 16, 1), (TWO_PI,) * 3)
+        params = MediumParams()
+        control = StepControl(t_end=0.2, dt=0.02)
         for row in summary["rows"]:
-            one = dict(doc, scenario=dict(doc["scenario"], amplitude=row["value"]))
-            expected = _maxwell_limit_distance(RunConfig.from_dict(one))
+            spec = ScenarioSpec("random_solenoidal", amplitude=row["value"], seed=11)
+            state0 = generate(spec, grid, params)
+            fi, classical = [], []
+            integrate(state0, params, control, "fi_incompressible",
+                      lambda i, s, rates: fi.append(s))
+            integrate(MaxwellState(0.0, state0.E, curl(state0.v) * params.mu),
+                      params, control, "classical_maxwell",
+                      lambda i, s, rates: classical.append(s))
+            assert len(fi) == len(classical) == 11
+            expected = max(
+                np.sqrt(norm_l2(a.E - b.E) ** 2
+                        + norm_l2(curl(a.v) * params.mu - b.B) ** 2)
+                for a, b in zip(fi[1:], classical[1:]))
             assert expected > 0.0
-            assert row["maxwell_distance"] == pytest.approx(expected, rel=1e-12,
-                                                            abs=0.0)
-
+            assert row["maxwell_distance"] == expected
 
 class _InlineExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
@@ -451,6 +488,37 @@ class TestMainEntryPoint:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
         assert key in payload["message"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "dim", [16, 16, 1]),            # a typo of dims
+        ("outputs", "report_evry", 1),           # a typo of report_every
+        ("scenario", "seed", 1.5),
+        ("scenario", "seed", -3),
+        ("scenario", "wavevector", [1.5, 0, 0]),
+        ("grid", "dims", [16.7, 16, 1]),
+        ("outputs", "snapshot_every", 2.5),
+        ("control", "t_end", True),
+    ])
+    def test_bad_section_value_exits_2_with_json_error(self, tmp_path, capsys,
+                                                       section, key, value):
+        doc = shear_config(tmp_path / "out", t_end=0.04)
+        doc[section][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(cfg)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_integers_are_integers(self, tmp_path):
+        doc = shear_config(tmp_path / "out")
+        doc["grid"]["dims"] = [np.int64(16), np.int32(16), np.int64(1)]
+        doc["outputs"]["report_every"] = np.int64(3)
+        config = RunConfig.from_dict(doc)
+        assert config.grid.dims == (16, 16, 1)
+        assert config.report_every == 3
 
     def test_run_via_main(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -10,13 +10,11 @@ from metacont.scenarios import (
     FitError,
     ScenarioError,
     ScenarioSpec,
-    delta_sweep,
     dispersion_compressional,
     dispersion_shear,
     generate,
     measure_wave,
     trim_uniform,
-    write_delta_sweep_csv,
 )
 
 from helpers import GRID_64
@@ -256,23 +254,3 @@ class TestMeasureWave:
         tt, ss = trim_uniform(t, s)
         assert len(tt) == 4
         np.testing.assert_array_equal(ss, s[:4])
-
-
-class TestDeltaSweep:
-    def test_two_point_sweep_monotone(self, tmp_path):
-        spec = ScenarioSpec("random_solenoidal", amplitude=0.05, seed=3)
-        result = delta_sweep(PARAMS, [10.0, 100.0], spec, GRID_64, t_end=0.3)
-        assert len(result.rows) == 2
-        assert result.rows[0].delta > result.rows[1].delta
-        assert result.rows[0].deviation_l2 > result.rows[1].deviation_l2 > 0.0
-
-        path = tmp_path / "sweep.csv"
-        write_delta_sweep_csv(result, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "delta,lambda,deviation_l2,slope_estimate"
-        assert len(lines) == 3
-
-    def test_empty_lambda_list_rejected(self):
-        spec = ScenarioSpec("random_solenoidal", amplitude=0.05, seed=3)
-        with pytest.raises(ValueError):
-            delta_sweep(PARAMS, [], spec, GRID_64, t_end=0.3)
