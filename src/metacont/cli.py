@@ -73,11 +73,11 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-# the keys of the sections that no dataclass checks, and the keys that take
-# integers (or lists of them); no key takes a JSON boolean
+# the keys of the sections that no dataclass checks, and the integer keys
+# that no dataclass checks; no key takes a JSON boolean
 _SECTION_KEYS = {"grid": {"dims", "lengths"},
                  "outputs": {"snapshot_every", "report_every", "out_dir"}}
-_INTEGER_KEYS = {"dims", "wavevector", "seed", "snapshot_every", "report_every"}
+_INTEGER_KEYS = {"snapshot_every", "report_every"}
 
 
 def _check_section(section: str, body: dict) -> None:

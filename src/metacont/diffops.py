@@ -142,9 +142,15 @@ def divergence_tensor(t: TensorField) -> VectorField:
 def _contract(g, weights, symbols, values: np.ndarray) -> np.ndarray:
     """sum_p weights[p] * D_p values, where symbols[p] is the spectral symbol
     of the derivative D_p.  One derivative of the whole stack is alive at a
-    time, so the peak memory stays that of a few stacks."""
+    time, so the peak memory stays that of a few stacks.  A symbol that is
+    identically zero (a derivative along an inactive axis) adds an exact
+    zero, so it is skipped instead of transformed."""
     hat = fftn_array(g, values)
-    return sum(w * ifftn_array(g, sym * hat) for w, sym in zip(weights, symbols))
+    out = np.zeros(np.shape(values))
+    for w, sym in zip(weights, symbols):
+        if sym.any():
+            out += w * ifftn_array(g, sym * hat)
+    return out
 
 
 def advect_scalar(v: VectorField, f: ScalarField) -> ScalarField:

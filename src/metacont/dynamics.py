@@ -21,14 +21,14 @@ Systems
       B_t = -curl E,   E_t = c^2 curl B.
 
 Spectral core.  The fi and compressible systems share one pseudo-spectral
-core (`_Core`).  It takes physical v and E and, for fi, their half-spectrum
-coefficients too, and transforms only what is missing.  Only derivatives
-along active axes are inverse-transformed; div v is the sum of the d_i v_i
-that the products need anyway.  The advection (v.grad)v and the
-convected bracket v.grad E - E.grad v + (div v) E are formed in physical
-space and dealiased with one forward transform each.  The linear terms (the
-Leray projection, eta curl(curl v), the dilational gradient, kappa E) stay
-in spectral space.
+core (`_core`).  It takes the stacked half-spectrum coefficients [v, E] and
+the physical v and E, and inverse-transforms the derivatives of v and of E
+along one active axis at a time, adding their share of the advection
+(v.grad)v, of the convected bracket v.grad E - E.grad v + (div v) E and of
+div v in place, so only one axis's derivatives are alive at once.  Both
+products are formed in physical space and dealiased with one forward
+transform each.  The linear terms (the Leray projection,
+eta curl(curl v), the dilational gradient, kappa E) stay in spectral space.
 
 Each system is one `System` record in the `SYSTEMS` table, keyed by its
 name: the state fields it advances and their rates, its RHS, the fields
@@ -97,7 +97,7 @@ from .fields import (
     VectorField,
     _k_squared,
     _k_vector,
-    angular_wavenumbers,
+    _transform_axes,
     dealias_array,
     dealias_mask,
     fftn_array,
@@ -297,10 +297,9 @@ def upper_convected_vector(E: VectorField, v: VectorField,
     """Upper-convected rate of a vector density:
     dE_partial + v.grad E - E.grad v + (div v) E, products dealiased."""
     g = v.grid
-    core = _Core(g, v.values, E.values,
-                 hats=fftn_array(g, np.stack([v.values, E.values])))
-    bracket = core.products(slice(None))[1]
-    out = VectorField._wrap(g, core.physical(core.dealiased_hat(bracket)))
+    hats = fftn_array(g, np.stack([v.values, E.values]))
+    bracket = _core(g, hats, v.values, E.values)[1]
+    out = VectorField._wrap(g, dealias_array(g, bracket))
     return out if dE_partial is None else dE_partial + out
 
 
@@ -339,75 +338,32 @@ def oldroyd_discrepancy(sigma: TensorField, v: VectorField) -> VectorField:
 # spectral core of the elastic-fluid systems
 # ---------------------------------------------------------------------------
 
-class _Core:
-    """The spectral core of one elastic-fluid RHS evaluation (see the module
-    docstring).
+def _core(g, hats, va, ea):
+    """The quadratic terms of one elastic-fluid RHS evaluation (see the
+    module docstring) from hats = [v_hat, E_hat] and the grid values va, ea
+    of v and E: (momentum, bracket, div v) on the grid, not yet dealiased,
+        momentum = -(v.grad v)
+        bracket  = v.grad E - E.grad v + (div v) E."""
+    ik = _ik(g)
+    momentum = np.zeros((3,) + g.shape)
+    bracket = np.zeros((3,) + g.shape)
+    divv = np.zeros(g.shape)
+    for i in _transform_axes(g):
+        d_v = ifftn_array(g, ik[i] * hats[0])
+        d_e = ifftn_array(g, ik[i] * hats[1])
+        momentum -= va[i] * d_v
+        bracket += va[i] * d_e
+        bracket -= ea[i] * d_v
+        divv += d_v[i]
+        del d_v, d_e   # free before the next axis
+    bracket += ea * divv
+    return momentum, bracket, divv
 
-    It always takes physical v and E.  Without their coefficients (the
-    compressible systems), v is transformed once and E one component at a
-    time in `products`, so the coefficients and derivatives of only one
-    component are alive at once.  Given the stacked coefficients
-    hats = [v_hat, E_hat] (fi, `upper_convected_vector`), every derivative
-    comes back from one batched inverse transform per active axis and
-    nothing is forward-transformed here.  Either way only derivatives along active axes are formed, and
-    div v is the sum of the d_i v_i."""
 
-    def __init__(self, g, va, ea, hats=None):
-        self.grid = g
-        self.ks = angular_wavenumbers(g)
-        self.axes = tuple(i for i, a in enumerate(g.active) if a)
-        self.va, self.ea = va, ea
-        if hats is None:
-            self.vh = fftn_array(g, va)
-            self.eh = self.grad = None
-            self.dvv = {i: self.d(self.vh[i], i) for i in self.axes}
-        else:
-            self.vh, self.eh = hats
-            # grad[a][0, j] = d_i v_j and grad[a][1, j] = d_i E_j, i = axes[a];
-            # one transform per axis: larger batches run slower at 64^2
-            self.grad = [ifftn_array(g, _ik(g)[i] * hats) for i in self.axes]
-            self.dvv = {i: self.grad[a][0, i] for a, i in enumerate(self.axes)}
-        self.divv = sum(self.dvv.values(), np.zeros(g.shape))
-        # formed here, while no component's products are alive
-        self.curl_curl_hat = _curl_curl_hat(_k_vector(g), self.vh)
-
-    def d(self, hat: np.ndarray, i: int) -> np.ndarray:
-        """Physical-space derivative along axis i of the coefficients hat."""
-        return ifftn_array(self.grid, (1j * self.ks[i]) * hat)
-
-    def physical(self, hat: np.ndarray) -> np.ndarray:
-        return ifftn_array(self.grid, hat)
-
-    def dealiased_hat(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients of physical products, with the two-thirds mask."""
-        return fftn_array(self.grid, values) * dealias_mask(self.grid)
-
-    def products(self, j, body=None):
-        """(momentum_j, bracket_j, E_j coefficients), the products physical
-        and not yet dealiased:
-            momentum_j = body(j) - (v.grad v)_j     (body(j) = 0 when body is None)
-            bracket_j  = (v.grad E)_j - (E.grad v)_j + (div v) E_j
-        body(j) is a physical array.  With coefficients given, j may be
-        slice(None): all three at once."""
-        g, va, ea = self.grid, self.va, self.ea
-        e_hat = fftn_array(g, ea[j]) if self.eh is None else self.eh[j]
-        mom = np.zeros(g.shape) if body is None else body(j)
-        conv = ea[j] * self.divv
-        for a, i in enumerate(self.axes):
-            if self.grad is None:
-                d_v = self.dvv[i] if i == j else self.d(self.vh[j], i)
-                d_e = self.d(e_hat, i)
-            else:
-                d_v, d_e = self.grad[a][0, j], self.grad[a][1, j]
-            mom = mom - va[i] * d_v
-            conv = conv + va[i] * d_e - ea[i] * d_v
-        return mom, conv, e_hat
-
-    def stress_rate_hat(self, bracket_hat, e_hat, params: MediumParams,
-                        j=slice(None)) -> np.ndarray:
-        """Coefficients of E_t = eta curl(curl v) - bracket - kappa E, of
-        component j (all three by default)."""
-        return params.eta * self.curl_curl_hat[j] - bracket_hat - params.kappa * e_hat
+def _stress_rate_hat(g, hats, bracket_hat, params: MediumParams) -> np.ndarray:
+    """Coefficients of E_t = eta curl(curl v) - bracket - kappa E."""
+    return (params.eta * _curl_curl_hat(_k_vector(g), hats[0]) - bracket_hat
+            - params.kappa * hats[1])
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +448,15 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     """
     if physical is None:
         physical = ifftn_array(g, hats)
-    core = _Core(g, *physical, hats=hats)
-    divv_linf = float(np.max(np.abs(core.divv)))
+    momentum, bracket, divv = _core(g, hats, *physical)
+    divv_linf = float(np.max(np.abs(divv)))
     if divv_linf > DIV_INPUT_TOL:
         raise SolenoidalityError(
             f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
         )
-    momentum, bracket, eh = core.products(slice(None))
-    products = core.dealiased_hat(np.stack([momentum, bracket]))
-    dv_hat, phi_hat = _leray_hat(g, products[0] - eh / params.mu)
-    rates_hat = np.stack([dv_hat, core.stress_rate_hat(products[1], eh, params)])
+    products = fftn_array(g, np.stack([momentum, bracket])) * dealias_mask(g)
+    dv_hat, phi_hat = _leray_hat(g, products[0] - hats[1] / params.mu)
+    rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, products[1], params)])
 
     @functools.cache
     def rates() -> FiRates:
@@ -553,34 +508,30 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         raise DensityError(
             f"density lost positivity (min = {float(mu_f.values.min()):.3e})"
         )
-    core = _Core(v.grid, v.values, E.values)
+    if rheology == "solid" and state.u is None:
+        raise ValueError("compressible solid branch needs u")
+    g = v.grid
+    hats = fftn_array(g, np.stack([v.values, E.values]))
+    momentum, bracket, divv = _core(g, hats, v.values, E.values)
+    axes = list(_transform_axes(g))
     if rheology == "liquid":
-        dilational_hat = _div_hat(core.grid, core.vh) * (params.nu + 2.0 * params.zeta)
+        dilational_hat = _div_hat(g, hats[0]) * (params.nu + 2.0 * params.zeta)
         du = None
     else:
-        if state.u is None:
-            raise ValueError("compressible solid branch needs u")
         ua = state.u.values
         dilational_hat = (params.lam + 2.0 * params.eta) * _div_hat(
-            core.grid, {i: fftn_array(core.grid, ua[i]) for i in core.axes})
+            g, {i: fftn_array(g, ua[i]) for i in axes})
         du = v
+    # the force per mass, (grad(dilational stress) - E) / mu
     inv_mu = 1.0 / mu_f.values
-
-    def force_per_mass(j):  # (grad(dilational stress) - E)_j / mu
-        grad_j = core.d(dilational_hat, j) if j in core.axes else 0.0
-        return (grad_j - core.ea[j]) * inv_mu
-
-    g = core.grid
-    dv, dE = [], []
-    for j in range(3):
-        momentum, bracket, e_hat = core.products(j, force_per_mass)
-        dv.append(core.physical(core.dealiased_hat(momentum)))
-        dE.append(core.physical(core.stress_rate_hat(
-            core.dealiased_hat(bracket), e_hat, params, j)))
-        del momentum, bracket, e_hat   # free before the next component
-    dv, dE = np.stack(dv), np.stack(dE)
-    mu_hat = fftn_array(g, mu_f.values)
-    mass = -mu_f.values * core.divv - sum(core.va[i] * core.d(mu_hat, i) for i in core.axes)
+    momentum -= E.values * inv_mu
+    momentum[axes] += ifftn_array(g, _ik(g)[axes] * dilational_hat) * inv_mu
+    dv = dealias_array(g, momentum)
+    del momentum
+    bracket_hat = fftn_array(g, bracket) * dealias_mask(g)
+    del bracket
+    dE = ifftn_array(g, _stress_rate_hat(g, hats, bracket_hat, params))
+    mass = -mu_f.values * divv - _contract(g, v.values, _ik(g), mu_f.values)
     return CompressibleRates(dv=VectorField._wrap(g, dv),
                              dE=VectorField._wrap(g, dE),
                              dmu=ScalarField._wrap(g, dealias_array(g, mass)),

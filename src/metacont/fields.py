@@ -108,6 +108,11 @@ def _fft_workers() -> int:
     return max(1, workers)
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer (numpy integers included) and not a boolean."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
@@ -122,6 +127,8 @@ class GridSpec:
     def __post_init__(self):
         if len(tuple(self.dims)) != 3 or len(tuple(self.lengths)) != 3:
             raise GridError("dims and lengths must be triples")
+        if not all(_is_integer(n) for n in self.dims):
+            raise GridError(f"dims must be integers, got {tuple(self.dims)!r}")
         dims = tuple(int(n) for n in self.dims)
         lengths = tuple(float(L) for L in self.lengths)
         for n in dims:

@@ -49,6 +49,7 @@ from .fields import (
     fftn_array,
     ifftn_array,
     norm_linf,
+    _is_integer,
     _mode_indices,
 )
 
@@ -110,12 +111,15 @@ class ScenarioSpec:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         if not np.isfinite(self.amplitude):
             raise ScenarioError("amplitude must be finite")
-        wv = tuple(int(m) for m in self.wavevector)
-        if len(wv) != 3:
-            raise ScenarioError("wavevector must be an integer triple")
+        wv = tuple(self.wavevector)
+        if len(wv) != 3 or not all(_is_integer(m) for m in wv):
+            raise ScenarioError(f"wavevector must be an integer triple, got {wv!r}")
+        wv = tuple(int(m) for m in wv)
         if self.kind in _WAVE_KINDS and wv == (0, 0, 0):
             raise ScenarioError(f"{self.kind} needs a nonzero wavevector")
         object.__setattr__(self, "wavevector", wv)
+        if not _is_integer(self.seed):
+            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.kind in _SHEAR_KINDS:
@@ -170,20 +174,18 @@ def band_limited_noise(grid: GridSpec, rng, fraction: float = RANDOM_BAND_FRACTI
     """Seeded zero-mean noise of shape `shape + grid.shape` that keeps only the
     modes with |m_i| <= n_i * fraction along the active axes.
 
-    rng is a numpy Generator or a seed.  Each of the `shape` components takes
-    its own draw of standard normals, in C order.  With `peak`, the result is
-    scaled so that its largest magnitude is `peak`.
+    rng is a numpy Generator or a seed.  The standard normals of all the
+    `shape` components are drawn in one call, in C order.  With `peak`, the
+    result is scaled so that its largest magnitude is `peak`.
     """
     rng = np.random.default_rng(rng)
     mask = np.ones(grid.spectral_shape, dtype=bool)
     for m, n, active in zip(_mode_indices(grid), grid.dims, grid.active):
         if active:
             mask = mask & (np.abs(m) <= n * fraction)
-    out = np.empty(tuple(shape) + grid.shape)
-    for index in np.ndindex(*shape):
-        coeffs = fftn_array(grid, rng.standard_normal(grid.shape)) * mask
-        coeffs[0, 0, 0] = 0.0
-        out[index] = ifftn_array(grid, coeffs)
+    coeffs = fftn_array(grid, rng.standard_normal(tuple(shape) + grid.shape)) * mask
+    coeffs[..., 0, 0, 0] = 0.0
+    out = ifftn_array(grid, coeffs)
     largest = float(np.max(np.abs(out)))
     return out * (peak / largest) if peak is not None and largest > 0.0 else out
 

@@ -50,6 +50,18 @@ class TestMakeGrid:
         with pytest.raises(GridError):
             make_grid((2, 64, 1), (TWO_PI, TWO_PI, TWO_PI))
 
+    @pytest.mark.parametrize("dims", [(16.7, 16, 1), (16, 16, True), (16, 16, 1.0),
+                                      (16, 16, np.bool_(True))])
+    def test_non_integer_dim_rejected(self, dims):
+        # int() would truncate these to a valid grid
+        with pytest.raises(GridError, match="dims"):
+            make_grid(dims, (TWO_PI, TWO_PI, TWO_PI))
+
+    def test_numpy_integer_dims_accepted(self):
+        g = make_grid((np.int64(16), np.int32(8), np.uint8(1)), (TWO_PI,) * 3)
+        assert g.dims == (16, 8, 1)
+        assert all(type(n) is int for n in g.dims)
+
     def test_unit_box_3d(self):
         g = make_grid((128, 128, 128), (1.0, 1.0, 1.0))
         np.testing.assert_allclose(g.spacing, (1 / 128, 1 / 128, 1 / 128))

@@ -1,15 +1,25 @@
-"""Property tests of the spectral layer over many grids and box shapes.
+"""Property tests of the spectral layer and of the elastic-fluid RHS core
+over many grids and box shapes.
 
 Grids have random even active dims in [4, 24], in three layouts (3D, nz = 1,
 inactive middle axis), and random anisotropic box lengths.  Inputs are
-unit-peak band-limited noise, so the discrete identities hold to round-off.  The
-runs are derandomized: the same examples are drawn every time.
+band-limited noise, unit-peak but for the fluid states of the RHS check, so
+the discrete identities hold to round-off.  The runs are derandomized: the
+same examples are drawn every time.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from metacont.diffops import curl, div, grad, laplacian, leray_project
+from metacont.diffops import (
+    curl,
+    div,
+    grad,
+    laplacian,
+    leray_project,
+    vector_advection,
+)
+from metacont.dynamics import FluidState, upper_convected_vector
 from metacont.fields import (
     ScalarField,
     TensorField,
@@ -26,6 +36,8 @@ from metacont.fields import (
     to_spectral,
 )
 from metacont.scenarios import band_limited_noise
+
+from test_rhs_core import SYSTEMS, _oracle, _rhs
 
 SETTINGS = settings(max_examples=25, deadline=2000, derandomize=True,
                     database=None)
@@ -117,3 +129,43 @@ def test_stacked_algebra_equals_componentwise(grid, seed, kind):
         assert np.array_equal(dot(x, y).values, (x1 * y1 + x2 * y2 + x3 * y3).values)
         expected = [x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1]
         assert np.array_equal(cross(x, y).values, np.stack([c.values for c in expected]))
+
+
+@SETTINGS
+@given(grids(), seeds, st.sampled_from(((3,), (2, 3))))
+def test_stacked_noise_equals_successive_component_draws(grid, seed, shape):
+    rng = np.random.default_rng(seed)
+    components = [band_limited_noise(grid, rng) for _ in range(int(np.prod(shape)))]
+    stacked = band_limited_noise(grid, np.random.default_rng(seed), shape=shape)
+    assert np.array_equal(stacked, np.reshape(components, shape + grid.shape))
+
+
+def _fluid_state(grid, seed, solenoidal: bool) -> FluidState:
+    """v, E and u of peak 0.1 and a density 1 +- 0.2, all band-limited noise."""
+    rng = np.random.default_rng(seed)
+    v, E, u = (VectorField.from_arrays(grid, band_limited_noise(grid, rng, 0.4, (3,), 0.1))
+               for _ in range(3))
+    if solenoidal:
+        v = leray_project(v).solenoidal
+    mu = ScalarField(grid, 1.0 + band_limited_noise(grid, rng, 0.4, peak=0.2))
+    return FluidState(time=0.0, v=v, E=E, mu_field=mu, u=u)
+
+
+@SETTINGS
+@given(grids(), seeds)
+def test_spectral_core_matches_composed_operators(grid, seed):
+    # the fi RHS rejects a divergent v; the others get one, so that every
+    # div v term is exercised
+    for system in SYSTEMS:
+        state = _fluid_state(grid, seed, solenoidal=system == "fi")
+        rates = _rhs(system, state)
+        for name, expected in _oracle(system, state).items():
+            scale = norm_linf(expected)
+            assert scale > 0.0, (system, name)
+            assert norm_linf(getattr(rates, name) - expected) <= 1e-12 * scale, (system, name)
+    state = _fluid_state(grid, seed, solenoidal=False)
+    v, E = state.v, state.E
+    expected = (vector_advection(v, E) - vector_advection(E, v)
+                + dealias_field(E * div(v)))
+    got = upper_convected_vector(E, v, None)
+    assert norm_linf(got - expected) <= 1e-12 * norm_linf(expected)

@@ -83,7 +83,7 @@ BUDGET = {
     ("fi_hat", "2d"): 24, ("fi_hat", "3d"): 30,
     ("compressible_solid", "2d"): 39, ("compressible_solid", "3d"): 48,
     ("compressible_liquid", "2d"): 37, ("compressible_liquid", "3d"): 45,
-    ("second_order", "2d"): 66, ("second_order", "3d"): 66,
+    ("second_order", "2d"): 54, ("second_order", "3d"): 66,
     ("upper_convected_vector", "2d"): 24, ("upper_convected_vector", "3d"): 30,
 }
 # component transforms per accepted step of `integrate`, the post-step
@@ -92,7 +92,7 @@ STEP_BUDGET = {
     ("fi_incompressible", "2d"): 96, ("fi_incompressible", "3d"): 120,
     ("compressible_liquid", "2d"): 148, ("compressible_liquid", "3d"): 180,
     ("compressible_solid", "2d"): 156, ("compressible_solid", "3d"): 192,
-    ("second_order", "2d"): 278, ("second_order", "3d"): 278,
+    ("second_order", "2d"): 230, ("second_order", "3d"): 278,
     ("linear_navier", "2d"): 80, ("linear_navier", "3d"): 80,
     ("classical_maxwell", "2d"): 48, ("classical_maxwell", "3d"): 48,
 }

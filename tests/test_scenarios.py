@@ -38,6 +38,21 @@ class TestScenarioSpec:
         with pytest.raises(ScenarioError):
             ScenarioSpec("compression_pulse", amplitude=1e-3, wavevector=(0, 0, 0))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"wavevector": (1.5, 0, 0)}, {"wavevector": (True, 0, 0)},
+        {"seed": 1.5}, {"seed": True},
+    ])
+    def test_non_integer_wavevector_or_seed_rejected(self, kwargs):
+        # int() would truncate these to a valid spec
+        with pytest.raises(ScenarioError, match=next(iter(kwargs))):
+            ScenarioSpec("random_solenoidal", amplitude=1e-3, **kwargs)
+
+    def test_numpy_integer_wavevector_and_seed_accepted(self):
+        spec = ScenarioSpec("random_solenoidal", amplitude=1e-3,
+                            wavevector=(np.int64(2), np.int32(0), 0), seed=np.int64(3))
+        assert spec.wavevector == (2, 0, 0)
+        assert spec.seed == 3
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError):
             ScenarioSpec("vortex_sheet", amplitude=1.0)
