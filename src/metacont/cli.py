@@ -7,7 +7,8 @@ written atomically (temp file + rename) under the output directory:
     manifest.json     config echo, content hash, checksummed artifact list
     reports.ndjson    one law-residual report per sampled time
     reports.csv       same data as (time, law, l2, linf, norm) rows
-    snapshots/        raw f64 + JSON-sidecar field dumps per sampled step
+    snapshots/        per sampled step, one raw f64 file per field and one
+                      JSON sidecar (snapshot.json) for the step
     summary.json      final norms, wave measurement vs oracle when available
 
 Identical configs (including seeds) produce byte-identical artifacts.
@@ -281,9 +282,9 @@ def run(config: RunConfig, observer=None):
     snapped_at: set[int] = set()
 
     def snap(step_index: int, state, rates) -> None:
-        snap_dir = snap_root / f"step_{step_index:08d}"
-        for name, field in _snapshot_fields(config.system, state, rates):
-            written.extend(write_snapshot(field, snap_dir, name, state.time))
+        written.extend(write_snapshot(
+            snap_root / f"step_{step_index:08d}",
+            _snapshot_fields(config.system, state, rates), state.time))
         snapped_at.add(step_index)
 
     def report(step_index: int, state, rates) -> None:
@@ -316,8 +317,8 @@ def run(config: RunConfig, observer=None):
     except dynamics.IntegrationError as exc:
         # keep a diagnostic snapshot of the last accepted state
         diag = exc.state
-        for name, field in _snapshot_fields(config.system, diag, exc.rates):
-            write_snapshot(field, out / "diagnostic", name, diag.time)
+        write_snapshot(out / "diagnostic",
+                       _snapshot_fields(config.system, diag, exc.rates), diag.time)
         raise
 
     # measurement vs oracle

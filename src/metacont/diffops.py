@@ -73,9 +73,17 @@ def _div_hat(g, hats) -> np.ndarray:
 
 
 def _gradient(g, values: np.ndarray) -> np.ndarray:
-    """d_i of every component of a stack; the new leading axis is i."""
-    ik = _ik(g)[(slice(None),) + (None,) * (values.ndim - 3)]
-    return ifftn_array(g, ik * fftn_array(g, values))
+    """d_i of every component of a stack; the new leading axis is i.  The
+    derivative along an inactive axis is an exact zero, so it is filled in
+    instead of transformed."""
+    axes = list(_transform_axes(g))
+    ik = _ik(g)[axes][(slice(None),) + (None,) * (values.ndim - 3)]
+    active = ifftn_array(g, ik * fftn_array(g, values))
+    if len(axes) == 3:
+        return active
+    out = np.zeros((3,) + values.shape)
+    out[axes] = active
+    return out
 
 
 def _divergence(g, values: np.ndarray) -> np.ndarray:

@@ -80,11 +80,9 @@ from .diffops import (
     _ik,
     _leray_hat,
     curl,
-    curl_curl,
     div,
     divergence_tensor,
     double_advection,
-    grad,
     grad_vector,
     laplacian,
     leray_project,
@@ -408,10 +406,14 @@ def rhs_linear_navier(state: FluidState, params: MediumParams) -> NavierRates:
     mu v_t = (lam + 2 eta) grad(div u) - eta curl(curl u), u_t = v."""
     if state.u is None:
         raise ValueError("linear_navier needs a displacement field u")
-    u, v = state.u, state.v
-    dv = (grad(div(u)) * (params.lam + 2.0 * params.eta)
-          - curl_curl(u) * params.eta) * (1.0 / params.mu)
-    return NavierRates(du=v, dv=dv)
+    g = state.u.grid
+    # one forward and one inverse transform of u; ik x (ik x u_hat) keeps
+    # the cancellation of gradient fields that `curl_curl` documents
+    u_hat = fftn_array(g, state.u.values)
+    dv_hat = ((params.lam + 2.0 * params.eta) * (_ik(g) * _div_hat(g, u_hat))
+              - params.eta * _curl_curl_hat(_k_vector(g), u_hat))
+    dv = VectorField._wrap(g, ifftn_array(g, dv_hat * (1.0 / params.mu)))
+    return NavierRates(du=state.v, dv=dv)
 
 
 def rhs_fi_incompressible(state: FluidState, params: MediumParams) -> FiRates:

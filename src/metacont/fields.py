@@ -50,6 +50,7 @@ so the convention shows only on full-band input.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -83,12 +84,11 @@ __all__ = [
     "angular_wavenumbers",
     "dealias_mask",
     "write_snapshot",
-    "read_snapshot_scalar",
-    "read_snapshot_vector",
+    "read_snapshot",
     "SNAPSHOT_LAYOUT",
 ]
 
-SNAPSHOT_LAYOUT = "row-major-f64-le"
+SNAPSHOT_LAYOUT = "stacked-row-major-f64-le"
 
 
 class GridError(ValueError):
@@ -573,64 +573,77 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+# the component labels that a snapshot sidecar lists for each field kind
 _LABELS = {
-    (): ("",),
-    (3,): ("x", "y", "z"),
-    (3, 3): tuple(f"{a}{b}" for a in "xyz" for b in "xyz"),
+    ScalarField: [],
+    VectorField: ["x", "y", "z"],
+    TensorField: [f"{a}{b}" for a in "xyz" for b in "xyz"],
 }
 
 
-def write_snapshot(field: Field, directory, field_name: str, time: float) -> list[Path]:
-    """One raw little-endian f64 file per scalar component plus a JSON sidecar."""
+def write_snapshot(directory, fields, time: float) -> list[Path]:
+    """Snapshot (name, field) pairs on one grid into `directory`.
+
+    Each field goes to `<name>.f64`: its stacked values, components first, as
+    raw little-endian f64 in C order, so a scalar's file is its grid values
+    and a vector's is its x, y and z files joined.  One sidecar,
+    `snapshot.json`, gives the grid, the time, the layout and the component
+    labels of every field.  Every file is written atomically and the sidecar
+    last, so a directory that has a sidecar is complete.
+    """
+    fields = list(fields)
+    grids = {field.grid for _, field in fields}
+    if len(grids) != 1:
+        raise FieldError(f"a snapshot holds fields on one grid, got {grids}")
+    grid = grids.pop()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    data = np.ascontiguousarray(field.values, dtype="<f8")
     written = []
-    for label, arr in zip(_LABELS[field.COMPONENTS],
-                          data.reshape((-1,) + field.grid.shape)):
-        stem = f"{field_name}_{label}" if label else field_name
-        data_path = directory / f"{stem}.f64"
-        atomic_write_bytes(data_path, arr.tobytes())
-        sidecar = {
-            "dims": list(field.grid.dims),
-            "lengths": list(field.grid.lengths),
-            "field_name": field_name,
-            "component": label,
-            "time": time,
-            "layout": SNAPSHOT_LAYOUT,
-        }
-        meta_path = directory / f"{stem}.json"
-        atomic_write_text(meta_path, json.dumps(sidecar, sort_keys=True) + "\n")
-        written.extend([data_path, meta_path])
+    for name, field in fields:
+        data_path = directory / f"{name}.f64"
+        atomic_write_bytes(
+            data_path, np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        written.append(data_path)
+    sidecar = {
+        "dims": list(grid.dims),
+        "lengths": list(grid.lengths),
+        "time": time,
+        "layout": SNAPSHOT_LAYOUT,
+        "fields": {name: _LABELS[type(field)] for name, field in fields},
+    }
+    meta_path = directory / "snapshot.json"
+    atomic_write_text(meta_path, json.dumps(sidecar, sort_keys=True) + "\n")
+    written.append(meta_path)
     return written
 
 
-def _read_component(directory: Path, stem: str) -> tuple[GridSpec, np.ndarray, dict]:
-    meta_path, data_path = directory / f"{stem}.json", directory / f"{stem}.f64"
-    meta = json.loads(meta_path.read_text())
-    if meta.get("layout") != SNAPSHOT_LAYOUT:
-        raise FieldError(f"unsupported snapshot layout: {meta.get('layout')!r}")
-    if "dims" not in meta or "lengths" not in meta:
-        raise FieldError(f"{meta_path} lacks 'dims' or 'lengths'")
-    grid = make_grid(meta["dims"], meta["lengths"])
-    raw = data_path.read_bytes()
-    if len(raw) != 8 * grid.num_points:
-        raise FieldError(
-            f"{data_path} holds {len(raw)} bytes, but dims {list(grid.dims)} "
-            f"need {8 * grid.num_points}"
-        )
-    return grid, np.frombuffer(raw, dtype="<f8").reshape(grid.shape), meta
-
-
-def read_snapshot_scalar(directory, field_name: str) -> tuple[ScalarField, dict]:
-    grid, values, meta = _read_component(Path(directory), field_name)
-    return ScalarField(grid, values), meta
-
-
-def read_snapshot_vector(directory, field_name: str) -> tuple[VectorField, dict]:
+def read_snapshot(directory) -> tuple[dict[str, Field], dict]:
+    """The fields of a snapshot directory by name, and its sidecar."""
     directory = Path(directory)
-    parts = [_read_component(directory, f"{field_name}_{label}") for label in "xyz"]
-    grid = parts[0][0]
-    if any(part[0] != grid for part in parts):
-        raise FieldError(f"components of {field_name!r} have different grids")
-    return VectorField(grid, [part[1] for part in parts]), parts[-1][2]
+    meta_path = directory / "snapshot.json"
+    meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict) or meta.get("layout") != SNAPSHOT_LAYOUT:
+        raise FieldError(f"{meta_path} is not a {SNAPSHOT_LAYOUT!r} sidecar")
+    missing = sorted({"dims", "lengths", "fields"} - meta.keys())
+    if missing:
+        raise FieldError(f"{meta_path} lacks {missing}")
+    if not isinstance(meta["fields"], dict):
+        raise FieldError(f"{meta_path} lists its fields as {meta['fields']!r}")
+    grid = make_grid(meta["dims"], meta["lengths"])
+    fields = {}
+    for name, labels in meta["fields"].items():
+        kind = next((k for k, known in _LABELS.items() if known == labels), None)
+        if kind is None:
+            raise FieldError(f"{meta_path} gives {name!r} unknown components {labels!r}")
+        data_path = directory / f"{name}.f64"
+        if not data_path.is_file():
+            raise FieldError(f"{data_path} is listed in {meta_path} but missing")
+        raw = data_path.read_bytes()
+        shape = kind.COMPONENTS + grid.shape
+        if len(raw) != 8 * math.prod(shape):
+            raise FieldError(
+                f"{data_path} holds {len(raw)} bytes, but {len(labels) or 1} "
+                f"component(s) on dims {list(grid.dims)} need {8 * math.prod(shape)}"
+            )
+        fields[name] = kind(grid, np.frombuffer(raw, dtype="<f8").reshape(shape))
+    return fields, meta

@@ -32,8 +32,7 @@ from metacont.dynamics import (
 from metacont.fields import (
     make_grid,
     norm_l2,
-    read_snapshot_scalar,
-    read_snapshot_vector,
+    read_snapshot,
 )
 from metacont.scenarios import ScenarioSpec, generate
 
@@ -118,7 +117,8 @@ class TestRun:
         out = tmp_path / "out"
         doc = shear_config(out, t_end=0.2, snapshot_every=5)
         run(RunConfig.from_dict(doc))
-        v, meta = read_snapshot_vector(out / "snapshots" / "step_00000000", "v")
+        fields, meta = read_snapshot(out / "snapshots" / "step_00000000")
+        v = fields["v"]
         assert meta["time"] == 0.0
         x = np.linspace(0, TWO_PI, 64, endpoint=False)
         np.testing.assert_allclose(
@@ -183,7 +183,7 @@ class TestRun:
         assert not hasattr(final, "p")  # a pressure is a rate, not state
         assert "p" not in summary["norms"]
         written = {p.name for p in (out / "snapshots").rglob("*.f64")}
-        assert "v_x.f64" in written
+        assert "v.f64" in written
         assert "p.f64" not in written
 
     def test_fi_run_still_writes_pressure(self, tmp_path):
@@ -194,7 +194,7 @@ class TestRun:
             assert (step / "p.f64").is_file()
             # the scenario's constant mu and zero u are not fi state
             assert not (step / "mu.f64").exists()
-            assert not (step / "u_x.f64").exists()
+            assert not (step / "u.f64").exists()
         assert sorted(summary["norms"]) == ["E", "p", "v"]
 
     @pytest.mark.parametrize("system, names", [
@@ -212,11 +212,25 @@ class TestRun:
         doc["params"]["lam"] = 2.0
         summary, _ = run(RunConfig.from_dict(doc))
         assert set(summary["norms"]) == names
-        files = {"mu": ["mu.f64"], "p": ["p.f64"]}
-        expected = {f for n in names
-                    for f in files.get(n, [f"{n}_{c}.f64" for c in "xyz"])}
-        for step in sorted((out / "snapshots").glob("step_*")):
-            assert {p.name for p in step.glob("*.f64")} == expected, step.name
+        # one file per field and one sidecar, and no temp file left behind
+        expected = {f"{n}.f64" for n in names} | {"snapshot.json"}
+        steps = sorted((out / "snapshots").glob("step_*"))
+        assert len(steps) == 3
+        for step in steps:
+            assert {p.name for p in step.iterdir()} == expected, step.name
+
+    def test_artifact_count_of_an_fi_run(self, tmp_path):
+        # per sampled state v.f64, E.f64, p.f64 and snapshot.json, then
+        # reports.ndjson, reports.csv and summary.json
+        out = tmp_path / "out"
+        n = 3
+        run(RunConfig.from_dict(shear_config(out, t_end=n * 0.02,
+                                             snapshot_every=1, report_every=1)))
+        files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        files.remove("manifest.json")
+        assert len(files) == 4 * (n + 1) + 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) == files
 
     def test_classical_maxwell_shear_wave_runs_without_measurement(self, tmp_path):
         # the shear-wave oracle speaks of v, which the classical state lacks
@@ -249,11 +263,11 @@ class TestRun:
                 np.errstate(over="ignore", invalid="ignore"):
             run(RunConfig.from_dict(doc))
         diagnostic = tmp_path / "out" / "diagnostic"
+        fields, meta = read_snapshot(diagnostic)
         for name in ("v", "E"):
-            field, meta = read_snapshot_vector(diagnostic, name)
-            assert np.isfinite(field.values).all()
-            assert meta["time"] > 0.0
-        assert np.isfinite(read_snapshot_scalar(diagnostic, "p")[0].values).all()
+            assert np.isfinite(fields[name].values).all()
+        assert meta["time"] > 0.0
+        assert np.isfinite(fields["p"].values).all()
 
     def test_stage_failure_writes_a_finite_diagnostic_snapshot(self, tmp_path):
         # a fixed dt about 18x the explicit limit of the liquid's dilational
@@ -268,11 +282,11 @@ class TestRun:
             run(RunConfig.from_dict(doc))
         assert isinstance(info.value.__cause__, DensityError)
         diagnostic = out / "diagnostic"
+        fields, meta = read_snapshot(diagnostic)
         for name in ("v", "E"):
-            field, meta = read_snapshot_vector(diagnostic, name)
-            assert np.isfinite(field.values).all()
-            assert meta["time"] == pytest.approx(info.value.state.time)
-        mu, _ = read_snapshot_scalar(diagnostic, "mu")
+            assert np.isfinite(fields[name].values).all()
+        assert meta["time"] == pytest.approx(info.value.state.time)
+        mu = fields["mu"]
         assert np.isfinite(mu.values).all() and mu.values.min() > 0.0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

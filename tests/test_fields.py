@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metacont.fields import (
+    SNAPSHOT_LAYOUT,
     FieldError,
     GridError,
     ScalarField,
@@ -23,8 +24,7 @@ from metacont.fields import (
     mode_coefficient,
     norm_l2,
     norm_linf,
-    read_snapshot_scalar,
-    read_snapshot_vector,
+    read_snapshot,
     spectral_norm_l2,
     to_spectral,
     write_snapshot,
@@ -267,48 +267,96 @@ class TestDealias:
 class TestSnapshots:
     def test_scalar_round_trip(self, tmp_path):
         f = band_limited_scalar(GRID_64, seed=9)
-        write_snapshot(f, tmp_path, "p", time=1.25)
-        back, meta = read_snapshot_scalar(tmp_path, "p")
-        np.testing.assert_array_equal(back.values, f.values)
-        assert meta["layout"] == "row-major-f64-le"
+        write_snapshot(tmp_path, [("p", f)], time=1.25)
+        fields, meta = read_snapshot(tmp_path)
+        assert list(fields) == ["p"]
+        assert type(fields["p"]) is ScalarField
+        np.testing.assert_array_equal(fields["p"].values, f.values)
+        assert meta["layout"] == SNAPSHOT_LAYOUT
         assert meta["time"] == 1.25
         assert meta["dims"] == [64, 64, 1]
-        assert meta["component"] == ""
+        assert meta["fields"] == {"p": []}
 
     def test_vector_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
-        v = VectorField.from_arrays(GRID_64, tuple(rng.standard_normal(GRID_64.shape)
-                                                   for _ in range(3)))
-        paths = write_snapshot(v, tmp_path, "v", time=0.0)
-        assert len(paths) == 6  # three .f64 + three sidecars
-        back, meta = read_snapshot_vector(tmp_path, "v")
-        for a, b in zip(back.arrays(), v.arrays()):
-            np.testing.assert_array_equal(a, b)
-        assert meta["field_name"] == "v"
+        v = VectorField(GRID_64, rng.standard_normal((3,) + GRID_64.shape))
+        t = TensorField(GRID_64, rng.standard_normal((3, 3) + GRID_64.shape))
+        paths = write_snapshot(tmp_path, [("v", v), ("t", t)], time=0.0)
+        # one .f64 per field, then the one sidecar
+        assert [p.name for p in paths] == ["v.f64", "t.f64", "snapshot.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snapshot.json", "t.f64", "v.f64"]
+        fields, meta = read_snapshot(tmp_path)
+        assert type(fields["v"]) is VectorField
+        assert type(fields["t"]) is TensorField
+        np.testing.assert_array_equal(fields["v"].values, v.values)
+        np.testing.assert_array_equal(fields["t"].values, t.values)
+        assert meta["fields"]["v"] == ["x", "y", "z"]
+        assert meta["fields"]["t"][:4] == ["xx", "xy", "xz", "yx"]
 
     def test_raw_bytes_are_little_endian_row_major(self, tmp_path):
-        arr = np.arange(GRID_64.num_points, dtype=float).reshape(GRID_64.shape)
-        f = ScalarField(GRID_64, arr)
-        write_snapshot(f, tmp_path, "f", time=0.0)
-        raw = (tmp_path / "f.f64").read_bytes()
-        decoded = np.frombuffer(raw, dtype="<f8")
+        arr = np.arange(3 * GRID_64.num_points, dtype=float).reshape(
+            (3,) + GRID_64.shape)
+        v = VectorField(GRID_64, arr)
+        write_snapshot(tmp_path, [("f", v.x), ("v", v)], time=0.0)
+        decoded = np.frombuffer((tmp_path / "f.f64").read_bytes(), dtype="<f8")
+        np.testing.assert_array_equal(decoded, arr[0].ravel(order="C"))
+        # a vector's file is its x, y and z components joined, in that order
+        decoded = np.frombuffer((tmp_path / "v.f64").read_bytes(), dtype="<f8")
         np.testing.assert_array_equal(decoded, arr.ravel(order="C"))
-        sidecar = json.loads((tmp_path / "f.json").read_text())
-        assert sidecar["field_name"] == "f"
+        sidecar = json.loads((tmp_path / "snapshot.json").read_text())
+        assert sidecar["fields"] == {"f": [], "v": ["x", "y", "z"]}
+
+    def test_fields_on_different_grids_rejected(self, tmp_path):
+        other = make_grid((32, 32, 1), (TWO_PI, TWO_PI, TWO_PI))
+        with pytest.raises(FieldError, match="one grid"):
+            write_snapshot(tmp_path, [("a", ScalarField.zeros(GRID_64)),
+                                      ("b", ScalarField.zeros(other))], time=0.0)
+        assert not list(tmp_path.iterdir())
 
     def test_data_size_not_matching_dims_names_the_file(self, tmp_path):
-        write_snapshot(ScalarField.zeros(GRID_64), tmp_path, "f", time=0.0)
-        data = tmp_path / "f.f64"
-        data.write_bytes(data.read_bytes()[:-8])
-        with pytest.raises(FieldError, match="f.f64"):
-            read_snapshot_scalar(tmp_path, "f")
+        for name in ("f", "v"):
+            directory = tmp_path / name
+            write_snapshot(directory, [("f", ScalarField.zeros(GRID_64)),
+                                       ("v", VectorField.zeros(GRID_64))], time=0.0)
+            data = directory / f"{name}.f64"
+            data.write_bytes(data.read_bytes()[:-8])
+            with pytest.raises(FieldError, match=f"{name}.f64"):
+                read_snapshot(directory)
 
     @pytest.mark.parametrize("key", ["dims", "lengths"])
     def test_sidecar_without_grid_names_the_file(self, tmp_path, key):
-        write_snapshot(VectorField.zeros(GRID_64), tmp_path, "v", time=0.0)
-        sidecar = tmp_path / "v_y.json"
+        write_snapshot(tmp_path, [("v", VectorField.zeros(GRID_64))], time=0.0)
+        sidecar = tmp_path / "snapshot.json"
         meta = json.loads(sidecar.read_text())
         del meta[key]
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(FieldError, match="v_y.json"):
-            read_snapshot_vector(tmp_path, "v")
+        with pytest.raises(FieldError, match="snapshot.json"):
+            read_snapshot(tmp_path)
+
+    @pytest.mark.parametrize("not_an_object", [False, True])
+    def test_foreign_layout_names_the_file(self, tmp_path, not_an_object):
+        write_snapshot(tmp_path, [("v", VectorField.zeros(GRID_64))], time=0.0)
+        sidecar = tmp_path / "snapshot.json"
+        meta = json.loads(sidecar.read_text())
+        meta["layout"] = "row-major-f64-le"
+        sidecar.write_text(json.dumps([meta] if not_an_object else meta))
+        with pytest.raises(FieldError, match="snapshot.json"):
+            read_snapshot(tmp_path)
+
+    @pytest.mark.parametrize("listed", [["p"], {"p": ["q"]}, {"p": "x"}])
+    def test_malformed_field_list_names_the_file(self, tmp_path, listed):
+        write_snapshot(tmp_path, [("p", ScalarField.zeros(GRID_64))], time=0.0)
+        sidecar = tmp_path / "snapshot.json"
+        meta = json.loads(sidecar.read_text())
+        meta["fields"] = listed
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(FieldError, match="snapshot.json"):
+            read_snapshot(tmp_path)
+
+    def test_listed_field_without_file_names_the_file(self, tmp_path):
+        write_snapshot(tmp_path, [("v", VectorField.zeros(GRID_64)),
+                                  ("p", ScalarField.zeros(GRID_64))], time=0.0)
+        (tmp_path / "p.f64").unlink()
+        with pytest.raises(FieldError, match="p.f64"):
+            read_snapshot(tmp_path)

@@ -8,6 +8,9 @@ the discrete identities hold to round-off.  The runs are derandomized: the
 same examples are drawn every time.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -32,8 +35,10 @@ from metacont.fields import (
     make_grid,
     norm_l2,
     norm_linf,
+    read_snapshot,
     spectral_norm_l2,
     to_spectral,
+    write_snapshot,
 )
 from metacont.scenarios import band_limited_noise
 
@@ -169,3 +174,27 @@ def test_spectral_core_matches_composed_operators(grid, seed):
                 + dealias_field(E * div(v)))
     got = upper_convected_vector(E, v, None)
     assert norm_linf(got - expected) <= 1e-12 * norm_linf(expected)
+
+
+_times = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@SETTINGS
+@given(grids(), seeds, _times)
+def test_snapshot_round_trip_is_bitwise(grid, seed, time):
+    rng = np.random.default_rng(seed)
+    fields = [(name, kind(grid, rng.standard_normal(kind.COMPONENTS + grid.shape)))
+              for name, kind in (("p", ScalarField), ("v", VectorField),
+                                 ("s", TensorField))]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "step"
+        write_snapshot(directory, fields, time)
+        back, meta = read_snapshot(directory)
+        assert meta["time"] == time
+        assert set(back) == {name for name, _ in fields}
+        for name, field in fields:
+            assert type(back[name]) is type(field)
+            assert back[name].grid == grid
+            assert np.array_equal(back[name].values, field.values)
+            raw = (directory / f"{name}.f64").read_bytes()
+            assert raw == field.values.astype("<f8").tobytes()

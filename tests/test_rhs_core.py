@@ -18,6 +18,7 @@ from metacont.diffops import (
     curl_curl,
     div,
     grad,
+    grad_vector,
     leray_project,
     vector_advection,
 )
@@ -31,8 +32,10 @@ from metacont.dynamics import (
     integrate,
     rhs_compressible,
     rhs_fi_incompressible,
+    rhs_linear_navier,
     rhs_second_order,
     step,
+    upper_convected_tensor,
     upper_convected_vector,
 )
 from metacont.fields import (
@@ -41,7 +44,7 @@ from metacont.fields import (
     fftn_array,
     make_grid,
     norm_linf,
-    read_snapshot_scalar,
+    read_snapshot,
 )
 from metacont.scenarios import ScenarioSpec, generate
 
@@ -85,6 +88,12 @@ BUDGET = {
     ("compressible_liquid", "2d"): 37, ("compressible_liquid", "3d"): 45,
     ("second_order", "2d"): 54, ("second_order", "3d"): 66,
     ("upper_convected_vector", "2d"): 24, ("upper_convected_vector", "3d"): 30,
+    ("linear_navier", "2d"): 6, ("linear_navier", "3d"): 6,
+    # not RHS calls: operators whose derivatives along an inactive axis are
+    # exact zeros that are filled in, not transformed
+    ("grad", "2d"): 3, ("grad", "3d"): 4,
+    ("grad_vector", "2d"): 9, ("grad_vector", "3d"): 12,
+    ("upper_convected_tensor", "2d"): 54, ("upper_convected_tensor", "3d"): 66,
 }
 # component transforms per accepted step of `integrate`, the post-step
 # projection included; for every system but fi this is also one `step` call
@@ -93,7 +102,7 @@ STEP_BUDGET = {
     ("compressible_liquid", "2d"): 148, ("compressible_liquid", "3d"): 180,
     ("compressible_solid", "2d"): 156, ("compressible_solid", "3d"): 192,
     ("second_order", "2d"): 230, ("second_order", "3d"): 278,
-    ("linear_navier", "2d"): 80, ("linear_navier", "3d"): 80,
+    ("linear_navier", "2d"): 24, ("linear_navier", "3d"): 24,
     ("classical_maxwell", "2d"): 48, ("classical_maxwell", "3d"): 48,
 }
 # one public fi `step`: v and E transformed in and out around the 4 stages
@@ -130,8 +139,9 @@ def _count_transforms(monkeypatch, fn) -> int:
     return sum(n for _, n in calls)
 
 
-@pytest.mark.parametrize("system", SYSTEMS + ("second_order", "fi_hat",
-                                              "upper_convected_vector"))
+@pytest.mark.parametrize("system", SYSTEMS + (
+    "second_order", "fi_hat", "upper_convected_vector", "linear_navier", "grad",
+    "grad_vector", "upper_convected_tensor"))
 @pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
 def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
     g = BUDGET_GRIDS[shape]
@@ -144,6 +154,15 @@ def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
         call = lambda: _rhs_fi_hat(g, hats, PARAMS)  # noqa: E731
     elif system == "upper_convected_vector":
         call = lambda: upper_convected_vector(state.E, state.v, None)  # noqa: E731
+    elif system == "linear_navier":
+        call = lambda: rhs_linear_navier(state, PARAMS)  # noqa: E731
+    elif system == "grad":
+        call = lambda: grad(state.mu_field)  # noqa: E731
+    elif system == "grad_vector":
+        call = lambda: grad_vector(state.v)  # noqa: E731
+    elif system == "upper_convected_tensor":
+        sigma = grad_vector(state.E)
+        call = lambda: upper_convected_tensor(sigma, state.v, None)  # noqa: E731
     else:
         call = lambda: _rhs(system, state)  # noqa: E731
     assert _count_transforms(monkeypatch, call) == BUDGET[(system, shape)]
@@ -238,6 +257,17 @@ def test_upper_convected_vector_matches_composed_operators(grid_name):
                 + dealias_field(E * div(v)))
     got = upper_convected_vector(E, v, None)
     assert norm_linf(got - expected) < 1e-12 * norm_linf(expected)
+
+
+@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+def test_linear_navier_matches_composed_operators(shape):
+    state = _state(BUDGET_GRIDS[shape], seed=13, solenoidal=False)
+    u = state.u
+    expected = (grad(div(u)) * (PARAMS.lam + 2.0 * PARAMS.eta)
+                - curl_curl(u) * PARAMS.eta) * (1.0 / PARAMS.mu)
+    rates = rhs_linear_navier(state, PARAMS)
+    assert rates.du is state.v
+    assert norm_linf(rates.dv - expected) < 1e-12 * norm_linf(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +371,8 @@ def test_pressure_at_step_n_is_the_rhs_pressure_of_state_n(tmp_path, monkeypatch
         # the evaluation at accepted state n is call 4n; evaluate its inputs again
         args = calls[4 * n]
         expected = _rhs_fi_hat(*args)[2]().pressure.values
-        written, meta = read_snapshot_scalar(out / "snapshots" / f"step_{n:08d}", "p")
+        fields, meta = read_snapshot(out / "snapshots" / f"step_{n:08d}")
+        written = fields["p"]
         assert written.grid == grid
         np.testing.assert_array_equal(written.values, expected)
         assert meta["time"] == pytest.approx(0.02 * n)
