@@ -14,9 +14,10 @@ Two groups of laws are checked:
 * linear-limit laws (classical Faraday and the displacement-current law):
   their normalized residuals scale linearly with the state amplitude.
 
-Stationary-regime diagnostics (Biot-Savart, Ohm-Ampere, Ampere in vacuo) are
-reported together with applicability indicators instead of pass/fail bounds,
-since they only hold in quasi-static limits.
+The stationary progenitors (Biot-Savart, Ohm-Ampere, Ampere in vacuo) only
+hold in quasi-static limits, so they are reported as plain residuals without
+a pass/fail bound; their normalized size measures how far the state is from
+the quasi-static regime.
 
 All rate inputs (dE/dt, dB/dt, drho/dt) must come from an integrator RHS
 evaluation, never from finite differencing of snapshots, so law-verification
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -53,19 +54,9 @@ __all__ = [
     "EmState",
     "LawResidual",
     "LawResidualReport",
-    "StationaryDiagnostic",
     "LAW_NAMES",
     "extract_em",
     "em_from_maxwell",
-    "residual_faraday",
-    "residual_displacement_current",
-    "residual_faraday_lorentz",
-    "residual_hertz_form",
-    "residual_generalized_ampere",
-    "residual_metacharge_continuity",
-    "biot_savart_residual",
-    "ohm_ampere_residual",
-    "ampere_vacuo_residual",
     "full_report",
     "fi_report",
     "classical_report",
@@ -73,18 +64,6 @@ __all__ = [
     "write_reports_ndjson",
     "write_reports_csv",
 ]
-
-LAW_NAMES = (
-    "faraday",
-    "displacement_current",
-    "faraday_lorentz",
-    "hertz_form",
-    "generalized_ampere",
-    "metacharge_continuity",
-    "biot_savart",
-    "ohm_ampere",
-    "ampere_vacuo",
-)
 
 
 @dataclass(frozen=True)
@@ -125,15 +104,20 @@ def em_from_maxwell(state: MaxwellState, params: MediumParams) -> EmState:
 
 
 # ---------------------------------------------------------------------------
-# law term builders: each returns (residual, {term_name: field})
+# the laws: each maps one RHS evaluation to (residual, {term_name: field})
 # ---------------------------------------------------------------------------
 
+@dataclass
 class _Terms:
-    """The terms several laws share, each formed at most once: curl E,
-    curl B and the dealiased v x E of one state."""
+    """One RHS evaluation of one state, with the terms several laws share
+    (curl E, curl B, the dealiased v x E and drho/dt = div(dE/dt)) each
+    formed at most once."""
 
-    def __init__(self, em: EmState, v: VectorField | None = None):
-        self.em, self.v = em, v
+    em: EmState
+    v: VectorField
+    dE_dt: VectorField
+    dB_dt: VectorField
+    params: MediumParams
 
     @functools.cached_property
     def curl_E(self) -> VectorField:
@@ -147,44 +131,51 @@ class _Terms:
     def v_cross_E(self) -> VectorField:
         return dealias_field(cross(self.v, self.em.E))
 
-
-def _faraday(t: _Terms, dB_dt: VectorField):
-    return t.curl_E + dB_dt, {"curl_E": t.curl_E, "dB_dt": dB_dt}
-
-
-def _displacement_current(t: _Terms, dE_dt: VectorField, params: MediumParams):
-    displacement = t.curl_B * (params.c ** 2)
-    return dE_dt - displacement, {"dE_dt": dE_dt, "c2_curl_B": displacement}
+    @functools.cached_property
+    def drho_dt(self) -> ScalarField:
+        return div(self.dE_dt)
 
 
-def _faraday_lorentz(t: _Terms, dB_dt: VectorField):
+def _faraday(t: _Terms):
+    return t.curl_E + t.dB_dt, {"curl_E": t.curl_E, "dB_dt": t.dB_dt}
+
+
+def _displacement_current(t: _Terms):
+    displacement = t.curl_B * (t.params.c ** 2)
+    return t.dE_dt - displacement, {"dE_dt": t.dE_dt, "c2_curl_B": displacement}
+
+
+def _faraday_lorentz(t: _Terms):
     motional = curl(dealias_field(cross(t.v, t.em.B)))
-    return t.curl_E - motional + dB_dt, {
+    return t.curl_E - motional + t.dB_dt, {
         "curl_E": t.curl_E,
         "curl_vxB": motional,
-        "dB_dt": dB_dt,
+        "dB_dt": t.dB_dt,
     }
 
 
-def _hertz_form(t: _Terms, dB_dt: VectorField):
+def _hertz_form(t: _Terms):
+    """dB/dt + v.grad B - B.grad v + curl E (solenoidal v and B)."""
     conv = vector_advection(t.v, t.em.B)
     stretch = vector_advection(t.em.B, t.v)
-    return dB_dt + conv - stretch + t.curl_E, {
-        "dB_dt": dB_dt,
+    return t.dB_dt + conv - stretch + t.curl_E, {
+        "dB_dt": t.dB_dt,
         "v_grad_B": conv,
         "B_grad_v": stretch,
         "curl_E": t.curl_E,
     }
 
 
-def _generalized_ampere(t: _Terms, dE_dt: VectorField, params: MediumParams):
+def _generalized_ampere(t: _Terms):
+    """dE/dt - curl(v x E) + kappa E + v (div E) - c^2 curl B, where v (div E)
+    is the metacurrent em.J of the state whose velocity is v."""
     motional = curl(t.v_cross_E)
-    attenuation = t.em.E * params.kappa
+    attenuation = t.em.E * t.params.kappa
     convective = t.em.J
-    displacement = t.curl_B * (params.c ** 2)
-    residual = dE_dt - motional + attenuation + convective - displacement
+    displacement = t.curl_B * (t.params.c ** 2)
+    residual = t.dE_dt - motional + attenuation + convective - displacement
     return residual, {
-        "dE_dt": dE_dt,
+        "dE_dt": t.dE_dt,
         "curl_vxE": motional,
         "kappa_E": attenuation,
         "v_div_E": convective,
@@ -192,113 +183,47 @@ def _generalized_ampere(t: _Terms, dE_dt: VectorField, params: MediumParams):
     }
 
 
-def _metacharge_continuity(t: _Terms, drho_dt: ScalarField, params: MediumParams):
+def _metacharge_continuity(t: _Terms):
     transport = div(t.em.J)
-    attenuation = t.em.rho * params.kappa
-    return drho_dt + transport + attenuation, {
-        "drho_dt": drho_dt,
+    attenuation = t.em.rho * t.params.kappa
+    return t.drho_dt + transport + attenuation, {
+        "drho_dt": t.drho_dt,
         "div_rho_v": transport,
         "kappa_rho": attenuation,
     }
 
 
-def _biot_savart(t: _Terms, params: MediumParams):
-    motional = t.v_cross_E * (1.0 / params.c ** 2)
+def _biot_savart(t: _Terms):
+    """B + (v x E)/c^2: quasi-stationary, kappa = 0, charge-free states."""
+    motional = t.v_cross_E * (1.0 / t.params.c ** 2)
     return t.em.B + motional, {"B": t.em.B, "vxE_over_c2": motional}
 
 
-def _ohm_ampere(t: _Terms, params: MediumParams):
-    conduction = t.em.E * (params.kappa / params.c ** 2)
+def _ohm_ampere(t: _Terms):
+    """curl B - (kappa/c^2) E: stationary velocity-free states."""
+    conduction = t.em.E * (t.params.kappa / t.params.c ** 2)
     return t.curl_B - conduction, {"curl_B": t.curl_B, "kappa_E_over_c2": conduction}
 
 
-def _ampere_vacuo(t: _Terms, params: MediumParams):
-    displacement = t.curl_B * (params.c ** 2)
+def _ampere_vacuo(t: _Terms):
+    """c^2 curl B - J: the same regime as Biot-Savart."""
+    displacement = t.curl_B * (t.params.c ** 2)
     return displacement - t.em.J, {"c2_curl_B": displacement, "J": t.em.J}
 
 
-# ---------------------------------------------------------------------------
-# public residual operations
-# ---------------------------------------------------------------------------
-
-def residual_faraday(em: EmState, dB_dt: VectorField) -> VectorField:
-    """curl E + dB/dt."""
-    return _faraday(_Terms(em), dB_dt)[0]
-
-
-def residual_displacement_current(em: EmState, dE_dt: VectorField,
-                                  params: MediumParams) -> VectorField:
-    """dE/dt - c^2 curl B."""
-    return _displacement_current(_Terms(em), dE_dt, params)[0]
-
-
-def residual_faraday_lorentz(em: EmState, v: VectorField,
-                             dB_dt: VectorField) -> VectorField:
-    """curl[E - v x B] + dB/dt; dB/dt must be mu curl(dv/dt) from the RHS."""
-    return _faraday_lorentz(_Terms(em, v), dB_dt)[0]
-
-
-def residual_hertz_form(em: EmState, v: VectorField,
-                        dB_dt: VectorField) -> VectorField:
-    """dB/dt + v.grad B - B.grad v + curl E (solenoidal v and B)."""
-    return _hertz_form(_Terms(em, v), dB_dt)[0]
-
-
-def residual_generalized_ampere(em: EmState, v: VectorField, dE_dt: VectorField,
-                                params: MediumParams) -> VectorField:
-    """dE/dt - curl(v x E) + kappa E + v (div E) - c^2 curl B, where v (div E)
-    is the metacurrent em.J of the state whose velocity is v."""
-    return _generalized_ampere(_Terms(em, v), dE_dt, params)[0]
-
-
-def residual_metacharge_continuity(em: EmState, v: VectorField,
-                                   drho_dt: ScalarField,
-                                   params: MediumParams) -> ScalarField:
-    """drho/dt + div(rho v) + kappa rho, with drho/dt = div(dE/dt)."""
-    return _metacharge_continuity(_Terms(em, v), drho_dt, params)[0]
-
-
-@dataclass(frozen=True)
-class StationaryDiagnostic:
-    """Residual of a stationary-regime law plus its applicability indicators.
-
-    The indicators quantify how far the state is from the regime in which the
-    law is derived (L2 norms); `e_t` is None when no dE/dt was supplied.
-    """
-
-    residual: VectorField
-    indicators: dict
-
-
-def biot_savart_residual(em: EmState, v: VectorField, params: MediumParams,
-                         dE_dt: VectorField | None = None) -> StationaryDiagnostic:
-    """B + (v x E)/c^2, valid for quasi-stationary, kappa=0, charge-free states."""
-    residual, _ = _biot_savart(_Terms(em, v), params)
-    return StationaryDiagnostic(residual, _stationary_indicators(em, v, params, dE_dt))
-
-
-def ohm_ampere_residual(em: EmState, params: MediumParams,
-                        dE_dt: VectorField | None = None) -> StationaryDiagnostic:
-    """curl B - (kappa/c^2) E, valid for stationary velocity-free regimes."""
-    residual, _ = _ohm_ampere(_Terms(em), params)
-    v0 = VectorField.zeros(em.E.grid)
-    return StationaryDiagnostic(residual, _stationary_indicators(em, v0, params, dE_dt))
-
-
-def ampere_vacuo_residual(em: EmState, v: VectorField, params: MediumParams,
-                          dE_dt: VectorField | None = None) -> StationaryDiagnostic:
-    """c^2 curl B - J, same applicability indicators as the Biot-Savart residual."""
-    residual, _ = _ampere_vacuo(_Terms(em, v), params)
-    return StationaryDiagnostic(residual, _stationary_indicators(em, v, params, dE_dt))
-
-
-def _stationary_indicators(em: EmState, v: VectorField, params: MediumParams,
-                           dE_dt: VectorField | None) -> dict:
-    return {
-        "e_t": norm_l2(dE_dt) if dE_dt is not None else None,
-        "kappa_e": params.kappa * norm_l2(em.E),
-        "v_div_e": norm_l2(dealias_field(v * em.rho)),
-    }
+# every law by name, in report (and CSV row) order
+_LAWS = {
+    "faraday": _faraday,
+    "displacement_current": _displacement_current,
+    "faraday_lorentz": _faraday_lorentz,
+    "hertz_form": _hertz_form,
+    "generalized_ampere": _generalized_ampere,
+    "metacharge_continuity": _metacharge_continuity,
+    "biot_savart": _biot_savart,
+    "ohm_ampere": _ohm_ampere,
+    "ampere_vacuo": _ampere_vacuo,
+}
+LAW_NAMES = tuple(_LAWS)
 
 
 # ---------------------------------------------------------------------------
@@ -355,27 +280,14 @@ def _entry(name: str, residual: Field, terms: dict) -> LawResidual:
 def full_report(em: EmState, v: VectorField, dE_dt: VectorField,
                 dB_dt: VectorField, params: MediumParams,
                 time: float) -> LawResidualReport:
-    """Residual norms of every registered law from one RHS evaluation.
+    """Residual norms of every law in `_LAWS` from one RHS evaluation.
 
-    drho/dt is derived as div(dE/dt), and the terms several laws share
-    (curl E, curl B, the dealiased v x E and em.J) are formed once.  Each
-    entry records the raw L2 and L-inf residual norms together with the L2
-    norm of the law's largest term; a 0/0 normalized residual is reported as 0.
+    Each entry records the raw L2 and L-inf residual norms together with the
+    L2 norm of the law's largest term; a 0/0 normalized residual is reported as 0.
     """
-    drho_dt = div(dE_dt)
-    t = _Terms(em, v)
-    entries = [
-        _entry("faraday", *_faraday(t, dB_dt)),
-        _entry("displacement_current", *_displacement_current(t, dE_dt, params)),
-        _entry("faraday_lorentz", *_faraday_lorentz(t, dB_dt)),
-        _entry("hertz_form", *_hertz_form(t, dB_dt)),
-        _entry("generalized_ampere", *_generalized_ampere(t, dE_dt, params)),
-        _entry("metacharge_continuity", *_metacharge_continuity(t, drho_dt, params)),
-        _entry("biot_savart", *_biot_savart(t, params)),
-        _entry("ohm_ampere", *_ohm_ampere(t, params)),
-        _entry("ampere_vacuo", *_ampere_vacuo(t, params)),
-    ]
-    return LawResidualReport(time=time, entries=tuple(entries))
+    t = _Terms(em, v, dE_dt, dB_dt, params)
+    return LawResidualReport(time=time, entries=tuple(
+        _entry(name, *law(t)) for name, law in _LAWS.items()))
 
 
 def fi_report(state: FluidState, params: MediumParams, rates) -> LawResidualReport:
@@ -420,14 +332,12 @@ def write_reports_ndjson(reports, path) -> None:
 
 
 def write_reports_csv(reports, path) -> None:
-    """CSV export with columns (time, law, l2, linf, norm)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "law", "l2", "linf", "norm"])
-        for r in reports:
-            for e in r.entries:
-                writer.writerow([repr(r.time), e.name, repr(e.l2), repr(e.linf),
-                                 repr(e.normalization)])
-    os.replace(tmp, path)
+    """CSV export with columns (time, law, l2, linf, norm), CRLF row endings."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["time", "law", "l2", "linf", "norm"])
+    for r in reports:
+        for e in r.entries:
+            writer.writerow([repr(r.time), e.name, repr(e.l2), repr(e.linf),
+                             repr(e.normalization)])
+    atomic_write_text(Path(path), text.getvalue())

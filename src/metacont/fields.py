@@ -621,17 +621,25 @@ def read_snapshot(directory) -> tuple[dict[str, Field], dict]:
     """The fields of a snapshot directory by name, and its sidecar."""
     directory = Path(directory)
     meta_path = directory / "snapshot.json"
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise FieldError(f"{meta_path} is not JSON: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("layout") != SNAPSHOT_LAYOUT:
         raise FieldError(f"{meta_path} is not a {SNAPSHOT_LAYOUT!r} sidecar")
-    missing = sorted({"dims", "lengths", "fields"} - meta.keys())
+    missing = sorted({"dims", "lengths", "time", "fields"} - meta.keys())
     if missing:
         raise FieldError(f"{meta_path} lacks {missing}")
     if not isinstance(meta["fields"], dict):
         raise FieldError(f"{meta_path} lists its fields as {meta['fields']!r}")
-    grid = make_grid(meta["dims"], meta["lengths"])
+    try:
+        grid = make_grid(meta["dims"], meta["lengths"])
+    except (ValueError, TypeError) as exc:  # GridError included
+        raise FieldError(f"{meta_path} gives no valid grid: {exc}") from exc
     fields = {}
     for name, labels in meta["fields"].items():
+        if not name or Path(name).name != name:
+            raise FieldError(f"{meta_path} lists {name!r}, which is not a plain file stem")
         kind = next((k for k, known in _LABELS.items() if known == labels), None)
         if kind is None:
             raise FieldError(f"{meta_path} gives {name!r} unknown components {labels!r}")

@@ -1,7 +1,10 @@
-"""Config validation, the run/verify/sweep commands, and artifact contracts."""
+"""Config validation, the run/verify/sweep commands, artifact contracts, and
+the names the package exports."""
 
+import ast
 import concurrent.futures
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import metacont
 from metacont.cli import (
     ConfigError,
     RunConfig,
@@ -555,3 +559,21 @@ class TestMainEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "run" in proc.stdout and "verify" in proc.stdout
+
+
+def _reexports(module: str) -> list[str]:
+    """The names metacont/__init__.py imports from metacont.<module>."""
+    tree = ast.parse(Path(metacont.__file__).read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for alias in node.names]
+
+
+@pytest.mark.parametrize("name", ["cli", "diffops", "dynamics", "emlaws",
+                                  "fields", "scenarios"])
+def test_exported_names_resolve(name):
+    module = importlib.import_module(f"metacont.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    for n in _reexports(name):
+        assert n in module.__all__
+        assert getattr(metacont, n) is getattr(module, n)

@@ -324,35 +324,50 @@ class TestSnapshots:
             with pytest.raises(FieldError, match=f"{name}.f64"):
                 read_snapshot(directory)
 
-    @pytest.mark.parametrize("key", ["dims", "lengths"])
-    def test_sidecar_without_grid_names_the_file(self, tmp_path, key):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("dims", None, id="dims"),
+        pytest.param("lengths", None, id="lengths"),
+        pytest.param("time", None, id="time"),
+        pytest.param("dims", [7, 8, 1], id="odd-dims"),
+        pytest.param("lengths", [0, 1, 1], id="zero-length"),
+        pytest.param("dims", 5, id="dims-not-a-list"),
+    ])
+    def test_sidecar_without_grid_names_the_file(self, tmp_path, key, value):
         write_snapshot(tmp_path, [("v", VectorField.zeros(GRID_64))], time=0.0)
         sidecar = tmp_path / "snapshot.json"
         meta = json.loads(sidecar.read_text())
-        del meta[key]
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(FieldError, match="snapshot.json"):
             read_snapshot(tmp_path)
 
-    @pytest.mark.parametrize("not_an_object", [False, True])
+    @pytest.mark.parametrize("not_an_object", [False, True, "unparsable"])
     def test_foreign_layout_names_the_file(self, tmp_path, not_an_object):
         write_snapshot(tmp_path, [("v", VectorField.zeros(GRID_64))], time=0.0)
         sidecar = tmp_path / "snapshot.json"
         meta = json.loads(sidecar.read_text())
         meta["layout"] = "row-major-f64-le"
-        sidecar.write_text(json.dumps([meta] if not_an_object else meta))
+        text = json.dumps([meta] if not_an_object else meta)
+        sidecar.write_text(text[:-1] if not_an_object == "unparsable" else text)
         with pytest.raises(FieldError, match="snapshot.json"):
             read_snapshot(tmp_path)
 
-    @pytest.mark.parametrize("listed", [["p"], {"p": ["q"]}, {"p": "x"}])
+    # the last names a well-formed scalar file outside the snapshot directory
+    @pytest.mark.parametrize("listed", [["p"], {"p": ["q"]}, {"p": "x"},
+                                        {"../outside": []}])
     def test_malformed_field_list_names_the_file(self, tmp_path, listed):
-        write_snapshot(tmp_path, [("p", ScalarField.zeros(GRID_64))], time=0.0)
-        sidecar = tmp_path / "snapshot.json"
+        directory = tmp_path / "step"
+        write_snapshot(directory, [("p", ScalarField.zeros(GRID_64))], time=0.0)
+        (tmp_path / "outside.f64").write_bytes(bytes(8 * GRID_64.num_points))
+        sidecar = directory / "snapshot.json"
         meta = json.loads(sidecar.read_text())
         meta["fields"] = listed
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(FieldError, match="snapshot.json"):
-            read_snapshot(tmp_path)
+            read_snapshot(directory)
 
     def test_listed_field_without_file_names_the_file(self, tmp_path):
         write_snapshot(tmp_path, [("v", VectorField.zeros(GRID_64)),

@@ -22,7 +22,13 @@ from metacont.diffops import (
     leray_project,
     vector_advection,
 )
-from metacont.dynamics import FluidState, upper_convected_vector
+from metacont.dynamics import (
+    FluidState,
+    MediumParams,
+    rhs_fi_incompressible,
+    upper_convected_vector,
+)
+from metacont.emlaws import fi_report
 from metacont.fields import (
     ScalarField,
     TensorField,
@@ -42,6 +48,7 @@ from metacont.fields import (
 )
 from metacont.scenarios import band_limited_noise
 
+from helpers import band_limited_vector
 from test_rhs_core import SYSTEMS, _oracle, _rhs
 
 SETTINGS = settings(max_examples=25, deadline=2000, derandomize=True,
@@ -174,6 +181,21 @@ def test_spectral_core_matches_composed_operators(grid, seed):
                 + dealias_field(E * div(v)))
     got = upper_convected_vector(E, v, None)
     assert norm_linf(got - expected) <= 1e-12 * norm_linf(expected)
+
+
+@SETTINGS
+@given(grids(), seeds, st.floats(0.0, 2.0), st.floats(0.5, 3.0), st.floats(0.5, 3.0))
+def test_fi_corollaries_close_at_round_off(grid, seed, kappa, mu, eta):
+    # the four exact corollaries of the fi RHS on a band-limited state
+    params = MediumParams(mu=mu, eta=eta, kappa=kappa)
+    v = band_limited_vector(grid, seed, fraction=1 / 6, amplitude=1e-2,
+                            solenoidal=True)
+    E = band_limited_vector(grid, seed + 1, fraction=1 / 6, amplitude=1e-2)
+    state = FluidState(time=0.0, v=v, E=E)
+    report = fi_report(state, params, rhs_fi_incompressible(state, params))
+    for law in ("faraday_lorentz", "hertz_form", "generalized_ampere",
+                "metacharge_continuity"):
+        assert report.entry(law).normalized_linf < 1e-9, law
 
 
 _times = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
