@@ -581,6 +581,12 @@ _LABELS = {
 }
 
 
+def _check_stem(name, meta_path: Path) -> None:
+    """Reject a field name that would put `<name>.f64` outside its directory."""
+    if not isinstance(name, str) or not name or Path(name).name != name:
+        raise FieldError(f"{meta_path} lists {name!r}, which is not a plain file stem")
+
+
 def write_snapshot(directory, fields, time: float) -> list[Path]:
     """Snapshot (name, field) pairs on one grid into `directory`.
 
@@ -597,6 +603,9 @@ def write_snapshot(directory, fields, time: float) -> list[Path]:
         raise FieldError(f"a snapshot holds fields on one grid, got {grids}")
     grid = grids.pop()
     directory = Path(directory)
+    meta_path = directory / "snapshot.json"
+    for name, _ in fields:
+        _check_stem(name, meta_path)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for name, field in fields:
@@ -611,7 +620,6 @@ def write_snapshot(directory, fields, time: float) -> list[Path]:
         "layout": SNAPSHOT_LAYOUT,
         "fields": {name: _LABELS[type(field)] for name, field in fields},
     }
-    meta_path = directory / "snapshot.json"
     atomic_write_text(meta_path, json.dumps(sidecar, sort_keys=True) + "\n")
     written.append(meta_path)
     return written
@@ -630,6 +638,9 @@ def read_snapshot(directory) -> tuple[dict[str, Field], dict]:
     missing = sorted({"dims", "lengths", "time", "fields"} - meta.keys())
     if missing:
         raise FieldError(f"{meta_path} lacks {missing}")
+    time = meta["time"]
+    if type(time) not in (int, float) or not math.isfinite(time):  # excludes bool
+        raise FieldError(f"{meta_path} gives time {time!r}, which is not a finite number")
     if not isinstance(meta["fields"], dict):
         raise FieldError(f"{meta_path} lists its fields as {meta['fields']!r}")
     try:
@@ -638,8 +649,7 @@ def read_snapshot(directory) -> tuple[dict[str, Field], dict]:
         raise FieldError(f"{meta_path} gives no valid grid: {exc}") from exc
     fields = {}
     for name, labels in meta["fields"].items():
-        if not name or Path(name).name != name:
-            raise FieldError(f"{meta_path} lists {name!r}, which is not a plain file stem")
+        _check_stem(name, meta_path)
         kind = next((k for k, known in _LABELS.items() if known == labels), None)
         if kind is None:
             raise FieldError(f"{meta_path} gives {name!r} unknown components {labels!r}")

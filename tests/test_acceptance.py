@@ -4,12 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one printed pass line
 per criterion with the measured values.
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from metacont.cli import RunConfig, run, sweep, verify
+from metacont.cli import RunConfig, run, sweep
 from metacont.diffops import div, hessian_contract, leray_project
 from metacont.dynamics import (
     FluidState,
@@ -232,15 +230,13 @@ def test_criterion_09_integrator_order():
     _report(9, f"dt-halving error ratio {ratio:.2f} in [12.8, 19.2]")
 
 
-def test_criterion_10_verification_suite(tmp_path, capsys):
+def test_criterion_10_verification_suite(tmp_path, capsys, quick_verify):
     # `verify --level quick` passes every check in under 30 seconds, and a
     # fixed config with a fixed seed reruns byte-identically
-    t0 = time.perf_counter()
-    code, results = verify(level="quick")
-    elapsed = time.perf_counter() - t0
-    assert code == 0
-    assert all(r["pass"] for r in results)
-    assert elapsed < 30.0
+    assert quick_verify.code == 0
+    assert all(r["pass"] for r in quick_verify.results)
+    assert "PASS verify[quick]" in quick_verify.text
+    assert quick_verify.seconds < 30.0
 
     def run_once(out_dir):
         doc = {
@@ -266,5 +262,6 @@ def test_criterion_10_verification_suite(tmp_path, capsys):
     for rel in first:
         assert first[rel] == second[rel], rel
     with capsys.disabled():
-        _report(10, f"verify quick: {len(results)} checks in {elapsed:.1f}s; "
+        _report(10, f"verify quick: {len(quick_verify.results)} checks in "
+                    f"{quick_verify.seconds:.1f}s; "
                     f"reruns byte-identical over {len(first)} artifacts")

@@ -3,9 +3,13 @@ the names the package exports."""
 
 import ast
 import concurrent.futures
+import dataclasses
 import hashlib
 import importlib
+import io
+import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -14,16 +18,18 @@ import numpy as np
 import pytest
 
 import metacont
+from metacont import cli, diffops, dynamics, emlaws
 from metacont.cli import (
     ConfigError,
     RunConfig,
+    _verify_checks,
     config_content_hash,
     main,
     run,
     sweep,
     verify,
 )
-from metacont.diffops import curl, leray_project
+from metacont.diffops import ProjectionResult, curl, leray_project
 from metacont.dynamics import (
     DensityError,
     IntegrationError,
@@ -34,6 +40,8 @@ from metacont.dynamics import (
     integrate,
 )
 from metacont.fields import (
+    ScalarField,
+    VectorField,
     make_grid,
     norm_l2,
     read_snapshot,
@@ -298,21 +306,118 @@ class TestRun:
 
 
 class TestVerify:
-    def test_subset_checks_pass_quickly(self, capsys):
-        code, results = verify(level="quick")
-        assert code == 0
-        assert all(r["pass"] for r in results)
-        out = capsys.readouterr().out
-        assert "PASS verify[quick]" in out
+    def test_subset_checks_pass_quickly(self, quick_verify):
+        assert quick_verify.code == 0
+        assert all(r["pass"] for r in quick_verify.results)
+        assert "PASS verify[quick]" in quick_verify.text
 
-    def test_tamper_fails_named_check(self, capsys):
-        code, results = verify(level="quick", tamper="vector_identity_triple_64x64")
+    def test_tally_of_passing_failing_and_raising_checks(self, monkeypatch):
+        def raises():
+            raise RuntimeError("broken check")
+
+        monkeypatch.setattr(cli, "_verify_checks", lambda level: [
+            ("passes", lambda: (0.0, 1.0)),
+            ("fails", lambda: (2.0, 1.0)),
+            ("raises", raises),
+        ])
+        stream = io.StringIO()
+        code, results = verify(level="quick", stream=stream)
         assert code == 1
         by_name = {r["check"]: r for r in results}
-        assert not by_name["vector_identity_triple_64x64"]["pass"]
-        others = [r for r in results
-                  if r["check"] != "vector_identity_triple_64x64"]
-        assert all(r["pass"] for r in others)
+        assert [by_name[n]["pass"] for n in ("passes", "fails", "raises")] == [
+            True, False, False]
+        assert by_name["raises"]["measured"] == math.inf
+        lines = stream.getvalue().splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["PASS", "passes:"], ["FAIL", "fails:"], ["FAIL", "raises:"]]
+        assert lines[-1].startswith("FAIL verify[quick]: 1/3")
+
+    def test_tamper_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--tamper", "div_b_64x64"])
+        assert info.value.code == 2
+
+
+def _stretch_x(v, factor=1.001):
+    """v with its x component scaled, so it is neither a gradient nor a curl."""
+    return VectorField.from_arrays(v.grid, (factor * v.x.values, v.y.values,
+                                            v.z.values))
+
+
+def _scaled(factor):
+    """Fault: op with its result multiplied by `factor`."""
+    return lambda op: lambda *args: op(*args) * factor
+
+
+def _replacing(attr, change):
+    """Fault: op's dataclass result with its `attr` passed through `change`."""
+    def fault(op):
+        def faulty(*args):
+            out = op(*args)
+            return dataclasses.replace(out, **{attr: change(getattr(out, attr))})
+        return faulty
+    return fault
+
+
+def _leaky(op):
+    """A Leray projection whose solenoidal part grows by one part in 1e9."""
+    def leaky(g, hats):
+        solenoidal, potential = op(g, hats)
+        return solenoidal * (1.0 + 1e-9), potential
+    return leaky
+
+
+def _drifting(op):
+    """op whose every call returns a state a little further off than the last."""
+    calls = itertools.count()
+
+    def drifting(*args):
+        out = op(*args)
+        return dataclasses.replace(out, v=out.v * (1.0 + 1e-12 * next(calls)))
+    return drifting
+
+
+# check name -> (namespace, operator name, fault built from the operator).  A
+# check looks its operators up when it runs, in `cli` for the names `cli`
+# imports and in the defining module for the rest, so patching there plants
+# the fault in that check.
+QUICK_CHECK_FAULTS = {
+    "transform_roundtrip_64x64": (cli, "from_spectral", _scaled(1.001)),
+    "parseval_64x64": (cli, "spectral_norm_l2", _scaled(1.001)),
+    "div_of_curl_64x64": (cli, "curl", lambda op: lambda v: op(v) + v * 1e-3),
+    "curl_of_grad_64x64": (cli, "grad", lambda op: lambda f: _stretch_x(op(f))),
+    "curl_curl_identity_64x64": (diffops, "curl_curl", _scaled(1.001)),
+    "leray_idempotent_64x64": (
+        cli, "leray_project", lambda op: lambda v: ProjectionResult(
+            v * 0.5, ScalarField.zeros(v.grid))),
+    "leray_divergence_free_64x64": (
+        cli, "leray_project", lambda op: lambda v: ProjectionResult(
+            v, ScalarField.zeros(v.grid))),
+    "vector_identity_triple_64x64": (diffops, "cross", _scaled(1.001)),
+    "gromeka_lamb_64x64": (diffops, "dot", _scaled(1.001)),
+    "oldroyd_discrepancy_64x64": (cli, "hessian_contract", _scaled(1.001)),
+    "fi_exact_corollaries_64x64": (
+        cli, "rhs_fi_incompressible", _replacing("dE", lambda dE: dE * 1.001)),
+    "div_b_64x64": (emlaws, "curl", lambda op: lambda v: _stretch_x(op(v))),
+    "dispersion_root_residual": (
+        cli, "dispersion_shear", _replacing("omega_plus", lambda w: w + 1e-3)),
+    "kappa_decay_rate": (
+        dynamics, "_stress_rate_hat", lambda op: lambda g, hats, bracket, params:
+        op(g, hats, bracket, dataclasses.replace(params, kappa=0.9 * params.kappa))),
+    "shear_wave_speed": (dynamics, "_curl_curl_hat", _scaled(1.02)),
+    "energy_drift_100_steps": (dynamics, "_leray_hat", _leaky),
+    "bitwise_rerun": (cli, "integrate", _drifting),
+}
+
+
+@pytest.mark.parametrize("name", list(QUICK_CHECK_FAULTS))
+def test_planted_fault_fails_quick_check(monkeypatch, name):
+    checks = dict(_verify_checks("quick"))
+    assert list(QUICK_CHECK_FAULTS) == list(checks)  # one fault per check
+    namespace, operator, fault = QUICK_CHECK_FAULTS[name]
+    monkeypatch.setattr(namespace, operator, fault(getattr(namespace, operator)))
+    measured, bound = checks[name]()
+    assert measured >= bound
 
 
 class TestSweep:

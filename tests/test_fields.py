@@ -369,6 +369,24 @@ class TestSnapshots:
         with pytest.raises(FieldError, match="snapshot.json"):
             read_snapshot(directory)
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", ""])
+    def test_non_stem_field_name_is_rejected_before_any_write(self, tmp_path, name):
+        with pytest.raises(FieldError, match="plain file stem"):
+            write_snapshot(tmp_path / "ws" / "step",
+                           [("p", ScalarField.zeros(GRID_64)),
+                            (name, ScalarField.zeros(GRID_64))], time=0.0)
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("time", ["soon", None, True, float("nan")])
+    def test_sidecar_time_not_finite_number_names_the_file(self, tmp_path, time):
+        write_snapshot(tmp_path, [("p", ScalarField.zeros(GRID_64))], time=0.0)
+        sidecar = tmp_path / "snapshot.json"
+        meta = json.loads(sidecar.read_text())
+        meta["time"] = time
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(FieldError, match="snapshot.json"):
+            read_snapshot(tmp_path)
+
     def test_listed_field_without_file_names_the_file(self, tmp_path):
         write_snapshot(tmp_path, [("v", VectorField.zeros(GRID_64)),
                                   ("p", ScalarField.zeros(GRID_64))], time=0.0)
