@@ -12,6 +12,10 @@ written atomically (temp file + rename) under the output directory:
     summary.json      final norms, wave measurement vs oracle when available
 
 Identical configs (including seeds) produce byte-identical artifacts.
+
+`verify` takes no options.  It runs one suite of 41 checks: twelve operator,
+corollary and div B checks on each of a 64x64, a 128x128 and a 32^3 grid,
+then five trajectory and oracle checks on the 64x64 grid.
 """
 
 from __future__ import annotations
@@ -415,123 +419,84 @@ def run(config: RunConfig, observer=None):
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_checks(level: str):
-    """The (name, callable) pairs of `level`; each callable returns (measured,
-    bound) and looks its operators up when it is called."""
-    grid2d = make_grid((64, 64, 1), (TWO_PI, TWO_PI, TWO_PI))
-    grids = [grid2d]
-    if level == "full":
-        grids.append(make_grid((128, 128, 1), (TWO_PI, TWO_PI, TWO_PI)))
-        grids.append(make_grid((32, 32, 32), (TWO_PI, TWO_PI, TWO_PI)))
+def _verify_checks():
+    """The suite's (name, callable) pairs in run order.  Each callable takes
+    no argument, returns (measured, bound) and looks its operators up when it
+    is called."""
+    grids = [make_grid(dims, (TWO_PI, TWO_PI, TWO_PI))
+             for dims in ((64, 64, 1), (128, 128, 1), (32, 32, 32))]
+    grid2d = grids[0]
 
-    checks = []
+    def noise_vector(grid, seed, fraction):
+        return VectorField.from_arrays(
+            grid, band_limited_noise(grid, seed, fraction, (3,), 1.0))
 
-    for grid in grids:
-        tag = "x".join(str(n) for n in grid.dims if n > 1)
+    def roundtrip(grid):
+        rng = np.random.default_rng(42)
+        f = ScalarField(grid, rng.standard_normal(grid.shape))
+        back = from_spectral(to_spectral(f))
+        return norm_linf(back - f) / norm_linf(f), 1e-13
 
-        def roundtrip(grid=grid):
-            rng = np.random.default_rng(42)
-            f = ScalarField(grid, rng.standard_normal(grid.shape))
-            back = from_spectral(to_spectral(f))
-            return norm_linf(back - f) / norm_linf(f), 1e-13
+    def parseval(grid):
+        rng = np.random.default_rng(43)
+        f = ScalarField(grid, rng.standard_normal(grid.shape))
+        phys = norm_l2(f)
+        return abs(phys - spectral_norm_l2(to_spectral(f))) / phys, 1e-12
 
-        checks.append((f"transform_roundtrip_{tag}", roundtrip))
+    def div_curl(grid):
+        return norm_linf(div(curl(noise_vector(grid, 44, 0.4)))), 1e-12
 
-        def parseval(grid=grid):
-            rng = np.random.default_rng(43)
-            f = ScalarField(grid, rng.standard_normal(grid.shape))
-            phys = norm_l2(f)
-            return abs(phys - spectral_norm_l2(to_spectral(f))) / phys, 1e-12
+    def curl_grad(grid):
+        arr = band_limited_noise(grid, 45, 0.25)
+        f = ScalarField(grid, arr / np.max(np.abs(arr)))
+        return norm_linf(curl(grad(f))), 1e-12
 
-        checks.append((f"parseval_{tag}", parseval))
+    def curl_curl_identity(grid):
+        v = noise_vector(grid, 46, 0.4)
+        direct = diffops.curl_curl(v)
+        composed = grad(div(v)) - diffops.laplacian(v)
+        return norm_l2(direct - composed) / norm_l2(direct), 1e-12
 
-        def div_curl(grid=grid):
-            v = VectorField.from_arrays(
-                grid, band_limited_noise(grid, 44, 0.4, (3,), 1.0))
-            return norm_linf(div(curl(v))), 1e-12
+    def leray_idempotent(grid):
+        once = leray_project(noise_vector(grid, 47, 0.4)).solenoidal
+        twice = leray_project(once).solenoidal
+        return norm_linf(twice - once), 1e-13
 
-        checks.append((f"div_of_curl_{tag}", div_curl))
+    def leray_divfree(grid):
+        v = noise_vector(grid, 48, 0.4)
+        return norm_linf(div(leray_project(v).solenoidal)), 1e-12
 
-        def curl_grad(grid=grid):
-            arr = band_limited_noise(grid, 45, 0.25)
-            f = ScalarField(grid, arr / np.max(np.abs(arr)))
-            return norm_linf(curl(grad(f))), 1e-12
+    def vector_identity(grid):
+        v, e = noise_vector(grid, 49, 0.25), noise_vector(grid, 50, 0.25)
+        return norm_linf(diffops.identity_residual_triple(v, e)), 1e-10
 
-        checks.append((f"curl_of_grad_{tag}", curl_grad))
+    def gromeka(grid):
+        v = noise_vector(grid, 51, 0.25)
+        return norm_linf(diffops.gromeka_lamb_residual(v)), 1e-10
 
-        def curl_curl_identity(grid=grid):
-            v = VectorField.from_arrays(
-                grid, band_limited_noise(grid, 46, 0.4, (3,), 1.0))
-            direct = diffops.curl_curl(v)
-            composed = grad(div(v)) - diffops.laplacian(v)
-            return norm_l2(direct - composed) / norm_l2(direct), 1e-12
+    def oldroyd(grid):
+        arrs = band_limited_noise(grid, 52, shape=(3, 3))
+        sigma = TensorField.from_arrays(
+            grid, arrs / np.max(np.abs(arrs), axis=(2, 3, 4), keepdims=True))
+        v = noise_vector(grid, 53, 1 / 6)
+        residual = oldroyd_discrepancy(sigma, v) + hessian_contract(v, sigma)
+        return norm_linf(residual), 1e-9
 
-        checks.append((f"curl_curl_identity_{tag}", curl_curl_identity))
+    def corollaries(grid):
+        params = MediumParams(kappa=0.3)
+        spec = ScenarioSpec("random_solenoidal", amplitude=1e-2, seed=54)
+        state = generate(spec, grid, params)
+        report = emlaws.fi_report(state, params, rhs_fi_incompressible(state, params))
+        worst = max(report.entry(law).normalized_linf for law in (
+            "faraday_lorentz", "hertz_form", "generalized_ampere",
+            "metacharge_continuity"))
+        return worst, 1e-9
 
-        def leray_idempotent(grid=grid):
-            v = VectorField.from_arrays(
-                grid, band_limited_noise(grid, 47, 0.4, (3,), 1.0))
-            once = leray_project(v).solenoidal
-            twice = leray_project(once).solenoidal
-            return norm_linf(twice - once), 1e-13
-
-        checks.append((f"leray_idempotent_{tag}", leray_idempotent))
-
-        def leray_divfree(grid=grid):
-            v = VectorField.from_arrays(
-                grid, band_limited_noise(grid, 48, 0.4, (3,), 1.0))
-            return norm_linf(div(leray_project(v).solenoidal)), 1e-12
-
-        checks.append((f"leray_divergence_free_{tag}", leray_divfree))
-
-        def vector_identity(grid=grid):
-            v = VectorField.from_arrays(
-                grid, band_limited_noise(grid, 49, 0.25, (3,), 1.0))
-            e = VectorField.from_arrays(
-                grid, band_limited_noise(grid, 50, 0.25, (3,), 1.0))
-            return norm_linf(diffops.identity_residual_triple(v, e)), 1e-10
-
-        checks.append((f"vector_identity_triple_{tag}", vector_identity))
-
-        def gromeka(grid=grid):
-            v = VectorField.from_arrays(
-                grid, band_limited_noise(grid, 51, 0.25, (3,), 1.0))
-            return norm_linf(diffops.gromeka_lamb_residual(v)), 1e-10
-
-        checks.append((f"gromeka_lamb_{tag}", gromeka))
-
-        def oldroyd(grid=grid):
-            arrs = band_limited_noise(grid, 52, shape=(3, 3))
-            sigma = TensorField.from_arrays(
-                grid, arrs / np.max(np.abs(arrs), axis=(2, 3, 4), keepdims=True))
-            v = VectorField.from_arrays(
-                grid, band_limited_noise(grid, 53, 1 / 6, (3,), 1.0))
-            residual = oldroyd_discrepancy(sigma, v) + hessian_contract(v, sigma)
-            return norm_linf(residual), 1e-9
-
-        checks.append((f"oldroyd_discrepancy_{tag}", oldroyd))
-
-        def corollaries(grid=grid):
-            params = MediumParams(kappa=0.3)
-            spec = ScenarioSpec("random_solenoidal", amplitude=1e-2, seed=54)
-            state = generate(spec, grid, params)
-            report = emlaws.fi_report(state, params,
-                                      rhs_fi_incompressible(state, params))
-            worst = max(report.entry(law).normalized_linf for law in (
-                "faraday_lorentz", "hertz_form", "generalized_ampere",
-                "metacharge_continuity"))
-            return worst, 1e-9
-
-        checks.append((f"fi_exact_corollaries_{tag}", corollaries))
-
-        def div_b(grid=grid):
-            params = MediumParams()
-            spec = ScenarioSpec("random_solenoidal", amplitude=0.5, seed=55)
-            state = generate(spec, grid, params)
-            em = emlaws.extract_em(state, params)
-            return norm_linf(div(em.B)), 1e-12
-
-        checks.append((f"div_b_{tag}", div_b))
+    def div_b(grid):
+        params = MediumParams()
+        spec = ScenarioSpec("random_solenoidal", amplitude=0.5, seed=55)
+        em = emlaws.extract_em(generate(spec, grid, params), params)
+        return norm_linf(div(em.B)), 1e-12
 
     def dispersion_roots():
         worst = 0.0
@@ -545,8 +510,6 @@ def _verify_checks(level: str):
                                           + params.eta * k ** 2))
         return worst, 1e-12
 
-    checks.append(("dispersion_root_residual", dispersion_roots))
-
     def kappa_decay():
         kappa, t_end = 0.5, 3.0
         params = MediumParams(kappa=kappa)
@@ -557,32 +520,28 @@ def _verify_checks(level: str):
         rate = -np.log(norm_linf(out.E) / 0.1) / t_end
         return abs(rate - kappa) / kappa, 0.005
 
-    checks.append(("kappa_decay_rate", kappa_decay))
+    def shear_wave(params):
+        spec = ScenarioSpec("standing_shear_wave", amplitude=1e-3,
+                            wavevector=(1, 0, 0), polarization=(0, 1, 0))
+        return generate(spec, grid2d, params)
 
     def shear_speed():
         params = MediumParams()
-        spec = ScenarioSpec("standing_shear_wave", amplitude=1e-3,
-                            wavevector=(1, 0, 0), polarization=(0, 1, 0))
-        state = generate(spec, grid2d, params)
         times, series = [], []
 
         def obs(i, s, rates):
             times.append(s.time)
             series.append(mode_coefficient(s.v.y, (1, 0, 0)))
 
-        integrate(state, params, StepControl(t_end=6.5, dt=0.026),
+        integrate(shear_wave(params), params, StepControl(t_end=6.5, dt=0.026),
                   "fi_incompressible", obs)
         t, s = trim_uniform(np.array(times), np.array(series))
         m = measure_wave(t, s, k_mag=1.0)
         return abs(m.phase_speed - params.c) / params.c, 0.005
 
-    checks.append(("shear_wave_speed", shear_speed))
-
     def energy_drift():
         params = MediumParams()
-        spec = ScenarioSpec("standing_shear_wave", amplitude=1e-3,
-                            wavevector=(1, 0, 0), polarization=(0, 1, 0))
-        state = generate(spec, grid2d, params)
+        state = shear_wave(params)
         e0 = 0.5 * norm_l2(state.v) ** 2 + 0.5 * norm_l2(state.E) ** 2
         control = StepControl(t_end=10.0, dt=0.02)
         for _ in range(100):
@@ -590,29 +549,49 @@ def _verify_checks(level: str):
         e1 = 0.5 * norm_l2(state.v) ** 2 + 0.5 * norm_l2(state.E) ** 2
         return abs(e1 - e0) / e0, 1e-8
 
-    checks.append(("energy_drift_100_steps", energy_drift))
-
     def rerun():
         params = MediumParams()
         spec = ScenarioSpec("random_solenoidal", amplitude=0.1, seed=56)
         digests = []
         for _ in range(2):
-            state = generate(spec, grid2d, params)
-            out = integrate(state, params, StepControl(t_end=0.2, dt=0.02),
-                            "fi_incompressible")
+            out = integrate(generate(spec, grid2d, params), params,
+                            StepControl(t_end=0.2, dt=0.02), "fi_incompressible")
             h = hashlib.sha256()
             for arr in out.v.arrays() + out.E.arrays():
                 h.update(arr.tobytes())
             digests.append(h.hexdigest())
         return float(digests[0] != digests[1]), 0.5
 
-    checks.append(("bitwise_rerun", rerun))
+    # twelve check kinds on every grid, named `<kind>_<grid tag>`, then the
+    # trajectory and oracle checks, once, on the 64x64 grid
+    per_grid = [
+        ("transform_roundtrip", roundtrip), ("parseval", parseval),
+        ("div_of_curl", div_curl), ("curl_of_grad", curl_grad),
+        ("curl_curl_identity", curl_curl_identity),
+        ("leray_idempotent", leray_idempotent),
+        ("leray_divergence_free", leray_divfree),
+        ("vector_identity_triple", vector_identity), ("gromeka_lamb", gromeka),
+        ("oldroyd_discrepancy", oldroyd), ("fi_exact_corollaries", corollaries),
+        ("div_b", div_b),
+    ]
+    checks = []
+    for grid in grids:
+        tag = "x".join(str(n) for n in grid.dims if n > 1)
+        checks += [(f"{kind}_{tag}", functools.partial(check, grid))
+                   for kind, check in per_grid]
+    return checks + [
+        ("dispersion_root_residual", dispersion_roots),
+        ("kappa_decay_rate", kappa_decay),
+        ("shear_wave_speed", shear_speed),
+        ("energy_drift_100_steps", energy_drift),
+        ("bitwise_rerun", rerun),
+    ]
 
-    return checks
 
-
-def verify(level: str = "quick", stream=None) -> tuple[int, list[dict]]:
-    """Run the named-check suite of `level` ("quick" or "full").
+def verify(stream=None) -> tuple[int, list[dict]]:
+    """Run the check suite: the operator identities, the exact corollaries
+    and div B on a 64x64, a 128x128 and a 32^3 grid, then the trajectory and
+    oracle checks on the 64x64 grid.
 
     Prints one PASS/FAIL line per check and a closing tally to `stream`
     (stdout by default).  A check passes when its measured value is below its
@@ -620,13 +599,11 @@ def verify(level: str = "quick", stream=None) -> tuple[int, list[dict]]:
     (exit_code, results), one result dict per check; the exit code is 1 when
     any check fails.
     """
-    if level not in ("quick", "full"):
-        raise ConfigError(f"level must be 'quick' or 'full', got {level!r}")
     stream = stream or sys.stdout
     results = []
     failures = 0
     t_start = _time.perf_counter()
-    for name, fn in _verify_checks(level):
+    for name, fn in _verify_checks():
         t0 = _time.perf_counter()
         try:
             measured, bound = fn()
@@ -644,7 +621,7 @@ def verify(level: str = "quick", stream=None) -> tuple[int, list[dict]]:
         print(f"{'PASS' if ok else 'FAIL'} {name}: measured={measured:.3e} "
               f"bound={bound:.0e} ({elapsed:.2f}s){note}", file=stream)
     total = _time.perf_counter() - t_start
-    print(f"{'PASS' if failures == 0 else 'FAIL'} verify[{level}]: "
+    print(f"{'PASS' if failures == 0 else 'FAIL'} verify: "
           f"{len(results) - failures}/{len(results)} checks in {total:.1f}s",
           file=stream)
     return (0 if failures == 0 else 1), results
@@ -677,22 +654,19 @@ def _maxwell_twin(config: RunConfig, row: dict):
     in row["maxwell_distance"] the sup over sampled times of the
     (E, mu curl v) distance between the two."""
     params, control = config.params, config.control
-    twin = prev = None
+    twin = None
 
     def observer(i, fi_state, rates):
-        nonlocal twin, prev
+        nonlocal twin
         if i == 0:
             twin = SYSTEMS["classical_maxwell"].initial(fi_state, params)
             row["maxwell_distance"] = 0.0
         else:
-            # the step integrate took from the previous fi state
-            h = min(dynamics._resolve_dt(prev, params, control, "fi_incompressible"),
-                    control.t_end - twin.time)
-            twin = dynamics.step(twin, params, control, "classical_maxwell", dt=h)
+            twin = dynamics.step(twin, params, control, "classical_maxwell",
+                                 dt=fi_state.time - twin.time)
             row["maxwell_distance"] = max(row["maxwell_distance"], float(np.sqrt(
                 norm_l2(fi_state.E - twin.E) ** 2
                 + norm_l2(curl(fi_state.v) * params.mu - twin.B) ** 2)))
-        prev = fi_state
 
     return observer
 
@@ -856,8 +830,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
 
-    p_verify = sub.add_parser("verify", help="run the registered check suite")
-    p_verify.add_argument("--level", choices=("quick", "full"), default="quick")
+    sub.add_parser("verify", help="run the 41-check suite of operator "
+                   "identities, exact corollaries and wave oracles")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("--config", required=True)
@@ -876,7 +850,7 @@ def main(argv=None) -> int:
             print(json.dumps(summary, sort_keys=True, indent=2))
             return 0
         if args.command == "verify":
-            code, _ = verify(level=args.level)
+            code, _ = verify()
             return code
         if args.command == "sweep":
             doc = _read_config(args.config)

@@ -587,6 +587,13 @@ def _check_stem(name, meta_path: Path) -> None:
         raise FieldError(f"{meta_path} lists {name!r}, which is not a plain file stem")
 
 
+def _check_time(time, meta_path: Path) -> None:
+    """Reject a snapshot time that is not a finite real number (nor a bool)."""
+    if (isinstance(time, bool) or not isinstance(time, (int, float))
+            or not math.isfinite(time)):
+        raise FieldError(f"{meta_path} gives time {time!r}, which is not a finite number")
+
+
 def write_snapshot(directory, fields, time: float) -> list[Path]:
     """Snapshot (name, field) pairs on one grid into `directory`.
 
@@ -595,7 +602,9 @@ def write_snapshot(directory, fields, time: float) -> list[Path]:
     and a vector's is its x, y and z files joined.  One sidecar,
     `snapshot.json`, gives the grid, the time, the layout and the component
     labels of every field.  Every file is written atomically and the sidecar
-    last, so a directory that has a sidecar is complete.
+    last, so a directory that has a sidecar is complete.  Fields on more than
+    one grid, a name that is not a plain file stem or is repeated, and a time
+    that is not a finite number are rejected before anything is written.
     """
     fields = list(fields)
     grids = {field.grid for _, field in fields}
@@ -604,8 +613,12 @@ def write_snapshot(directory, fields, time: float) -> list[Path]:
     grid = grids.pop()
     directory = Path(directory)
     meta_path = directory / "snapshot.json"
-    for name, _ in fields:
+    names = [name for name, _ in fields]
+    for name in names:
         _check_stem(name, meta_path)
+    if len(set(names)) != len(names):
+        raise FieldError(f"{meta_path} would list a field name twice: {names}")
+    _check_time(time, meta_path)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for name, field in fields:
@@ -638,9 +651,7 @@ def read_snapshot(directory) -> tuple[dict[str, Field], dict]:
     missing = sorted({"dims", "lengths", "time", "fields"} - meta.keys())
     if missing:
         raise FieldError(f"{meta_path} lacks {missing}")
-    time = meta["time"]
-    if type(time) not in (int, float) or not math.isfinite(time):  # excludes bool
-        raise FieldError(f"{meta_path} gives time {time!r}, which is not a finite number")
+    _check_time(meta["time"], meta_path)
     if not isinstance(meta["fields"], dict):
         raise FieldError(f"{meta_path} lists its fields as {meta['fields']!r}")
     try:

@@ -10,12 +10,12 @@ from metacont.cli import verify
 
 
 @pytest.fixture(scope="session")
-def quick_verify():
-    """`verify --level quick`, run once per session: its exit code, results,
+def verify_suite():
+    """`metacont verify`, run once per session: its exit code, results,
     printed text and the wall time of that one call."""
     stream = io.StringIO()
     t0 = time.perf_counter()
-    code, results = verify(level="quick", stream=stream)
+    code, results = verify(stream=stream)
     seconds = time.perf_counter() - t0
     return SimpleNamespace(code=code, results=results, text=stream.getvalue(),
                            seconds=seconds)

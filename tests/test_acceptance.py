@@ -230,13 +230,13 @@ def test_criterion_09_integrator_order():
     _report(9, f"dt-halving error ratio {ratio:.2f} in [12.8, 19.2]")
 
 
-def test_criterion_10_verification_suite(tmp_path, capsys, quick_verify):
-    # `verify --level quick` passes every check in under 30 seconds, and a
-    # fixed config with a fixed seed reruns byte-identically
-    assert quick_verify.code == 0
-    assert all(r["pass"] for r in quick_verify.results)
-    assert "PASS verify[quick]" in quick_verify.text
-    assert quick_verify.seconds < 30.0
+def test_criterion_10_verification_suite(tmp_path, capsys, verify_suite):
+    # `metacont verify` passes every check in under 30 seconds, and a fixed
+    # config with a fixed seed reruns byte-identically
+    assert verify_suite.code == 0
+    assert all(r["pass"] for r in verify_suite.results)
+    assert "PASS verify: 41/41" in verify_suite.text
+    assert verify_suite.seconds < 30.0
 
     def run_once(out_dir):
         doc = {
@@ -262,6 +262,6 @@ def test_criterion_10_verification_suite(tmp_path, capsys, quick_verify):
     for rel in first:
         assert first[rel] == second[rel], rel
     with capsys.disabled():
-        _report(10, f"verify quick: {len(quick_verify.results)} checks in "
-                    f"{quick_verify.seconds:.1f}s; "
+        _report(10, f"verify: {len(verify_suite.results)} checks in "
+                    f"{verify_suite.seconds:.1f}s; "
                     f"reruns byte-identical over {len(first)} artifacts")

@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,17 @@ class TestRun:
         doc = shear_config(tmp_path / "out", t_end=2.0)
         summary, _ = run(RunConfig.from_dict(doc))
         m = summary["measurement"]
+        assert m["valid"]
+        assert m["phase_speed_rel_error"] < 0.005
+
+    def test_auto_dt_wave_run_is_resampled_and_measured(self, tmp_path):
+        # auto dt varies the step with the wave's velocity, so the sample
+        # times are not uniform and the fit runs on an interpolated series
+        doc = shear_config(tmp_path / "out", t_end=13.0, amplitude=0.3, dt="auto")
+        doc["grid"]["dims"] = [32, 32, 1]
+        summary, _ = run(RunConfig.from_dict(doc))
+        m = summary["measurement"]
+        assert m["resampled"]
         assert m["valid"]
         assert m["phase_speed_rel_error"] < 0.005
 
@@ -306,22 +318,22 @@ class TestRun:
 
 
 class TestVerify:
-    def test_subset_checks_pass_quickly(self, quick_verify):
-        assert quick_verify.code == 0
-        assert all(r["pass"] for r in quick_verify.results)
-        assert "PASS verify[quick]" in quick_verify.text
+    def test_subset_checks_pass_quickly(self, verify_suite):
+        assert verify_suite.code == 0
+        assert all(r["pass"] for r in verify_suite.results)
+        assert "PASS verify: 41/41" in verify_suite.text
 
     def test_tally_of_passing_failing_and_raising_checks(self, monkeypatch):
         def raises():
             raise RuntimeError("broken check")
 
-        monkeypatch.setattr(cli, "_verify_checks", lambda level: [
+        monkeypatch.setattr(cli, "_verify_checks", lambda: [
             ("passes", lambda: (0.0, 1.0)),
             ("fails", lambda: (2.0, 1.0)),
             ("raises", raises),
         ])
         stream = io.StringIO()
-        code, results = verify(level="quick", stream=stream)
+        code, results = verify(stream=stream)
         assert code == 1
         by_name = {r["check"]: r for r in results}
         assert [by_name[n]["pass"] for n in ("passes", "fails", "raises")] == [
@@ -330,12 +342,15 @@ class TestVerify:
         lines = stream.getvalue().splitlines()
         assert [line.split()[:2] for line in lines[:-1]] == [
             ["PASS", "passes:"], ["FAIL", "fails:"], ["FAIL", "raises:"]]
-        assert lines[-1].startswith("FAIL verify[quick]: 1/3")
+        assert lines[-1].startswith("FAIL verify: 1/3")
 
     def test_tamper_flag_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as info:
-            main(["verify", "--tamper", "div_b_64x64"])
-        assert info.value.code == 2
+        # verify takes no options: neither the old --tamper nor --level
+        for options in (["--tamper", "div_b_64x64"], ["--level", "quick"],
+                        ["--level", "full"]):
+            with pytest.raises(SystemExit) as info:
+                main(["verify", *options])
+            assert info.value.code == 2
 
 
 def _stretch_x(v, factor=1.001):
@@ -377,28 +392,28 @@ def _drifting(op):
     return drifting
 
 
-# check name -> (namespace, operator name, fault built from the operator).  A
+# check kind -> (namespace, operator name, fault built from the operator).  A
 # check looks its operators up when it runs, in `cli` for the names `cli`
 # imports and in the defining module for the rest, so patching there plants
-# the fault in that check.
-QUICK_CHECK_FAULTS = {
-    "transform_roundtrip_64x64": (cli, "from_spectral", _scaled(1.001)),
-    "parseval_64x64": (cli, "spectral_norm_l2", _scaled(1.001)),
-    "div_of_curl_64x64": (cli, "curl", lambda op: lambda v: op(v) + v * 1e-3),
-    "curl_of_grad_64x64": (cli, "grad", lambda op: lambda f: _stretch_x(op(f))),
-    "curl_curl_identity_64x64": (diffops, "curl_curl", _scaled(1.001)),
-    "leray_idempotent_64x64": (
+# the fault in that check.  A per-grid kind's fault serves all its grids.
+CHECK_FAULTS = {
+    "transform_roundtrip": (cli, "from_spectral", _scaled(1.001)),
+    "parseval": (cli, "spectral_norm_l2", _scaled(1.001)),
+    "div_of_curl": (cli, "curl", lambda op: lambda v: op(v) + v * 1e-3),
+    "curl_of_grad": (cli, "grad", lambda op: lambda f: _stretch_x(op(f))),
+    "curl_curl_identity": (diffops, "curl_curl", _scaled(1.001)),
+    "leray_idempotent": (
         cli, "leray_project", lambda op: lambda v: ProjectionResult(
             v * 0.5, ScalarField.zeros(v.grid))),
-    "leray_divergence_free_64x64": (
+    "leray_divergence_free": (
         cli, "leray_project", lambda op: lambda v: ProjectionResult(
             v, ScalarField.zeros(v.grid))),
-    "vector_identity_triple_64x64": (diffops, "cross", _scaled(1.001)),
-    "gromeka_lamb_64x64": (diffops, "dot", _scaled(1.001)),
-    "oldroyd_discrepancy_64x64": (cli, "hessian_contract", _scaled(1.001)),
-    "fi_exact_corollaries_64x64": (
+    "vector_identity_triple": (diffops, "cross", _scaled(1.001)),
+    "gromeka_lamb": (diffops, "dot", _scaled(1.001)),
+    "oldroyd_discrepancy": (cli, "hessian_contract", _scaled(1.001)),
+    "fi_exact_corollaries": (
         cli, "rhs_fi_incompressible", _replacing("dE", lambda dE: dE * 1.001)),
-    "div_b_64x64": (emlaws, "curl", lambda op: lambda v: _stretch_x(op(v))),
+    "div_b": (emlaws, "curl", lambda op: lambda v: _stretch_x(op(v))),
     "dispersion_root_residual": (
         cli, "dispersion_shear", _replacing("omega_plus", lambda w: w + 1e-3)),
     "kappa_decay_rate": (
@@ -410,11 +425,18 @@ QUICK_CHECK_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(QUICK_CHECK_FAULTS))
+def _check_kind(name: str) -> str:
+    """A check's kind: its name less the grid tag of a per-grid check."""
+    return re.sub(r"_\d+(x\d+)+$", "", name)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _verify_checks()])
 def test_planted_fault_fails_quick_check(monkeypatch, name):
-    checks = dict(_verify_checks("quick"))
-    assert list(QUICK_CHECK_FAULTS) == list(checks)  # one fault per check
-    namespace, operator, fault = QUICK_CHECK_FAULTS[name]
+    checks = dict(_verify_checks())
+    assert len(checks) == 41
+    # one fault per check kind, in suite order
+    assert list(CHECK_FAULTS) == list(dict.fromkeys(map(_check_kind, checks)))
+    namespace, operator, fault = CHECK_FAULTS[_check_kind(name)]
     monkeypatch.setattr(namespace, operator, fault(getattr(namespace, operator)))
     measured, bound = checks[name]()
     assert measured >= bound
@@ -488,19 +510,22 @@ class TestSweep:
         summary = sweep(doc, "amplitude", [1e-2, 1e-1], tmp_path / "s")
         assert not summary["partial"]
         # sup over steps >= 1 of the (E, mu curl v) distance between the fi
-        # run and the classical run from the matched initial data
+        # run and the classical run from the matched initial data, each
+        # classical step taken to the time of the next fi state
         grid = make_grid((16, 16, 1), (TWO_PI,) * 3)
         params = MediumParams()
         control = StepControl(t_end=0.2, dt=0.02)
         for row in summary["rows"]:
             spec = ScenarioSpec("random_solenoidal", amplitude=row["value"], seed=11)
             state0 = generate(spec, grid, params)
-            fi, classical = [], []
+            fi = []
             integrate(state0, params, control, "fi_incompressible",
                       lambda i, s, rates: fi.append(s))
-            integrate(MaxwellState(0.0, state0.E, curl(state0.v) * params.mu),
-                      params, control, "classical_maxwell",
-                      lambda i, s, rates: classical.append(s))
+            classical = [MaxwellState(0.0, state0.E, curl(state0.v) * params.mu)]
+            for a in fi[1:]:
+                classical.append(dynamics.step(classical[-1], params, control,
+                                               "classical_maxwell",
+                                               dt=a.time - classical[-1].time))
             assert len(fi) == len(classical) == 11
             expected = max(
                 np.sqrt(norm_l2(a.E - b.E) ** 2

@@ -377,6 +377,20 @@ class TestSnapshots:
                             (name, ScalarField.zeros(GRID_64))], time=0.0)
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), None, True, "1.0"])
+    def test_time_not_finite_number_is_rejected_before_any_write(self, tmp_path, time):
+        with pytest.raises(FieldError, match="finite number"):
+            write_snapshot(tmp_path / "step", [("p", ScalarField.zeros(GRID_64))], time)
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_repeated_field_name_is_rejected_before_any_write(self, tmp_path):
+        with pytest.raises(FieldError, match="twice"):
+            write_snapshot(tmp_path / "step",
+                           [("p", ScalarField.zeros(GRID_64)),
+                            ("p", ScalarField(GRID_64, np.ones(GRID_64.shape)))],
+                           time=0.0)
+        assert list(tmp_path.rglob("*")) == []
+
     @pytest.mark.parametrize("time", ["soon", None, True, float("nan")])
     def test_sidecar_time_not_finite_number_names_the_file(self, tmp_path, time):
         write_snapshot(tmp_path, [("p", ScalarField.zeros(GRID_64))], time=0.0)
