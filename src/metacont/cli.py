@@ -13,6 +13,9 @@ written atomically (temp file + rename) under the output directory:
 
 Identical configs (including seeds) produce byte-identical artifacts.
 
+`sweep` runs one simulation per value of one config key, in a process pool
+of min(number of values, usable CPUs) workers; it takes no worker option.
+
 `verify` takes no options.  It runs one suite of 41 checks: twelve operator,
 corollary and div B checks on each of a 64x64, a 128x128 and a 32^3 grid,
 then five trajectory and oracle checks on the 64x64 grid.
@@ -26,9 +29,10 @@ import functools
 import hashlib
 import json
 import numbers
+import os
 import sys
 import time as _time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -329,9 +333,10 @@ def run(config: RunConfig, observer=None):
     if target is not None and len(times) >= 8:
         t_arr, s_arr = trim_uniform(np.array(times), np.array(series))
         resampled = False
-        if len(t_arr) < len(times):
+        if len(t_arr) < len(times) - 1:
             # auto dt makes the sampling non-uniform; interpolate onto a
             # uniform grid of the same span for the linear-prediction fit
+            # (a fixed dt loses at most its shortened final sample)
             t_raw = np.array(times)
             s_raw = np.array(series)
             t_arr = np.linspace(t_raw[0], t_raw[-1], len(t_raw))
@@ -390,13 +395,7 @@ def run(config: RunConfig, observer=None):
         "config": config.raw,
         "config_hash": config_content_hash(config.raw),
         "params": {
-            "mu": config.params.mu,
-            "eta": config.params.eta,
-            "lam": config.params.lam,
-            "kappa": config.params.kappa,
-            "tau": config.params.tau,
-            "zeta": config.params.zeta,
-            "nu": config.params.nu,
+            **asdict(config.params),
             "c": config.params.c,
             "c_s": config.params.c_s,
             "delta": config.params.delta,
@@ -713,25 +712,33 @@ def _loglog_slope(points) -> float | None:
 
 def _sweep_one(doc: dict, axis: str, value: float, out_dir: Path,
                reference_v: VectorField | None = None) -> dict:
-    config = RunConfig.from_dict(_config_with(doc, axis, value), out_dir=out_dir)
+    """The sweep row of one value.  A failing run gives a failed row; it is
+    caught here, in the worker, because a run's exception may carry state
+    that does not pickle."""
     row = {"axis": axis, "value": value, "status": "ok",
            "run_dir": str(out_dir)}
-    observer = None
-    if axis == "amplitude" and config.system == "fi_incompressible":
-        observer = _maxwell_twin(config, row)
-    summary, final = run(config, observer)
-    m = summary.get("measurement")
-    if m:
-        row["phase_speed"] = m["measured_phase_speed"]
-        row["decay_rate"] = m["measured_decay_rate"]
-    if axis == "lambda":
-        row["delta"] = config.params.delta
-    if reference_v is not None:
-        row["deviation_l2"] = _delta_deviation(final.v, reference_v)
+    try:
+        config = RunConfig.from_dict(_config_with(doc, axis, value),
+                                     out_dir=out_dir)
+        observer = None
+        if axis == "amplitude" and config.system == "fi_incompressible":
+            observer = _maxwell_twin(config, row)
+        summary, final = run(config, observer)
+        m = summary.get("measurement")
+        if m:
+            row["phase_speed"] = m["measured_phase_speed"]
+            row["decay_rate"] = m["measured_decay_rate"]
+        if axis == "lambda":
+            row["delta"] = config.params.delta
+        if reference_v is not None:
+            row["deviation_l2"] = _delta_deviation(final.v, reference_v)
+    except Exception as exc:  # run failures recorded, sweep continues
+        return {"axis": axis, "value": value, "status": "failed",
+                "error": str(exc)}
     return row
 
 
-def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
+def sweep(doc: dict, axis: str, values, out_dir) -> dict:
     """One run per value; aggregated CSV plus slope estimates where registered.
 
     axis='amplitude' on the incompressible system records the trajectory
@@ -739,8 +746,9 @@ def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
     on the compressible solid branch records the deviation from a common-dt
     incompressible reference against delta (slope ~ 1 expected, see
     `_delta_deviation`).  Individual run failures are recorded and the
-    sweep continues; the summary marks partial results.  At most `jobs`
-    runs, and no more than there are values, execute in parallel.
+    sweep continues; the summary marks partial results.  The runs execute
+    in one process pool of min(len(values), usable CPUs) workers; the rows
+    keep the order of the values.
     """
     values = [float(v) for v in values]
     if not values:
@@ -748,8 +756,6 @@ def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
     if axis not in _SWEEP_AXES:
         raise ConfigError(
             f"axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -758,23 +764,14 @@ def sweep(doc: dict, axis: str, values, out_dir, jobs: int = 1) -> dict:
         doc = _config_with(doc, "lambda", max(values))
         doc["control"]["dt"], reference_v = _delta_reference(RunConfig.from_dict(doc))
 
-    def row(value, result) -> dict:
-        try:
-            return result()
-        except Exception as exc:  # run failures recorded, sweep continues
-            return {"axis": axis, "value": value, "status": "failed",
-                    "error": str(exc)}
-
-    runs = [(doc, axis, v, out / f"run_{i:03d}", reference_v)
-            for i, v in enumerate(values)]
-    workers = min(jobs, len(values))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_one, *r) for r in runs]
-            rows = [row(v, f.result) for v, f in zip(values, futures)]
-    else:
-        rows = [row(v, functools.partial(_sweep_one, *r))
-                for v, r in zip(values, runs)]
+    # the usable CPUs are the affinity set, where the platform has one
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(min(len(values), cpus)) as pool:
+        futures = [pool.submit(_sweep_one, doc, axis, v, out / f"run_{i:03d}",
+                               reference_v)
+                   for i, v in enumerate(values)]
+        rows = [f.result() for f in futures]
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
     slope = None
@@ -833,12 +830,12 @@ def main(argv=None) -> int:
     sub.add_parser("verify", help="run the 41-check suite of operator "
                    "identities, exact corollaries and wave oracles")
 
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
+    p_sweep = sub.add_parser("sweep", help="run a parameter sweep, one run per "
+                             "value in a pool of up to one process per CPU")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--axis", required=True)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated numeric values")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
@@ -859,7 +856,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad --values: {exc}") from exc
             out_dir = args.out or doc.get("outputs", {}).get("out_dir", "out")
-            summary = sweep(doc, args.axis, values, out_dir, jobs=args.jobs)
+            summary = sweep(doc, args.axis, values, out_dir)
             print(json.dumps({k: v for k, v in summary.items() if k != "rows"},
                              sort_keys=True, indent=2))
             return 1 if summary["partial"] else 0

@@ -100,12 +100,13 @@ class FieldError(ValueError):
 
 
 def _fft_workers() -> int:
-    """FFT worker count, capped by METACONT_THREADS (default 1, deterministic)."""
-    try:
-        workers = int(os.environ.get("METACONT_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, workers)
+    """FFT worker count from METACONT_THREADS (default 1, deterministic); any
+    value but a positive integer raises ValueError."""
+    value = os.environ.get("METACONT_THREADS", "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValueError(
+            f"METACONT_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _is_integer(x) -> bool:

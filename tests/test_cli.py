@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -154,6 +155,18 @@ class TestRun:
         assert m["resampled"]
         assert m["valid"]
         assert m["phase_speed_rel_error"] < 0.005
+
+    def test_fixed_dt_wave_run_drops_only_the_short_final_step(self, tmp_path):
+        # 6.5 / 0.03 is not whole: the last step is shortened and its sample
+        # dropped, and the uniform rest is fitted without interpolation
+        doc = shear_config(tmp_path / "out", t_end=6.5, dt=0.03)
+        doc["grid"]["dims"] = [32, 32, 1]
+        summary, _ = run(RunConfig.from_dict(doc))
+        m = summary["measurement"]
+        assert summary["samples"] == 218
+        assert not m["resampled"]
+        assert m["valid"]
+        assert m["phase_speed_rel_error"] < 1e-6
 
     def test_reports_stream_written(self, tmp_path):
         out = tmp_path / "out"
@@ -534,42 +547,23 @@ class TestSweep:
             assert expected > 0.0
             assert row["maxwell_distance"] == expected
 
-class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """The real process pool, recording the worker count of each pool made."""
 
     created: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers=None, *args, **kwargs):
         self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+        super().__init__(max_workers, *args, **kwargs)
 
 
 class TestSweepInput:
     @pytest.fixture
-    def executor(self, monkeypatch):
-        monkeypatch.setattr(_InlineExecutor, "created", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
-        return _InlineExecutor
-
-    def _main(self, tmp_path, values, jobs):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(shear_config(tmp_path / "out", t_end=0.04)))
-        return main(["sweep", "--config", str(cfg), "--axis", "kappa",
-                     "--values", values, "--jobs", str(jobs),
-                     "--out", str(tmp_path / "s")])
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "created", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _RecordingPool)
+        return _RecordingPool
 
     def test_json_array_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
@@ -579,23 +573,68 @@ class TestSweepInput:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, tmp_path, capsys, executor, jobs):
-        assert self._main(tmp_path, "0.1,0.2", jobs) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-        assert executor.created == []
-        with pytest.raises(ConfigError):
-            sweep(shear_config(tmp_path / "o"), "kappa", [0.1], tmp_path / "t",
-                  jobs=jobs)
+    def test_jobs_flag_is_a_usage_error(self, tmp_path):
+        # the pool is sized from the values and the CPUs: there is no knob
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(shear_config(tmp_path / "out", t_end=0.04)))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(cfg), "--axis", "kappa",
+                  "--values", "0.1,0.2", "--jobs", "2",
+                  "--out", str(tmp_path / "s")])
+        assert info.value.code == 2
+        assert not (tmp_path / "s").exists()
 
-    def test_pool_capped_at_value_count(self, tmp_path, executor):
-        assert self._main(tmp_path, "0.1,0.2", 8) == 0
-        assert executor.created == [2]
+    def test_pool_sized_from_values_and_usable_cpus(self, tmp_path, monkeypatch,
+                                                    pool):
+        doc = shear_config(tmp_path / "o", t_end=0.04)
+        values = [0.1, 0.2, 0.3]
+        rows, csvs = [], []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+            out = tmp_path / f"s{len(cpus)}"
+            summary = sweep(doc, "kappa", values, out)
+            assert not summary["partial"]
+            rows.append([{k: v for k, v in r.items() if k != "run_dir"}
+                         for r in summary["rows"]])
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert pool.created == [1, min(len(values), 4)]
+        assert [r["value"] for r in rows[0]] == values
+        assert rows[0] == rows[1]
+        assert csvs[0] == csvs[1]
 
-    @pytest.mark.parametrize("values, jobs", [("0.1,0.2", 1), ("0.1", 4)])
-    def test_one_worker_runs_inline(self, tmp_path, executor, values, jobs):
-        assert self._main(tmp_path, values, jobs) == 0
-        assert executor.created == []
+    def test_usable_cpus_fall_back_to_cpu_count(self, tmp_path, monkeypatch,
+                                                pool):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        summary = sweep(shear_config(tmp_path / "o", t_end=0.04), "kappa",
+                        [0.1, 0.2, 0.3], tmp_path / "s")
+        assert not summary["partial"]
+        assert pool.created == [2]
+
+    def test_workers_inherit_the_thread_count(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("METACONT_THREADS", "0")
+        summary = sweep(shear_config(tmp_path / "o", t_end=0.04), "kappa",
+                        [0.1, 0.2], tmp_path / "s")
+        assert summary["partial"]
+        for row in summary["rows"]:
+            assert row["status"] == "failed"
+            assert row["error"] == (
+                "METACONT_THREADS must be a positive integer, got '0'")
+
+    def test_failed_run_in_a_worker_keeps_its_own_message(self, tmp_path):
+        # an IntegrationError carries the last state and a closure, which do
+        # not pickle; the row must still hold the run's own message
+        doc = shear_config(tmp_path / "o", t_end=0.2)
+        doc["grid"]["dims"] = [16, 16, 1]
+        doc["scenario"] = {"kind": "random_solenoidal", "amplitude": 0.1,
+                           "seed": 3}
+        # eta = 1e6 takes c dt far past RK4's stability range
+        summary = sweep(doc, "eta", [1.0, 1e6], tmp_path / "s")
+        ok, failed = summary["rows"]
+        assert ok["status"] == "ok"
+        assert failed["status"] == "failed"
+        assert failed["error"].startswith("step from t=")
+        assert "pickle" not in failed["error"]
 
 
 class TestMainEntryPoint:

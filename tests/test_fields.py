@@ -1,6 +1,7 @@
 """Field containers, algebra, norms, transforms, dealiasing, snapshots."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,13 @@ class TestSpectral:
         assert back.dtype == np.float64
         assert back.flags.c_contiguous
         assert back.flags.owndata
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two", ""])
+    def test_bad_thread_count_is_rejected(self, threads, monkeypatch):
+        monkeypatch.setenv("METACONT_THREADS", threads)
+        with pytest.raises(ValueError, match=re.escape(
+                f"METACONT_THREADS must be a positive integer, got {threads!r}")):
+            fftn_array(GRID_64, np.zeros(GRID_64.shape))
 
     def test_parseval(self):
         f = band_limited_scalar(GRID_64, seed=7, fraction=0.5)
