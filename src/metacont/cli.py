@@ -56,7 +56,6 @@ from .fields import (
     atomic_write_text,
     from_spectral,
     make_grid,
-    mode_coefficient,
     norm_l2,
     norm_linf,
     spectral_norm_l2,
@@ -66,11 +65,11 @@ from .fields import (
 from .scenarios import (
     ScenarioSpec,
     band_limited_noise,
-    dispersion_compressional,
     dispersion_shear,
     generate,
     measure_wave,
     trim_uniform,
+    wave_oracle,
 )
 
 __all__ = ["ConfigError", "RunConfig", "run", "verify", "sweep", "main"]
@@ -197,62 +196,6 @@ def config_content_hash(doc: dict) -> str:
 # run
 # ---------------------------------------------------------------------------
 
-def _measurement_target(config: RunConfig):
-    """(component picker, k magnitude) for scenarios with a wave oracle."""
-    kind = config.scenario.kind
-    if kind not in scenarios._WAVE_KINDS:
-        return None
-    name = "E" if kind == "uniform_E_decay" else "v"
-    if name not in SYSTEMS[config.system].fields:
-        return None  # the classical state has no v
-    k = scenarios._physical_wavevector(config.scenario, config.grid)
-    kmag = float(np.linalg.norm(k))
-    if kind in scenarios._SHEAR_KINDS:
-        direction = np.asarray(config.scenario.polarization)
-    else:
-        direction = k / kmag
-
-    def pick(state):
-        # each coefficient costs a transform: skip the zero weights, whose
-        # terms add exactly nothing
-        field = getattr(state, name)
-        return sum(
-            d * mode_coefficient(c, config.scenario.wavevector)
-            for d, c in zip(direction, (field.x, field.y, field.z)) if d != 0.0
-        )
-
-    return pick, kmag
-
-
-def _oracle_summary(config: RunConfig, kmag: float) -> dict:
-    kind = config.scenario.kind
-    if kind in scenarios._SHEAR_KINDS:
-        disp = dispersion_shear(kmag, config.params)
-        return {
-            "law": "shear_dispersion",
-            "frequency": disp.frequency,
-            "phase_speed": disp.frequency / kmag,
-            "decay_rate": disp.decay_rate,
-            "regime": disp.regime,
-        }
-    if kind == "compression_pulse":
-        w = dispersion_compressional(kmag, config.params)[0]
-        return {
-            "law": "compressional_dispersion",
-            "frequency": w,
-            "phase_speed": w / kmag,
-            "decay_rate": 0.0,
-            "regime": "underdamped",
-        }
-    return {
-        "law": "stress_attenuation",
-        "frequency": 0.0,
-        "phase_speed": 0.0,
-        "decay_rate": config.params.kappa,
-        "regime": "decay",
-    }
-
-
 # artifact names of state attributes and rates that differ from the attribute
 _ARTIFACT_NAMES = {"mu_field": "mu", "pressure": "p"}
 
@@ -281,7 +224,8 @@ def run(config: RunConfig, observer=None):
 
     state0 = record.initial(
         generate(config.scenario, config.grid, config.params), config.params)
-    target = _measurement_target(config)
+    oracle = wave_oracle(config.scenario, config.grid, config.params,
+                         config.system)
     times, series = [], []
     reports = []
     written: list[Path] = []
@@ -303,9 +247,9 @@ def run(config: RunConfig, observer=None):
 
     def observe(i, state, rates):
         last.update(index=i, state=state, rates=rates)
-        if target is not None:
+        if oracle is not None:
             times.append(state.time)
-            series.append(target[0](state))
+            series.append(oracle.sample(state))
         if i == 0 or (config.report_every and i % config.report_every == 0):
             report(i, state, rates)
         if i == 0 or (config.snapshot_every and i % config.snapshot_every == 0):
@@ -330,7 +274,7 @@ def run(config: RunConfig, observer=None):
 
     # measurement vs oracle
     measurement = None
-    if target is not None and len(times) >= 8:
+    if oracle is not None and len(times) >= 8:
         t_arr, s_arr = trim_uniform(np.array(times), np.array(series))
         resampled = False
         if len(t_arr) < len(times) - 1:
@@ -344,24 +288,18 @@ def run(config: RunConfig, observer=None):
                      + 1j * np.interp(t_arr, t_raw, s_raw.imag))
             resampled = True
         if len(t_arr) >= 8:
-            m = measure_wave(t_arr, s_arr, k_mag=target[1])
-            oracle = _oracle_summary(config, target[1])
+            m = measure_wave(t_arr, s_arr, k_mag=oracle.k_mag)
             measurement = {
                 "resampled": resampled,
                 "measured_omega": m.omega,
                 "measured_phase_speed": m.phase_speed,
                 "measured_decay_rate": m.decay_rate,
                 "fit_residual": m.fit_residual,
-                "valid": bool(m.valid),
-                "degenerate": bool(m.degenerate),
-                "oracle": oracle,
+                "valid": m.valid,
+                "degenerate": m.degenerate,
+                "oracle": oracle.summary(),
+                **oracle.errors(m),
             }
-            if oracle["frequency"] > 0:
-                measurement["phase_speed_rel_error"] = abs(
-                    m.phase_speed - oracle["phase_speed"]) / oracle["phase_speed"]
-            if oracle["decay_rate"] > 0:
-                measurement["decay_rate_rel_error"] = abs(
-                    m.decay_rate - oracle["decay_rate"]) / oracle["decay_rate"]
 
     reports_path = out / "reports.ndjson"
     emlaws.write_reports_ndjson(reports, reports_path)
@@ -396,6 +334,7 @@ def run(config: RunConfig, observer=None):
         "config_hash": config_content_hash(config.raw),
         "params": {
             **asdict(config.params),
+            "zeta": config.params.zeta,
             "c": config.params.c,
             "c_s": config.params.c_s,
             "delta": config.params.delta,
@@ -519,24 +458,26 @@ def _verify_checks():
         rate = -np.log(norm_linf(out.E) / 0.1) / t_end
         return abs(rate - kappa) / kappa, 0.005
 
+    shear_spec = ScenarioSpec("standing_shear_wave", amplitude=1e-3,
+                              wavevector=(1, 0, 0), polarization=(0, 1, 0))
+
     def shear_wave(params):
-        spec = ScenarioSpec("standing_shear_wave", amplitude=1e-3,
-                            wavevector=(1, 0, 0), polarization=(0, 1, 0))
-        return generate(spec, grid2d, params)
+        return generate(shear_spec, grid2d, params)
 
     def shear_speed():
         params = MediumParams()
+        oracle = wave_oracle(shear_spec, grid2d, params, "fi_incompressible")
         times, series = [], []
 
         def obs(i, s, rates):
             times.append(s.time)
-            series.append(mode_coefficient(s.v.y, (1, 0, 0)))
+            series.append(oracle.sample(s))
 
         integrate(shear_wave(params), params, StepControl(t_end=6.5, dt=0.026),
                   "fi_incompressible", obs)
         t, s = trim_uniform(np.array(times), np.array(series))
-        m = measure_wave(t, s, k_mag=1.0)
-        return abs(m.phase_speed - params.c) / params.c, 0.005
+        m = measure_wave(t, s, k_mag=oracle.k_mag)
+        return oracle.errors(m)["phase_speed_rel_error"], 0.005
 
     def energy_drift():
         params = MediumParams()

@@ -172,11 +172,11 @@ class MediumParams:
     lam    dilational Lame coefficient
     kappa  conductivity (linear attenuation of the stress vector)
     tau    stress relaxation time
-    zeta   elastic viscosity; derived as eta * tau when omitted
     nu     dilational viscosity (liquid dilational branch)
 
-    Derived: c = sqrt(eta/mu), c_s = sqrt((2 eta + lam)/mu),
-    delta = eta / (2 eta + lam) = c^2 / c_s^2 in (0, 1/2].
+    Derived: zeta = eta tau (elastic viscosity), c = sqrt(eta/mu),
+    c_s = sqrt((2 eta + lam)/mu), delta = eta / (2 eta + lam) = c^2 / c_s^2
+    in (0, 1/2].
     """
 
     mu: float = 1.0
@@ -184,13 +184,12 @@ class MediumParams:
     lam: float = 0.0
     kappa: float = 0.0
     tau: float = 1.0
-    zeta: float | None = None
     nu: float = 0.0
 
     def __post_init__(self):
-        for name in ("mu", "eta", "lam", "kappa", "tau", "zeta", "nu"):
+        for name in ("mu", "eta", "lam", "kappa", "tau", "nu"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
@@ -204,16 +203,11 @@ class MediumParams:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.nu < 0:
             raise ValueError(f"nu must be non-negative, got {self.nu}")
-        if self.zeta is None:
-            object.__setattr__(self, "zeta", self.eta * self.tau)
-        else:
-            if self.zeta < 0:
-                raise ValueError(f"zeta must be non-negative, got {self.zeta}")
-            if abs(self.eta - self.zeta / self.tau) > 1e-12 * max(self.eta, 1.0):
-                raise ValueError(
-                    f"inconsistent moduli: eta={self.eta} but zeta/tau="
-                    f"{self.zeta / self.tau}"
-                )
+
+    @property
+    def zeta(self) -> float:
+        """Elastic viscosity, eta tau."""
+        return self.eta * self.tau
 
     @property
     def c(self) -> float:

@@ -21,6 +21,11 @@ not state: the fi right-hand side returns it with its rates.
 
 Oracles
 -------
+`wave_oracle` decides which spectral mode of a scenario run by a system is
+measured, and what its analytic oracle says: the mode of v along the
+polarization for the shear kinds, of v along khat (w = c_s k) for
+``compression_pulse``, of E along khat (decay rate kappa) for
+``uniform_E_decay``.  kappa enters only for the systems that integrate it.
 Eliminating the stress vector for solenoidal plane waves turns the coupled
 first-order system into the telegraph equation
 
@@ -35,19 +40,21 @@ in the test suite before being used as expected values anywhere.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diffops import curl, leray_project
-from .dynamics import FluidState, MediumParams
+from .dynamics import SYSTEMS, FluidState, MediumParams
 from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
     fftn_array,
     ifftn_array,
+    mode_coefficient,
     norm_linf,
     _is_integer,
     _mode_indices,
@@ -63,6 +70,8 @@ __all__ = [
     "ShearDispersion",
     "dispersion_shear",
     "dispersion_compressional",
+    "WaveOracle",
+    "wave_oracle",
     "WaveMeasurement",
     "measure_wave",
     "trim_uniform",
@@ -80,6 +89,8 @@ SCENARIO_KINDS = (
 _SHEAR_KINDS = frozenset({"plane_shear_wave", "standing_shear_wave"})
 _WAVE_KINDS = _SHEAR_KINDS | {"compression_pulse", "uniform_E_decay"}
 RANDOM_BAND_FRACTION = 1.0 / 6.0
+# Gaussian vortex width relative to the shorter in-plane box side
+_VORTEX_WIDTH = 0.125
 
 
 class ScenarioError(ValueError):
@@ -96,7 +107,7 @@ class ScenarioSpec:
 
     polarization is required for the shear kinds and must be orthogonal to
     the wavevector; it is normalized on construction.  seed only matters for
-    the random kinds; width (box-relative) only for the Gaussian vortex.
+    the random kinds.
     """
 
     kind: str
@@ -104,7 +115,6 @@ class ScenarioSpec:
     wavevector: tuple[int, int, int] = (1, 0, 0)
     polarization: tuple[float, float, float] | None = None
     seed: int = 0
-    width: float = 0.125
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -133,8 +143,6 @@ class ScenarioSpec:
                 raise ScenarioError("polarization must be nonzero")
             pol = pol / norm
             object.__setattr__(self, "polarization", tuple(float(p) for p in pol))
-        if not (0.0 < self.width < 0.5):
-            raise ScenarioError("width must lie in (0, 1/2) (box-relative)")
 
 
 def _physical_wavevector(spec: ScenarioSpec, grid: GridSpec) -> np.ndarray:
@@ -217,7 +225,7 @@ def generate(spec: ScenarioSpec, grid: GridSpec, params: MediumParams) -> FluidS
     elif spec.kind == "gaussian_vortex":
         x, y, _ = grid.coordinates()
         lx, ly = grid.lengths[0], grid.lengths[1]
-        w = spec.width * min(lx, ly)
+        w = _VORTEX_WIDTH * min(lx, ly)
         bump = np.exp(-((x - lx / 2) ** 2 + (y - ly / 2) ** 2) / (2.0 * w * w))
         zero = np.zeros(grid.shape)
         stream = VectorField.from_arrays(
@@ -302,6 +310,83 @@ def dispersion_compressional(k_mag: float, params: MediumParams) -> tuple[float,
     return (w, -w)
 
 
+@dataclass(frozen=True)
+class WaveOracle:
+    """The spectral mode a wave scenario is measured on, and its oracle.
+
+    The mode is the `wavevector` coefficient of the state's `field`, weighted
+    by `direction` over the x, y, z components; k_mag is |k| on the box.  The
+    oracle is a `law` name, a frequency, a decay rate and a regime.
+    """
+
+    field: str
+    wavevector: tuple[int, int, int]
+    direction: tuple[float, float, float]
+    k_mag: float
+    law: str
+    frequency: float
+    decay_rate: float
+    regime: str
+
+    @property
+    def phase_speed(self) -> float:
+        return self.frequency / self.k_mag
+
+    def sample(self, state) -> complex:
+        """The measured mode's coefficient in `state`."""
+        # each coefficient costs a transform: skip the zero weights, whose
+        # terms add exactly nothing
+        field = getattr(state, self.field)
+        return sum(
+            d * mode_coefficient(c, self.wavevector)
+            for d, c in zip(self.direction, (field.x, field.y, field.z)) if d != 0.0
+        )
+
+    def summary(self) -> dict:
+        return {"law": self.law, "frequency": self.frequency,
+                "phase_speed": self.phase_speed, "decay_rate": self.decay_rate,
+                "regime": self.regime}
+
+    def errors(self, m: WaveMeasurement) -> dict:
+        """Relative errors of a measurement against the nonzero oracle values."""
+        out = {}
+        if self.frequency > 0:
+            out["phase_speed_rel_error"] = (
+                abs(m.phase_speed - self.phase_speed) / self.phase_speed)
+        if self.decay_rate > 0:
+            out["decay_rate_rel_error"] = (
+                abs(m.decay_rate - self.decay_rate) / self.decay_rate)
+        return out
+
+
+def wave_oracle(spec: ScenarioSpec, grid: GridSpec, params: MediumParams,
+                system: str) -> WaveOracle | None:
+    """The measured mode and oracle of `spec` run by `system`, or None when
+    the scenario has no wave oracle or the system does not advance the field
+    its mode is read from (the classical state has no v)."""
+    if spec.kind not in _WAVE_KINDS:
+        return None
+    record = SYSTEMS[system]
+    field = "E" if spec.kind == "uniform_E_decay" else "v"
+    if field not in record.fields:
+        return None
+    if not record.uses_kappa:
+        params = dataclasses.replace(params, kappa=0.0)
+    k = _physical_wavevector(spec, grid)
+    k_mag = float(np.linalg.norm(k))
+    direction = tuple(k / k_mag)
+    if spec.kind in _SHEAR_KINDS:
+        direction = spec.polarization
+        disp = dispersion_shear(k_mag, params)
+        law = ("shear_dispersion", disp.frequency, disp.decay_rate, disp.regime)
+    elif spec.kind == "compression_pulse":
+        law = ("compressional_dispersion",
+               dispersion_compressional(k_mag, params)[0], 0.0, "underdamped")
+    else:
+        law = ("stress_attenuation", 0.0, params.kappa, "decay")
+    return WaveOracle(field, spec.wavevector, direction, k_mag, *law)
+
+
 # ---------------------------------------------------------------------------
 # wave measurement
 # ---------------------------------------------------------------------------
@@ -339,20 +424,20 @@ def trim_uniform(times, values):
     return t[:n], s[:n]
 
 
-def _fit_amplitudes(basis: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
-    coef, *_ = np.linalg.lstsq(basis, s, rcond=None)
-    residual = s - basis @ coef
-    return coef, float(np.sqrt(np.mean(np.abs(residual) ** 2)))
-
-
 def measure_wave(times, values, k_mag: float = 1.0) -> WaveMeasurement:
     """Fit A e^{-gamma t} cos(w t + phi) to a spectral-mode series.
 
     Uniform sampling is required (use `trim_uniform` when the final step of a
     run was shortened); recommended input is at least 32 samples spanning two
-    oscillation periods.  The fit is linear-prediction based (order 1 for a
-    rotating mode, order 2 for a standing one), so it is deterministic; a
-    singular fit raises FitError instead of silently returning defaults.
+    oscillation periods.  One linear-prediction fit, s[n+2] = a s[n+1] +
+    b s[n] with real a and b over the real and imaginary parts together,
+    gives two roots: a conjugate pair for a standing damped cosine, z and its
+    conjugate for a rotating mode c z^n (both of its parts obey the real
+    recurrence), two real roots for decays.  The amplitudes of the roots are
+    fitted by least squares and the root with the largest amplitude is
+    reported, with its frequency made non-negative.  The fit is
+    deterministic; a singular fit raises FitError instead of silently
+    returning defaults.
     """
     t = np.asarray(times, dtype=float)
     s = np.asarray(values, dtype=complex)
@@ -360,11 +445,11 @@ def measure_wave(times, values, k_mag: float = 1.0) -> WaveMeasurement:
         raise FitError("times and values must be 1-D arrays of equal length")
     if len(t) < 8:
         raise FitError(f"need at least 8 samples, got {len(t)}")
-    dt = t[1] - t[0]
+    dt = float(t[1] - t[0])
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(abs(dt), 1.0):
         raise FitError("series must be uniformly sampled in time")
 
-    span = t[-1] - t[0]
+    span = float(t[-1] - t[0])
     scale = float(np.max(np.abs(s)))
     if scale == 0.0:
         return WaveMeasurement(0.0, 0.0, 0.0, 0.0, True, True)
@@ -372,53 +457,29 @@ def measure_wave(times, values, k_mag: float = 1.0) -> WaveMeasurement:
         # constant series: frequency unidentifiable
         return WaveMeasurement(0.0, 0.0, 0.0, 0.0, True, True)
 
-    candidates = []
+    lhs = np.concatenate([s[2:].real, s[2:].imag])
+    col1 = np.concatenate([s[1:-1].real, s[1:-1].imag])
+    col2 = np.concatenate([s[:-2].real, s[:-2].imag])
     try:
-        # order 1: single rotating/decaying exponential s[n+1] = z s[n]
-        denom = np.vdot(s[:-1], s[:-1])
-        if abs(denom) > 0:
-            z1 = complex(np.vdot(s[:-1], s[1:]) / denom)
-            if abs(z1) > 0:
-                basis = (z1 ** np.arange(len(s)))[:, None]
-                _, res1 = _fit_amplitudes(basis, s)
-                candidates.append((res1, z1))
-        # order 2 with real coefficients: s[n+2] = a s[n+1] + b s[n]
-        lhs = np.concatenate([s[2:].real, s[2:].imag])
-        col1 = np.concatenate([s[1:-1].real, s[1:-1].imag])
-        col2 = np.concatenate([s[:-2].real, s[:-2].imag])
         ab, *_ = np.linalg.lstsq(np.stack([col1, col2], axis=1), lhs, rcond=None)
-        roots = np.roots([1.0, -ab[0], -ab[1]])
-        finite = [complex(r) for r in roots if np.isfinite(r) and abs(r) > 0]
-        if finite:
-            # basis uses the roots exactly as found (a conjugate pair spans a
-            # real damped cosine); only the reported root is normalized
-            largest = max(abs(r) for r in finite)
-            if len(finite) == 2 and abs(finite[0] - finite[1]) <= 1e-12 * largest:
-                finite = finite[:1]
-            n_idx = np.arange(len(s))
-            basis = np.stack([r ** n_idx for r in finite], axis=1)
-            _, res2 = _fit_amplitudes(basis, s)
-            dominant = max(finite, key=lambda r: (abs(r), r.imag))
-            if dominant.imag < 0:
-                dominant = dominant.conjugate()
-            candidates.append((res2, dominant))
+        roots = [complex(r) for r in np.roots([1.0, -ab[0], -ab[1]])
+                 if np.isfinite(r) and abs(r) > 0]
+        if len(roots) == 2 and abs(roots[0] - roots[1]) <= 1e-12 * max(map(abs, roots)):
+            roots = roots[:1]  # a double root spans one exponential
+        if not roots:
+            raise FitError("no usable linear-prediction root for this series")
+        basis = np.stack([r ** np.arange(len(s)) for r in roots], axis=1)
+        amplitudes, *_ = np.linalg.lstsq(basis, s, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"linear-prediction fit failed: {exc}") from exc
-
-    if not candidates:
-        raise FitError("no usable linear-prediction model for this series")
-    fit_residual, z = min(candidates, key=lambda c: c[0])
-    if abs(z) <= 0.0:
-        raise FitError("degenerate recurrence root")
+    fit_residual = float(np.sqrt(np.mean(np.abs(s - basis @ amplitudes) ** 2)))
+    z = roots[int(np.argmax(np.abs(amplitudes)))]
     omega = abs(cmath.phase(z)) / dt
-    gamma = -math.log(abs(z)) / dt
-    degenerate = omega * span < math.pi / 2.0
-    valid = fit_residual <= 0.01 * scale
     return WaveMeasurement(
         omega=omega,
         phase_speed=omega / k_mag,
-        decay_rate=gamma,
+        decay_rate=-math.log(abs(z)) / dt,
         fit_residual=fit_residual,
-        valid=valid,
-        degenerate=degenerate,
+        valid=fit_residual <= 0.01 * scale,
+        degenerate=omega * span < math.pi / 2.0,
     )

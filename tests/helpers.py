@@ -1,4 +1,7 @@
-"""Shared builders for test fields: seeded noise, band-limited fields, waves."""
+"""Shared builders for test fields (seeded noise, band-limited fields, waves)
+and a check of written artifacts."""
+
+from pathlib import Path
 
 import numpy as np
 
@@ -61,3 +64,13 @@ def vector_of(grid: GridSpec, fx=None, fy=None, fz=None) -> VectorField:
     zero = np.zeros(grid.shape)
     arrs = [f.values if f is not None else zero for f in (fx, fy, fz)]
     return VectorField.from_arrays(grid, tuple(arrs))
+
+
+def assert_plain_numbers(out_dir) -> None:
+    """Every .json, .ndjson and .csv artifact under `out_dir` spells its
+    numbers as plain text: none holds a numpy repr such as np.float64(1.0)."""
+    paths = [p for p in sorted(Path(out_dir).rglob("*"))
+             if p.suffix in (".json", ".ndjson", ".csv")]
+    assert paths, f"no text artifact under {out_dir}"
+    for path in paths:
+        assert "np." not in path.read_text(), path

@@ -50,6 +50,8 @@ from metacont.fields import (
 )
 from metacont.scenarios import ScenarioSpec, generate
 
+from helpers import assert_plain_numbers
+
 TWO_PI = 2 * np.pi
 
 
@@ -65,6 +67,12 @@ def shear_config(out_dir, t_end=1.0, amplitude=1e-3, kappa=0.0, dt=0.02,
         "outputs": {"snapshot_every": snapshot_every,
                     "report_every": report_every, "out_dir": str(out_dir)},
     }
+
+
+def _without(section, key):
+    """The JSON text of a config document less one key of a section."""
+    return lambda doc: json.dumps(
+        {**doc, section: {k: v for k, v in doc[section].items() if k != key}})
 
 
 class TestConfigValidation:
@@ -96,6 +104,11 @@ class TestConfigValidation:
         doc = shear_config(tmp_path / "o")
         doc["integrator"] = "rk4"
         with pytest.raises(ConfigError):
+            RunConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "config", 5, None])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
             RunConfig.from_dict(doc)
 
     def test_content_hash_is_canonical(self, tmp_path):
@@ -200,6 +213,7 @@ class TestRun:
             else:
                 assert (tmp_path / "a" / rel).read_bytes() == \
                     (tmp_path / "b" / rel).read_bytes(), rel
+        assert_plain_numbers(tmp_path / "a")
 
     def test_second_order_system_runs(self, tmp_path):
         doc = shear_config(tmp_path / "out", t_end=0.2)
@@ -484,6 +498,19 @@ class TestSweep:
         assert rows[0]["decay_rate"] == pytest.approx(0.05, rel=0.05)
         assert rows[1]["decay_rate"] == pytest.approx(0.10, rel=0.05)
 
+    def test_sweep_csv_holds_plain_numbers(self, tmp_path):
+        doc = shear_config(tmp_path / "o", t_end=2.0)
+        doc["grid"]["dims"] = [16, 16, 1]
+        sweep(doc, "kappa", [0.1, 0.2], tmp_path / "s")
+        assert_plain_numbers(tmp_path / "s")
+        lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["status"] == "ok"
+            for name in ("value", "phase_speed", "decay_rate"):
+                float(row[name])
+
     def test_lambda_axis_rows_equal_a_direct_deviation(self, tmp_path):
         doc = {
             "grid": {"dims": [16, 16, 1]},
@@ -684,7 +711,12 @@ class TestMainEntryPoint:
         ("scenario", "wavevector", [1.5, 0, 0]),
         ("grid", "dims", [16.7, 16, 1]),
         ("outputs", "snapshot_every", 2.5),
+        ("outputs", "snapshot_every", -1),
+        ("outputs", "report_every", -2),
         ("control", "t_end", True),
+        # zeta is derived from eta and tau, the vortex width is fixed
+        ("params", "zeta", 1.0),
+        ("scenario", "width", 0.125),
     ])
     def test_bad_section_value_exits_2_with_json_error(self, tmp_path, capsys,
                                                        section, key, value):
@@ -697,6 +729,25 @@ class TestMainEntryPoint:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
         assert key in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: json.dumps(doc)[:-1], "config is not valid JSON"),
+        (_without("scenario", "kind"),
+         "scenario needs at least 'kind' and 'amplitude'"),
+        (_without("scenario", "amplitude"),
+         "scenario needs at least 'kind' and 'amplitude'"),
+        (_without("control", "t_end"), "control needs 't_end'"),
+    ], ids=["invalid_json", "no_kind", "no_amplitude", "no_t_end"])
+    def test_incomplete_config_exits_2_with_json_error(self, tmp_path, capsys,
+                                                       edit, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(edit(shear_config(tmp_path / "out", t_end=0.04)))
+        code = main(["run", "--config", str(cfg)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert message in payload["message"]
         assert not (tmp_path / "out").exists()
 
     def test_numpy_integers_are_integers(self, tmp_path):

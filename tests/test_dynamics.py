@@ -72,7 +72,8 @@ class TestMediumParams:
         assert p.zeta == 1.0
 
     def test_inconsistent_zeta_rejected(self):
-        with pytest.raises(ValueError):
+        # zeta is derived from eta and tau, so no zeta can be given at all
+        with pytest.raises(TypeError, match="zeta"):
             MediumParams(eta=1.0, tau=1.0, zeta=2.0)
 
     def test_positivity(self):
@@ -86,7 +87,7 @@ class TestMediumParams:
             MediumParams(tau=0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["mu", "eta", "lam", "kappa", "tau", "zeta", "nu"])
+    @pytest.mark.parametrize("name", ["mu", "eta", "lam", "kappa", "tau", "nu"])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             MediumParams(**{name: value})

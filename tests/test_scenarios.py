@@ -1,12 +1,18 @@
-"""Scenario generators, dispersion oracles, and the wave-measurement fit."""
+"""Scenario generators, dispersion oracles, the wave-measurement fit, and the
+agreement of every measured run with its oracle."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from metacont.fields import VectorField, norm_l2, norm_linf
+from metacont.cli import RunConfig, run
+from metacont.fields import VectorField, make_grid, norm_l2, norm_linf
 from metacont.diffops import curl, div
-from metacont.dynamics import MediumParams
+from metacont.dynamics import SYSTEMS, MediumParams
 from metacont.scenarios import (
+    SCENARIO_KINDS,
     FitError,
     ScenarioError,
     ScenarioSpec,
@@ -15,6 +21,7 @@ from metacont.scenarios import (
     generate,
     measure_wave,
     trim_uniform,
+    wave_oracle,
 )
 
 from helpers import GRID_64
@@ -263,9 +270,148 @@ class TestMeasureWave:
         with pytest.raises(FitError):
             measure_wave([0.0, 0.1], [1.0, 0.9])
 
+    def test_singular_fit_raises(self):
+        # an impulse: every prediction row is zero, so both roots are zero
+        t = 0.05 * np.arange(16)
+        with pytest.raises(FitError):
+            measure_wave(t, np.eye(16)[0])
+
+    def test_reports_the_root_that_carries_the_signal(self):
+        # a decay at 0.5 plus a constant a thousand times smaller: the
+        # constant's root has the larger modulus, the decay the amplitude
+        t = 0.01 * np.arange(101)
+        m = measure_wave(t, 0.05 * np.exp(-0.5 * t) + 5e-5)
+        assert m.valid
+        assert abs(m.decay_rate - 0.5) < 1e-9
+
+    def test_rotating_mode_of_either_sense_has_non_negative_frequency(self):
+        t = 0.05 * np.arange(64)
+        for sense in (1, -1):
+            m = measure_wave(t, 0.3 * np.exp((-0.1 + sense * 1.5j) * t))
+            assert abs(m.omega - 1.5) < 1e-9
+            assert abs(m.decay_rate - 0.1) < 1e-9
+
+    def test_fields_are_plain_python_values(self):
+        t, s = self._series(omega=1.0, gamma=0.25)
+        m = measure_wave(t, s)
+        for field in dataclasses.fields(m):
+            value = getattr(m, field.name)
+            assert type(value) in (float, bool), (field.name, type(value))
+
     def test_trim_uniform_drops_short_tail(self):
         t = np.array([0.0, 0.1, 0.2, 0.3, 0.35])
         s = np.arange(5.0)
         tt, ss = trim_uniform(t, s)
         assert len(tt) == 4
         np.testing.assert_array_equal(ss, s[:4])
+
+
+# ---------------------------------------------------------------------------
+# wave oracles and the runs measured against them
+# ---------------------------------------------------------------------------
+
+GRID_16 = make_grid((16, 16, 1), (2 * np.pi,) * 3)
+# kappa, lam and nu all nonzero, so a system that ignores one of them and an
+# oracle that does not shows up as a disagreement
+ORACLE_PARAMS = {"kappa": 0.3, "lam": 2.0, "nu": 0.1}
+# (t_end, dt): a shear period is 2 pi, a compressional one pi (c_s = 2)
+ORACLE_CONTROL = {"plane_shear_wave": (6.5, 0.1),
+                  "standing_shear_wave": (6.5, 0.1),
+                  "compression_pulse": (3.2, 0.04),
+                  "uniform_E_decay": (1.0, 0.02)}
+SHEAR = ("plane_shear_wave", "standing_shear_wave")
+# every system and wave scenario it accepts; the classical state has no v
+MEASURED = [
+    ("linear_navier", "plane_shear_wave"),
+    ("linear_navier", "standing_shear_wave"),
+    ("linear_navier", "compression_pulse"),
+    ("fi_incompressible", "plane_shear_wave"),
+    ("fi_incompressible", "standing_shear_wave"),
+    ("fi_incompressible", "uniform_E_decay"),
+    ("second_order", "plane_shear_wave"),
+    ("second_order", "standing_shear_wave"),
+    ("compressible_liquid", "plane_shear_wave"),
+    ("compressible_liquid", "standing_shear_wave"),
+    ("compressible_liquid", "uniform_E_decay"),
+    ("compressible_solid", "plane_shear_wave"),
+    ("compressible_solid", "standing_shear_wave"),
+    ("compressible_solid", "compression_pulse"),
+    ("compressible_solid", "uniform_E_decay"),
+]
+
+
+def _scenario_doc(kind, amplitude=1e-3):
+    doc = {"kind": kind, "amplitude": amplitude, "wavevector": [1, 0, 0]}
+    if kind in SHEAR:
+        doc["polarization"] = [0, 1, 0]
+    return doc
+
+
+def _assert_agrees(measurement):
+    assert measurement["valid"]
+    errors = {k: v for k, v in measurement.items() if k.endswith("_rel_error")}
+    assert errors  # an oracle with nothing to compare checks nothing
+    assert all(v < 2e-2 for v in errors.values()), errors
+
+
+class TestWaveOracle:
+    def test_an_oracle_for_exactly_the_measured_pairs(self):
+        params = MediumParams(**ORACLE_PARAMS)
+        found = [
+            (system, kind) for system, record in SYSTEMS.items()
+            for kind in SCENARIO_KINDS if kind in record.scenarios
+            and wave_oracle(ScenarioSpec(**_scenario_doc(kind)), GRID_16,
+                            params, system) is not None
+        ]
+        assert sorted(found) == sorted(MEASURED)
+
+    def test_kappa_only_for_systems_that_integrate_it(self):
+        spec = ScenarioSpec(**_scenario_doc("standing_shear_wave"))
+        params = MediumParams(kappa=0.5)
+        for system, record in SYSTEMS.items():
+            oracle = wave_oracle(spec, GRID_16, params, system)
+            if oracle is None:
+                continue
+            expected = dispersion_shear(1.0, params if record.uses_kappa
+                                        else MediumParams())
+            assert (oracle.frequency, oracle.decay_rate) == (
+                expected.frequency, expected.decay_rate), system
+        assert wave_oracle(spec, GRID_16, params, "linear_navier").decay_rate == 0.0
+        assert wave_oracle(spec, GRID_16, params,
+                           "fi_incompressible").decay_rate == 0.25
+
+    def test_mode_and_direction(self):
+        params = MediumParams(lam=2.0, kappa=0.5)
+        pulse = wave_oracle(ScenarioSpec("compression_pulse", 1e-3, (0, 2, 0)),
+                            GRID_16, params, "compressible_solid")
+        assert (pulse.field, pulse.wavevector, pulse.direction) == (
+            "v", (0, 2, 0), (0.0, 1.0, 0.0))
+        assert pulse.k_mag == 2.0
+        assert pulse.phase_speed == math.sqrt(4.0)
+        decay = wave_oracle(ScenarioSpec("uniform_E_decay", 0.1), GRID_16,
+                            params, "fi_incompressible")
+        assert (decay.field, decay.frequency, decay.decay_rate) == ("E", 0.0, 0.5)
+        assert wave_oracle(ScenarioSpec("random_solenoidal", 0.1), GRID_16,
+                           params, "fi_incompressible") is None
+
+    @pytest.mark.parametrize("system, kind", MEASURED)
+    def test_valid_measurement_agrees_with_its_oracle(self, tmp_path, system, kind):
+        t_end, dt = ORACLE_CONTROL[kind]
+        doc = {"grid": {"dims": [16, 16, 1]}, "params": ORACLE_PARAMS,
+               "system": system, "scenario": _scenario_doc(kind),
+               "control": {"t_end": t_end, "dt": dt}}
+        summary, _ = run(RunConfig.from_dict(doc, out_dir=tmp_path))
+        _assert_agrees(summary["measurement"])
+
+    @pytest.mark.parametrize("system, params", [
+        ("compressible_solid", {"kappa": 0.5, "lam": 2.0}),
+        ("compressible_liquid", {"kappa": 0.5, "nu": 0.1}),
+    ])
+    def test_large_stress_decay_agrees_with_its_oracle(self, tmp_path, system,
+                                                       params):
+        # the fit's spurious second root once had the larger modulus here
+        doc = {"grid": {"dims": [32, 32, 1]}, "params": params, "system": system,
+               "scenario": _scenario_doc("uniform_E_decay", amplitude=0.1),
+               "control": {"t_end": 1.0, "dt": 0.01}}
+        summary, _ = run(RunConfig.from_dict(doc, out_dir=tmp_path))
+        _assert_agrees(summary["measurement"])
