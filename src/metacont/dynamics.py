@@ -16,19 +16,24 @@ Systems
 - ``compressible_liquid`` / ``compressible_solid``   slightly compressible
   extension in (v, E, mu_field[, u]); the dilational stress is
   (nu + 2 zeta) div v (liquid) or (lam + 2 eta) div u (solid), and the density
-  obeys mu_t = -v.grad mu - mu div v.
+  obeys mu_t = -div(mu v).
 - ``classical_maxwell``      reference linear evolution in (E, B):
       B_t = -curl E,   E_t = c^2 curl B.
 
 Spectral core.  The fi and compressible systems share one pseudo-spectral
 core (`_core`).  It takes the stacked half-spectrum coefficients [v, E] and
-the physical v and E, and inverse-transforms the derivatives of v and of E
-along one active axis at a time, adding their share of the advection
-(v.grad)v, of the convected bracket v.grad E - E.grad v + (div v) E and of
-div v in place, so only one axis's derivatives are alive at once.  Both
-products are formed in physical space and dealiased with one forward
-transform each.  The linear terms (the Leray projection,
-eta curl(curl v), the dilational gradient, kappa E) stay in spectral space.
+the physical v and E.  It inverse-transforms the derivatives of v along one
+active axis at a time, adding their share of the advection (v.grad)v and of
+div v in place, so only one axis's derivatives are alive at once.  The
+convected bracket v.grad E - E.grad v + (div v) E is formed in the Maxwell
+form of the paper's generalized Ampere law, v div E - curl(v x E): one
+inverse transform of div E, then v div E and v x E forward-transformed and
+dealiased, and the curl taken on the coefficients.  It needs no derivative
+of E on the grid, and it makes generalized Ampere and metacharge continuity
+close at round-off on any state (see `emlaws`).  The compressible density
+rate is the conservative -div(mu v), from one forward transform of the mass
+flux.  The linear terms (the Leray projection, eta curl(curl v), the
+dilational gradient, kappa E) stay in spectral space.
 
 Each system is one `System` record in the `SYSTEMS` table, keyed by its
 name: the state fields it advances and their rates, its RHS, the fields
@@ -40,9 +45,9 @@ adding one record.
 State layout.  Time stepping is one four-stage explicit Runge-Kutta scheme
 for every system.  fi's RK stages hold the half-spectrum coefficients of v
 and E (`GridSpec.spectral_shape`), and its RHS (`_rhs_fi_hat`) returns rate
-coefficients, so a stage inverse-transforms v, E and their derivatives
-once and forward-transforms only the two products.  The post-step Leray
-projection is then one multiply.  The compressible systems keep physical
+coefficients, so a stage inverse-transforms v, E, the derivatives of v and
+div E once and forward-transforms only the three products.  The post-step
+Leray projection is then one multiply.  The compressible systems keep physical
 stages, because their 1/mu_field factor and positivity check need the
 density in physical space at every stage; the other systems are built from
 the `diffops` operators.  `step` and `integrate` take and return physical
@@ -76,6 +81,7 @@ from . import emlaws
 from .diffops import (
     _contract,
     _curl_curl_hat,
+    _curl_hat,
     _div_hat,
     _ik,
     _leray_hat,
@@ -93,6 +99,7 @@ from .fields import (
     ScalarField,
     TensorField,
     VectorField,
+    _cross_arrays,
     _k_squared,
     _k_vector,
     _transform_axes,
@@ -287,11 +294,11 @@ class StepControl:
 def upper_convected_vector(E: VectorField, v: VectorField,
                            dE_partial: VectorField | None) -> VectorField:
     """Upper-convected rate of a vector density:
-    dE_partial + v.grad E - E.grad v + (div v) E, products dealiased."""
+    dE_partial + v.grad E - E.grad v + (div v) E, formed as the spectral
+    core forms it (`_bracket_hat`)."""
     g = v.grid
-    hats = fftn_array(g, np.stack([v.values, E.values]))
-    bracket = _core(g, hats, v.values, E.values)[1]
-    out = VectorField._wrap(g, dealias_array(g, bracket))
+    bracket_hat = _bracket_hat(g, fftn_array(g, E.values), v.values, E.values)
+    out = VectorField._wrap(g, ifftn_array(g, bracket_hat))
     return out if dE_partial is None else dE_partial + out
 
 
@@ -333,23 +340,31 @@ def oldroyd_discrepancy(sigma: TensorField, v: VectorField) -> VectorField:
 def _core(g, hats, va, ea):
     """The quadratic terms of one elastic-fluid RHS evaluation (see the
     module docstring) from hats = [v_hat, E_hat] and the grid values va, ea
-    of v and E: (momentum, bracket, div v) on the grid, not yet dealiased,
-        momentum = -(v.grad v)
-        bracket  = v.grad E - E.grad v + (div v) E."""
+    of v and E: (momentum, bracket_hat, div v), where
+        momentum    = -(v.grad v) on the grid, not yet dealiased,
+        bracket_hat = P[v div E] - ik x P[v x E], the dealiased coefficients
+                      of v.grad E - E.grad v + (div v) E in Maxwell form,
+    and P is the two-thirds mask."""
     ik = _ik(g)
     momentum = np.zeros((3,) + g.shape)
-    bracket = np.zeros((3,) + g.shape)
     divv = np.zeros(g.shape)
     for i in _transform_axes(g):
         d_v = ifftn_array(g, ik[i] * hats[0])
-        d_e = ifftn_array(g, ik[i] * hats[1])
         momentum -= va[i] * d_v
-        bracket += va[i] * d_e
-        bracket -= ea[i] * d_v
         divv += d_v[i]
-        del d_v, d_e   # free before the next axis
-    bracket += ea * divv
-    return momentum, bracket, divv
+        del d_v   # free before the next axis
+    return momentum, _bracket_hat(g, hats[1], va, ea), divv
+
+
+def _bracket_hat(g, e_hat, va, ea):
+    """P[v div E] - ik x P[v x E] from the coefficients e_hat of E and the
+    grid values va, ea of v and E."""
+    div_e = ifftn_array(g, _div_hat(g, e_hat))
+    # two 3-component calls: one stacked 6-component call is slower at 32^3
+    bracket_hat = fftn_array(g, va * div_e)
+    bracket_hat -= _curl_hat(_k_vector(g), fftn_array(g, _cross_arrays(va, ea)))
+    bracket_hat *= dealias_mask(g)
+    return bracket_hat
 
 
 def _stress_rate_hat(g, hats, bracket_hat, params: MediumParams) -> np.ndarray:
@@ -418,7 +433,8 @@ def rhs_fi_incompressible(state: FluidState, params: MediumParams) -> FiRates:
     vector evolves by
         E_t = eta curl(curl v) - v.grad E + E.grad v - (div v) E - kappa E,
     with the (div v) E term retained even though div v = 0 analytically, so
-    that the derived-law residuals close discretely.
+    that the derived-law residuals close discretely; `_core` forms the
+    bracket as v div E - curl(v x E).
 
     The physical form of `_rhs_fi_hat`, which the stepper calls on
     coefficients: v and E are transformed once and the rates and pressure
@@ -444,15 +460,15 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     """
     if physical is None:
         physical = ifftn_array(g, hats)
-    momentum, bracket, divv = _core(g, hats, *physical)
+    momentum, bracket_hat, divv = _core(g, hats, *physical)
     divv_linf = float(np.max(np.abs(divv)))
     if divv_linf > DIV_INPUT_TOL:
         raise SolenoidalityError(
             f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
         )
-    products = fftn_array(g, np.stack([momentum, bracket])) * dealias_mask(g)
-    dv_hat, phi_hat = _leray_hat(g, products[0] - hats[1] / params.mu)
-    rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, products[1], params)])
+    momentum_hat = fftn_array(g, momentum) * dealias_mask(g)
+    dv_hat, phi_hat = _leray_hat(g, momentum_hat - hats[1] / params.mu)
+    rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, bracket_hat, params)])
 
     @functools.cache
     def rates() -> FiRates:
@@ -493,7 +509,8 @@ def rhs_compressible(state: FluidState, params: MediumParams,
     mu (v_t + v.grad v) = -E + grad(dilational stress) with the dilational
     stress (nu + 2 zeta) div v (liquid) or (lam + 2 eta) div u (solid); the
     E equation is unchanged from the incompressible system, and
-    mu_t = -v.grad mu - mu div v.  The solid branch also advances u_t = v.
+    mu_t = -div(mu v), formed as -ik.P[mu v] with P the two-thirds mask.
+    The solid branch also advances u_t = v.
     """
     if rheology not in ("liquid", "solid"):
         raise ValueError(f"rheology must be 'liquid' or 'solid', got {rheology!r}")
@@ -508,7 +525,7 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         raise ValueError("compressible solid branch needs u")
     g = v.grid
     hats = fftn_array(g, np.stack([v.values, E.values]))
-    momentum, bracket, divv = _core(g, hats, v.values, E.values)
+    momentum, bracket_hat = _core(g, hats, v.values, E.values)[:2]
     axes = list(_transform_axes(g))
     if rheology == "liquid":
         dilational_hat = _div_hat(g, hats[0]) * (params.nu + 2.0 * params.zeta)
@@ -524,13 +541,13 @@ def rhs_compressible(state: FluidState, params: MediumParams,
     momentum[axes] += ifftn_array(g, _ik(g)[axes] * dilational_hat) * inv_mu
     dv = dealias_array(g, momentum)
     del momentum
-    bracket_hat = fftn_array(g, bracket) * dealias_mask(g)
-    del bracket
     dE = ifftn_array(g, _stress_rate_hat(g, hats, bracket_hat, params))
-    mass = -mu_f.values * divv - _contract(g, v.values, _ik(g), mu_f.values)
+    # the mass flux mu v, only along the active axes that its divergence reads
+    flux_hat = {i: fftn_array(g, mu_f.values * v.values[i]) for i in axes}
+    dmu = ifftn_array(g, -_div_hat(g, flux_hat) * dealias_mask(g))
     return CompressibleRates(dv=VectorField._wrap(g, dv),
                              dE=VectorField._wrap(g, dE),
-                             dmu=ScalarField._wrap(g, dealias_array(g, mass)),
+                             dmu=ScalarField._wrap(g, dmu),
                              du=du)
 
 

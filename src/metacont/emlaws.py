@@ -8,9 +8,14 @@ Two groups of laws are checked:
 
 * exact discrete corollaries of the incompressible system's right-hand side
   (Faraday-Lorentz, its Hertz form, the generalized Ampere law, metacharge
-  continuity): their residuals vanish at rounding level on band-limited
-  states because div(curl .) = 0 spectrally and the dealiased products are
-  exactly represented;
+  continuity).  The RHS forms the stress rate's bracket in the Maxwell form
+  v div E - curl(v x E), from the same dealiased products J = v div E and
+  v x E that the laws read, and div(curl .) = 0 spectrally, so generalized
+  Ampere and metacharge continuity close at rounding level on any state.
+  Faraday-Lorentz and the Hertz form read the velocity rate, whose
+  advection stays in convective form, so they close at rounding level only
+  on band-limited states (|m| <= n/4), where the dealiased products are
+  exactly represented; on full-band states they read 0.03-0.33;
 * linear-limit laws (classical Faraday and the displacement-current law):
   their normalized residuals scale linearly with the state amplitude.
 

@@ -94,9 +94,12 @@ def rhs_fi_incompressible(grid, v, E, params):
     """(dv, dE, pressure) of the frame-indifferent incompressible system."""
     adv = vector_advection(grid, v, v)
     dv, phi = leray(grid, [-e / params.mu - a for e, a in zip(E, adv)])
-    divv = div(grid, v)
-    bracket = [a - b + dealias(grid, e * divv) for a, b, e in
-               zip(vector_advection(grid, v, E), vector_advection(grid, E, v), E)]
+    # the bracket v.grad E - E.grad v + (div v) E in the Maxwell form
+    # v div E - curl(v x E), products dealiased
+    divE = div(grid, E)
+    vxE = [dealias(grid, v[(j + 1) % 3] * E[(j + 2) % 3] - v[(j + 2) % 3] * E[(j + 1) % 3])
+           for j in range(3)]
+    bracket = [dealias(grid, a * divE) - c for a, c in zip(v, curl(grid, vxE))]
     dE = [params.eta * cc - b - params.kappa * e
           for cc, b, e in zip(curl_curl(grid, v), bracket, E)]
     return dv, dE, phi * params.mu

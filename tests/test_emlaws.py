@@ -4,12 +4,14 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from metacont.fields import (
     ScalarField,
     VectorField,
     cross,
     dealias_field,
+    make_grid,
     norm_linf,
 )
 from metacont.diffops import curl, div, grad, leray_project
@@ -20,6 +22,7 @@ from metacont.dynamics import (
     StepControl,
     integrate,
     rhs_classical_maxwell,
+    rhs_compressible,
     rhs_fi_incompressible,
     step,
 )
@@ -130,6 +133,30 @@ class TestExactCorollaries:
         report = fi_report(state, params, rhs_fi_incompressible(state, params))
         assert report.entry("faraday_lorentz").linf < 1e-9
         assert report.entry("generalized_ampere").linf < 1e-9
+
+    @pytest.mark.parametrize("system", ("fi", "compressible_solid"))
+    @pytest.mark.parametrize("dims", ((64, 64, 1), (16, 16, 16), (24, 24, 24)))
+    def test_ampere_and_continuity_close_on_full_band_states(self, system, dims):
+        # the stress rate's bracket is formed in the Maxwell form
+        # v div E - curl(v x E), whose terms these two laws read, so they close
+        # on a state whose every mode is occupied and no product is resolved
+        grid = make_grid(dims, (2 * np.pi,) * 3)
+        rng = np.random.default_rng(sum(dims))
+        noise = lambda scale: scale * rng.standard_normal((3,) + dims)  # noqa: E731
+        v = VectorField(grid, noise(0.1))
+        params = MediumParams(mu=1.3, eta=0.8, lam=2.5, kappa=0.4)
+        if system == "fi":
+            state = FluidState(time=0.0, v=leray_project(v).solenoidal,
+                               E=VectorField(grid, noise(0.1)))
+            rates = rhs_fi_incompressible(state, params)
+        else:
+            mu = ScalarField(grid, 1.0 + 0.2 * rng.uniform(-1.0, 1.0, dims))
+            state = FluidState(time=0.0, v=v, E=VectorField(grid, noise(0.1)),
+                               mu_field=mu, u=VectorField(grid, noise(0.01)))
+            rates = rhs_compressible(state, params, "solid")
+        report = fi_report(state, params, rates)
+        for law in ("generalized_ampere", "metacharge_continuity"):
+            assert report.entry(law).normalized_linf < 1e-12, law
 
     def test_hertz_matches_faraday_lorentz(self):
         params = MediumParams()

@@ -20,7 +20,6 @@ from metacont.diffops import (
     grad,
     laplacian,
     leray_project,
-    vector_advection,
 )
 from metacont.dynamics import (
     FluidState,
@@ -49,7 +48,7 @@ from metacont.fields import (
 from metacont.scenarios import band_limited_noise
 
 from helpers import band_limited_vector
-from test_rhs_core import SYSTEMS, _oracle, _rhs
+from test_rhs_core import SYSTEMS, _bracket, _oracle, _rhs
 
 SETTINGS = settings(max_examples=25, deadline=2000, derandomize=True,
                     database=None)
@@ -152,35 +151,47 @@ def test_stacked_noise_equals_successive_component_draws(grid, seed, shape):
     assert np.array_equal(stacked, np.reshape(components, shape + grid.shape))
 
 
-def _fluid_state(grid, seed, solenoidal: bool) -> FluidState:
-    """v, E and u of peak 0.1 and a density 1 +- 0.2, all band-limited noise."""
+def _fluid_state(grid, seed, solenoidal: bool, fraction=0.4) -> FluidState:
+    """v, E and u of peak 0.1 and a density 1 +- 0.2, all noise band-limited
+    to |m_i| <= fraction n_i."""
     rng = np.random.default_rng(seed)
-    v, E, u = (VectorField.from_arrays(grid, band_limited_noise(grid, rng, 0.4, (3,), 0.1))
-               for _ in range(3))
+    v, E, u = (VectorField.from_arrays(
+        grid, band_limited_noise(grid, rng, fraction, (3,), 0.1)) for _ in range(3))
     if solenoidal:
         v = leray_project(v).solenoidal
-    mu = ScalarField(grid, 1.0 + band_limited_noise(grid, rng, 0.4, peak=0.2))
+    mu = ScalarField(grid, 1.0 + band_limited_noise(grid, rng, fraction, peak=0.2))
     return FluidState(time=0.0, v=v, E=E, mu_field=mu, u=u)
+
+
+def _check_core(grid, seed, fraction, form):
+    # the fi RHS rejects a divergent v; the others get one, so that every
+    # div v term is exercised
+    for system in SYSTEMS:
+        state = _fluid_state(grid, seed, system == "fi", fraction)
+        rates = _rhs(system, state)
+        for name, expected in _oracle(system, state, form=form).items():
+            scale = norm_linf(expected)
+            assert scale > 0.0, (system, name)
+            assert norm_linf(getattr(rates, name) - expected) <= 1e-12 * scale, (system, name)
+    state = _fluid_state(grid, seed, False, fraction)
+    expected = _bracket(state.v, state.E, form)
+    got = upper_convected_vector(state.E, state.v, None)
+    assert norm_linf(got - expected) <= 1e-12 * norm_linf(expected)
 
 
 @SETTINGS
 @given(grids(), seeds)
 def test_spectral_core_matches_composed_operators(grid, seed):
-    # the fi RHS rejects a divergent v; the others get one, so that every
-    # div v term is exercised
-    for system in SYSTEMS:
-        state = _fluid_state(grid, seed, solenoidal=system == "fi")
-        rates = _rhs(system, state)
-        for name, expected in _oracle(system, state).items():
-            scale = norm_linf(expected)
-            assert scale > 0.0, (system, name)
-            assert norm_linf(getattr(rates, name) - expected) <= 1e-12 * scale, (system, name)
-    state = _fluid_state(grid, seed, solenoidal=False)
-    v, E = state.v, state.E
-    expected = (vector_advection(v, E) - vector_advection(E, v)
-                + dealias_field(E * div(v)))
-    got = upper_convected_vector(E, v, None)
-    assert norm_linf(got - expected) <= 1e-12 * norm_linf(expected)
+    # |m_i| <= 0.4 n_i: products alias, and only the Maxwell form matches
+    _check_core(grid, seed, 0.4, "maxwell")
+
+
+@SETTINGS
+@given(grids(), seeds)
+def test_spectral_core_matches_convective_form_on_quarter_band_input(grid, seed):
+    # |m_i| <= n_i / 4: every product is resolved, so the convective form
+    # v.grad E - E.grad v + (div v) E and -v.grad mu - mu div v match too
+    _check_core(grid, seed, 0.25, "convective")
 
 
 @SETTINGS
