@@ -20,20 +20,22 @@ Systems
 - ``classical_maxwell``      reference linear evolution in (E, B):
       B_t = -curl E,   E_t = c^2 curl B.
 
-Spectral core.  The fi and compressible systems share one pseudo-spectral
-core (`_core`).  It takes the stacked half-spectrum coefficients [v, E] and
-the physical v and E.  It inverse-transforms the derivatives of v along one
-active axis at a time, adding their share of the advection (v.grad)v and of
-div v in place, so only one axis's derivatives are alive at once.  The
-convected bracket v.grad E - E.grad v + (div v) E is formed in the Maxwell
-form of the paper's generalized Ampere law, v div E - curl(v x E): one
-inverse transform of div E, then v div E and v x E forward-transformed and
-dealiased, and the curl taken on the coefficients.  It needs no derivative
-of E on the grid, and it makes generalized Ampere and metacharge continuity
-close at round-off on any state (see `emlaws`).  The compressible density
-rate is the conservative -div(mu v), from one forward transform of the mass
-flux.  The linear terms (the Leray projection, eta curl(curl v), the
-dilational gradient, kappa E) stay in spectral space.
+Spectral core.  The fi and compressible systems form their quadratic terms
+alike from the stacked half-spectrum coefficients [v, E] and the physical v
+and E, with P the two-thirds mask.  The momentum is in rotational form,
+-(v.grad)v = v x omega - grad(|v|^2/2) (T. A. Zang, Appl. Numer. Math. 7,
+1991): omega = curl v from one inverse transform of ik x v, then P[v x omega]
+(`_lamb`).  fi's Leray projection removes the gradient; the compressible
+systems subtract ik P[|v|^2/2] (`_head_hat`).  The convected bracket
+v.grad E - E.grad v + (div v) E is formed in the Maxwell form of the paper's
+generalized Ampere law, v div E - curl(v x E), from one inverse transform of
+div E, with the curl taken on the dealiased coefficients (`_bracket_hat`).
+These are the products that the laws read, so fi's Faraday-Lorentz law,
+generalized Ampere and metacharge continuity close at round-off on any state
+(see `emlaws`).  The compressible density rate is the conservative
+-div(mu v), from one forward transform of the mass flux.  The linear terms
+(the Leray projection, eta curl(curl v), the dilational gradient, kappa E)
+stay in spectral space.
 
 Each system is one `System` record in the `SYSTEMS` table, keyed by its
 name: the state fields it advances and their rates, its RHS, the fields
@@ -45,8 +47,8 @@ adding one record.
 State layout.  Time stepping is one four-stage explicit Runge-Kutta scheme
 for every system.  fi's RK stages hold the half-spectrum coefficients of v
 and E (`GridSpec.spectral_shape`), and its RHS (`_rhs_fi_hat`) returns rate
-coefficients, so a stage inverse-transforms v, E, the derivatives of v and
-div E once and forward-transforms only the three products.  The post-step
+coefficients, so a stage inverse-transforms v, E, curl v, div v and div E
+once and forward-transforms only the three products.  The post-step
 Leray projection is then one multiply.  The compressible systems keep physical
 stages, because their 1/mu_field factor and positivity check need the
 density in physical space at every stage; the other systems are built from
@@ -62,9 +64,9 @@ rates of every RK stage and each accepted state in the stage layout, and a
 physical state it forms from coefficients.  A non-finite value, like a
 DensityError or SolenoidalityError raised in a stage, aborts with an
 IntegrationError carrying the last accepted state.
-The systems are hyperbolic; kappa of order 1 adds mild attenuation, while
-kappa*dt beyond the explicit stability range is rejected rather than
-treated implicitly.
+The systems are hyperbolic; kappa of order 1 adds mild attenuation, and the
+liquid's dilational stress a diffusion.  A step beyond the explicit stability
+range of either (`_stiff_limits`) is rejected rather than treated implicitly.
 """
 
 from __future__ import annotations
@@ -337,28 +339,25 @@ def oldroyd_discrepancy(sigma: TensorField, v: VectorField) -> VectorField:
 # spectral core of the elastic-fluid systems
 # ---------------------------------------------------------------------------
 
-def _core(g, hats, va, ea):
-    """The quadratic terms of one elastic-fluid RHS evaluation (see the
-    module docstring) from hats = [v_hat, E_hat] and the grid values va, ea
-    of v and E: (momentum, bracket_hat, div v), where
-        momentum    = -(v.grad v) on the grid, not yet dealiased,
-        bracket_hat = P[v div E] - ik x P[v x E], the dealiased coefficients
-                      of v.grad E - E.grad v + (div v) E in Maxwell form,
-    and P is the two-thirds mask."""
-    ik = _ik(g)
-    momentum = np.zeros((3,) + g.shape)
-    divv = np.zeros(g.shape)
-    for i in _transform_axes(g):
-        d_v = ifftn_array(g, ik[i] * hats[0])
-        momentum -= va[i] * d_v
-        divv += d_v[i]
-        del d_v   # free before the next axis
-    return momentum, _bracket_hat(g, hats[1], va, ea), divv
+def _lamb(g, v_hat, va):
+    """v x omega on the grid, not yet dealiased, with omega = curl v from one
+    inverse transform of ik x v_hat: the momentum's quadratic term in
+    rotational form, -(v.grad)v = v x omega - grad(|v|^2/2)."""
+    return _cross_arrays(va, ifftn_array(g, _curl_hat(_k_vector(g), v_hat)))
+
+
+def _head_hat(g, va):
+    """P[|v|^2/2] less its mean: the kinetic head whose gradient the
+    rotational form subtracts."""
+    head_hat = fftn_array(g, 0.5 * np.sum(va * va, axis=0)) * dealias_mask(g)
+    head_hat.flat[0] = 0.0
+    return head_hat
 
 
 def _bracket_hat(g, e_hat, va, ea):
-    """P[v div E] - ik x P[v x E] from the coefficients e_hat of E and the
-    grid values va, ea of v and E."""
+    """P[v div E] - ik x P[v x E], the dealiased coefficients of
+    v.grad E - E.grad v + (div v) E in Maxwell form, from the coefficients
+    e_hat of E and the grid values va, ea of v and E."""
     div_e = ifftn_array(g, _div_hat(g, e_hat))
     # two 3-component calls: one stacked 6-component call is slower at 32^3
     bracket_hat = fftn_array(g, va * div_e)
@@ -428,13 +427,15 @@ def rhs_linear_navier(state: FluidState, params: MediumParams) -> NavierRates:
 def rhs_fi_incompressible(state: FluidState, params: MediumParams) -> FiRates:
     """Frame-indifferent incompressible elastic fluid.
 
-    v_t is the Leray projection of -(v.grad)v - E/mu; the removed gradient
-    defines the pressure (it absorbs the Bernoulli head as well).  The stress
-    vector evolves by
+    v_t is the Leray projection of P[v x omega] - E/mu, omega = curl v: the
+    rotational form of -(v.grad)v - E/mu less grad(P[|v|^2/2]), which the
+    projection removes anyway.  The pressure is mu times the potential of the
+    whole removed gradient (it absorbs the Bernoulli head as well).  The
+    stress vector evolves by
         E_t = eta curl(curl v) - v.grad E + E.grad v - (div v) E - kappa E,
     with the (div v) E term retained even though div v = 0 analytically, so
-    that the derived-law residuals close discretely; `_core` forms the
-    bracket as v div E - curl(v x E).
+    that the derived-law residuals close discretely; `_bracket_hat` forms
+    the bracket as v div E - curl(v x E).
 
     The physical form of `_rhs_fi_hat`, which the stepper calls on
     coefficients: v and E are transformed once and the rates and pressure
@@ -460,14 +461,15 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     """
     if physical is None:
         physical = ifftn_array(g, hats)
-    momentum, bracket_hat, divv = _core(g, hats, *physical)
-    divv_linf = float(np.max(np.abs(divv)))
+    va, ea = physical
+    divv_linf = float(np.max(np.abs(ifftn_array(g, _div_hat(g, hats[0])))))
     if divv_linf > DIV_INPUT_TOL:
         raise SolenoidalityError(
             f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
         )
-    momentum_hat = fftn_array(g, momentum) * dealias_mask(g)
-    dv_hat, phi_hat = _leray_hat(g, momentum_hat - hats[1] / params.mu)
+    lamb_hat = fftn_array(g, _lamb(g, hats[0], va)) * dealias_mask(g)
+    dv_hat, phi_hat = _leray_hat(g, lamb_hat - hats[1] / params.mu)
+    bracket_hat = _bracket_hat(g, hats[1], va, ea)
     rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, bracket_hat, params)])
 
     @functools.cache
@@ -476,7 +478,8 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
         return FiRates(
             dv=VectorField._wrap(g, dv),
             dE=VectorField._wrap(g, dE),
-            pressure=ScalarField._wrap(g, ifftn_array(g, phi_hat * params.mu)),
+            pressure=ScalarField._wrap(
+                g, ifftn_array(g, (phi_hat - _head_hat(g, va)) * params.mu)),
         )
 
     return rates_hat, physical, rates
@@ -507,10 +510,10 @@ def rhs_compressible(state: FluidState, params: MediumParams,
     """Slightly compressible extension.
 
     mu (v_t + v.grad v) = -E + grad(dilational stress) with the dilational
-    stress (nu + 2 zeta) div v (liquid) or (lam + 2 eta) div u (solid); the
-    E equation is unchanged from the incompressible system, and
-    mu_t = -div(mu v), formed as -ik.P[mu v] with P the two-thirds mask.
-    The solid branch also advances u_t = v.
+    stress (nu + 2 zeta) div v (liquid) or (lam + 2 eta) div u (solid), and
+    v.grad v in rotational form; the E equation is unchanged from the
+    incompressible system, and mu_t = -div(mu v), formed as -ik.P[mu v] with
+    P the two-thirds mask.  The solid branch also advances u_t = v.
     """
     if rheology not in ("liquid", "solid"):
         raise ValueError(f"rheology must be 'liquid' or 'solid', got {rheology!r}")
@@ -524,8 +527,8 @@ def rhs_compressible(state: FluidState, params: MediumParams,
     if rheology == "solid" and state.u is None:
         raise ValueError("compressible solid branch needs u")
     g = v.grid
-    hats = fftn_array(g, np.stack([v.values, E.values]))
-    momentum, bracket_hat = _core(g, hats, v.values, E.values)[:2]
+    va, ea = v.values, E.values
+    hats = fftn_array(g, np.stack([va, ea]))
     axes = list(_transform_axes(g))
     if rheology == "liquid":
         dilational_hat = _div_hat(g, hats[0]) * (params.nu + 2.0 * params.zeta)
@@ -535,15 +538,17 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         dilational_hat = (params.lam + 2.0 * params.eta) * _div_hat(
             g, {i: fftn_array(g, ua[i]) for i in axes})
         du = v
-    # the force per mass, (grad(dilational stress) - E) / mu
+    # v x omega and the force per mass, (grad(dilational stress) - E) / mu
     inv_mu = 1.0 / mu_f.values
-    momentum -= E.values * inv_mu
+    momentum = _lamb(g, hats[0], va) - ea * inv_mu
     momentum[axes] += ifftn_array(g, _ik(g)[axes] * dilational_hat) * inv_mu
-    dv = dealias_array(g, momentum)
+    dv_hat = fftn_array(g, momentum) * dealias_mask(g) - _ik(g) * _head_hat(g, va)
     del momentum
-    dE = ifftn_array(g, _stress_rate_hat(g, hats, bracket_hat, params))
+    dv = ifftn_array(g, dv_hat)
+    dE = ifftn_array(g, _stress_rate_hat(
+        g, hats, _bracket_hat(g, hats[1], va, ea), params))
     # the mass flux mu v, only along the active axes that its divergence reads
-    flux_hat = {i: fftn_array(g, mu_f.values * v.values[i]) for i in axes}
+    flux_hat = {i: fftn_array(g, mu_f.values * va[i]) for i in axes}
     dmu = ifftn_array(g, -_div_hat(g, flux_hat) * dealias_mask(g))
     return CompressibleRates(dv=VectorField._wrap(g, dv),
                              dE=VectorField._wrap(g, dE),
@@ -578,7 +583,7 @@ class System:
     projected    fields Leray-projected after every step
     cfl_speed    the MediumParams attribute that is the fastest signal speed
     diffusivity  None, or params -> the diffusivity D of an explicit diffusion
-                 term; auto dt then also keeps below RK4's diffusive limit
+                 term; every step then keeps below RK4's diffusive limit
     uses_kappa   whether kappa*dt is held to KAPPA_DT_LIMIT
     report       (state, params, rates) -> law report, or None
     initial      (scenario state, params) -> the system's initial state
@@ -658,21 +663,33 @@ def _record(system: str) -> System:
 RK4_DIFFUSIVE_LIMIT = 2.78    # RK4 is stable for real h*lambda in [-2.78, 0]
 
 
+def _stiff_limits(record: System, params: MediumParams, grid) -> dict:
+    """{term: (rate, limit)} of the system's stiff linear terms: a step h is
+    stable on a term only for rate * h <= limit.  kappa E has rate kappa; a
+    diffusion of diffusivity D has rate D k2_max, k2_max the largest |k|^2
+    of the grid.  Every step is held to all of them."""
+    limits = {"kappa*dt": (params.kappa, KAPPA_DT_LIMIT)} if record.uses_kappa else {}
+    if record.diffusivity is not None:
+        limits["D*k2_max*dt"] = (
+            record.diffusivity(params) * float(_k_squared(grid).max()),
+            RK4_DIFFUSIVE_LIMIT)
+    return limits
+
+
 def auto_step_size(state, params: MediumParams, control: StepControl,
                    system: str) -> float:
     """cfl * h_min / (c_max + |v|_max), |v|_max zero for the classical system;
-    for a system with a diffusivity D, at most cfl * RK4_DIFFUSIVE_LIMIT /
-    (D k2_max), with k2_max the largest |k|^2 of the grid."""
+    for a system with a diffusivity, at most cfl times the diffusive limit
+    of `_stiff_limits`."""
     record = _record(system)
     grid = getattr(state, record.fields[0]).grid
     vmax = norm_linf(state.v) if hasattr(state, "v") else 0.0
     h = control.cfl * grid.min_active_spacing() / (
         getattr(params, record.cfl_speed) + vmax
     )
-    if record.diffusivity is not None:
-        rate = record.diffusivity(params) * float(_k_squared(grid).max())
-        if rate > 0.0:
-            h = min(h, control.cfl * RK4_DIFFUSIVE_LIMIT / rate)
+    rate, limit = _stiff_limits(record, params, grid).get("D*k2_max*dt", (0.0, 0.0))
+    if rate > 0.0:
+        h = min(h, control.cfl * limit / rate)
     return h
 
 
@@ -807,6 +824,7 @@ class _Stepper:
         self.record = record = _record(system)
         grid = getattr(like, record.fields[0]).grid
         self.layout = (_Physical if record.rhs_hat is None else _Spectral)(record, grid)
+        self.limits = _stiff_limits(record, params, grid)
 
     def start(self, state) -> _Sample:
         return _Sample(self, self.layout.encode(state), state.time, state)
@@ -815,12 +833,13 @@ class _Stepper:
         """The accepted state one RK4 step of size h after `sample`."""
         if not h > 0:
             raise StepSizeError(f"step size must be positive, got {h}")
-        kappa = self.params.kappa
-        if self.record.uses_kappa and kappa * h > KAPPA_DT_LIMIT:
-            raise StepSizeError(
-                f"kappa*dt = {kappa * h:.3g} exceeds the explicit stability "
-                f"range ({KAPPA_DT_LIMIT}); reduce dt"
-            )
+        for term, (rate, limit) in self.limits.items():
+            # not rate * h > limit: cfl <= 1 times the limit never trips it
+            if rate > 0.0 and h > limit / rate:
+                raise StepSizeError(
+                    f"{term} = {rate * h:.3g} exceeds the explicit stability "
+                    f"range ({limit}); reduce dt"
+                )
         layout, y0 = self.layout, sample.y
         k1 = sample.k
 

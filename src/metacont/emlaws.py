@@ -12,10 +12,12 @@ Two groups of laws are checked:
   v div E - curl(v x E), from the same dealiased products J = v div E and
   v x E that the laws read, and div(curl .) = 0 spectrally, so generalized
   Ampere and metacharge continuity close at rounding level on any state.
-  Faraday-Lorentz and the Hertz form read the velocity rate, whose
-  advection stays in convective form, so they close at rounding level only
-  on band-limited states (|m| <= n/4), where the dealiased products are
-  exactly represented; on full-band states they read 0.03-0.33;
+  The fi RHS forms the momentum as the dealiased P[v x curl v] less a
+  gradient, so Faraday-Lorentz closes at rounding level on any fi state too.
+  The Hertz form composes separately dealiased v.grad B and B.grad v, so it
+  needs band-limited states (|m| <= n/4) and reads 0.09-1.1 on full-band
+  ones.  Compressible Faraday-Lorentz is not exact, because its velocity
+  rate divides the force by the density mu_field;
 * linear-limit laws (classical Faraday and the displacement-current law):
   their normalized residuals scale linearly with the state amplitude.
 

@@ -84,21 +84,23 @@ def dealias(grid, values):
     return ifft(grid, fft(grid, values) * mask)
 
 
-def vector_advection(grid, v, w):
-    """(v.grad) w, dealiased."""
-    return [dealias(grid, sum(v[i] * derivative(grid, w[j], i) for i in range(3)))
+def cross(a, b):
+    return [a[(j + 1) % 3] * b[(j + 2) % 3] - a[(j + 2) % 3] * b[(j + 1) % 3]
             for j in range(3)]
 
 
 def rhs_fi_incompressible(grid, v, E, params):
     """(dv, dE, pressure) of the frame-indifferent incompressible system."""
-    adv = vector_advection(grid, v, v)
-    dv, phi = leray(grid, [-e / params.mu - a for e, a in zip(E, adv)])
+    # the momentum -(v.grad)v in the rotational form v x curl v - grad(|v|^2/2),
+    # products dealiased; mu times the potential its projection removes is
+    # the pressure
+    lamb = [dealias(grid, c) for c in cross(v, curl(grid, v))]
+    head = grad(grid, dealias(grid, sum(a * a for a in v) / 2.0))
+    dv, phi = leray(grid, [m - h - e / params.mu for m, h, e in zip(lamb, head, E)])
     # the bracket v.grad E - E.grad v + (div v) E in the Maxwell form
     # v div E - curl(v x E), products dealiased
     divE = div(grid, E)
-    vxE = [dealias(grid, v[(j + 1) % 3] * E[(j + 2) % 3] - v[(j + 2) % 3] * E[(j + 1) % 3])
-           for j in range(3)]
+    vxE = [dealias(grid, c) for c in cross(v, E)]
     bracket = [dealias(grid, a * divE) - c for a, c in zip(v, curl(grid, vxE))]
     dE = [params.eta * cc - b - params.kappa * e
           for cc, b, e in zip(curl_curl(grid, v), bracket, E)]

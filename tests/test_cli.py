@@ -225,9 +225,10 @@ class TestRun:
     @pytest.mark.parametrize("system", ["compressible_liquid", "compressible_solid",
                                         "linear_navier"])
     def test_run_without_pressure_writes_no_p(self, tmp_path, system):
-        # only the fi RHS defines a pressure
+        # only the fi RHS defines a pressure; dt 5e-4 is inside the liquid's
+        # diffusive limit, 2.78 / (2 x 1922) = 7.2e-4 on 64x64
         out = tmp_path / "out"
-        doc = shear_config(out, t_end=0.04, snapshot_every=1)
+        doc = shear_config(out, t_end=1e-3, dt=5e-4, snapshot_every=1)
         doc["system"] = system
         doc["params"]["lam"] = 2.0
         summary, final = run(RunConfig.from_dict(doc))
@@ -257,8 +258,9 @@ class TestRun:
         ("classical_maxwell", {"E", "B"}),
     ])
     def test_snapshots_hold_what_the_system_advances(self, tmp_path, system, names):
+        # dt inside the liquid's diffusive limit, as in the test above
         out = tmp_path / "out"
-        doc = shear_config(out, t_end=0.04, snapshot_every=1)
+        doc = shear_config(out, t_end=1e-3, dt=5e-4, snapshot_every=1)
         doc["system"] = system
         doc["params"]["lam"] = 2.0
         summary, _ = run(RunConfig.from_dict(doc))
@@ -321,13 +323,14 @@ class TestRun:
         assert np.isfinite(fields["p"].values).all()
 
     def test_stage_failure_writes_a_finite_diagnostic_snapshot(self, tmp_path):
-        # a fixed dt about 18x the explicit limit of the liquid's dilational
-        # diffusion: the density loses positivity inside an RK stage
+        # a strong compression pulse at a stable auto dt: the compressed
+        # region empties and the density loses positivity inside an RK stage
+        # near t = 0.71
         out = tmp_path / "out"
-        doc = {"grid": {"dims": [32, 32, 1]}, "system": "compressible_liquid",
-               "scenario": {"kind": "random_solenoidal", "amplitude": 0.05,
-                            "seed": 1},
-               "control": {"t_end": 0.5, "dt": 0.055},
+        doc = {"grid": {"dims": [32, 32, 1]}, "system": "compressible_solid",
+               "params": {"lam": 2.0},
+               "scenario": {"kind": "compression_pulse", "amplitude": 1.5},
+               "control": {"t_end": 1.0},
                "outputs": {"out_dir": str(out)}}
         with pytest.raises(IntegrationError) as info:
             run(RunConfig.from_dict(doc))

@@ -8,6 +8,7 @@ the discrete identities hold to round-off.  The runs are derandomized: the
 same examples are drawn every time.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -15,11 +16,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from metacont.diffops import (
+    advect_scalar,
     curl,
     div,
     grad,
     laplacian,
     leray_project,
+    vector_advection,
 )
 from metacont.dynamics import (
     FluidState,
@@ -194,6 +197,43 @@ def test_spectral_core_matches_convective_form_on_quarter_band_input(grid, seed)
     _check_core(grid, seed, 0.25, "convective")
 
 
+def _close(got, expected, *terms) -> bool:
+    """got == expected to 1e-12 of the largest of the terms."""
+    scale = max(norm_linf(t) for t in (expected,) + terms)
+    return norm_linf(got - expected) <= 1e-12 * scale
+
+
+_boosts = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@SETTINGS
+@given(grids(), seeds, st.sampled_from((1 / 3, 0.45)), _boosts)
+def test_rhs_is_galilean_covariant(grid, seed, fraction, U):
+    # for a uniform U, the RHS at v + U is the RHS at v less P[(U.grad) f]
+    # for each advected field f, and the pressure is unchanged: the frame
+    # indifference of the upper-convected stress rate, exact on the grid.
+    # linear_navier and second_order are not covariant in this form.
+    boost = VectorField(grid, np.reshape(U, (3, 1, 1, 1)) * np.ones((3,) + grid.shape))
+    for system in SYSTEMS:
+        state = _fluid_state(grid, seed, system == "fi", fraction)
+        boosted = dataclasses.replace(state, v=state.v + boost)
+        rates, moved = _rhs(system, state), _rhs(system, boosted)
+        shifts = {"dv": vector_advection(boost, state.v),
+                  "dE": vector_advection(boost, state.E)}
+        if system == "fi":
+            assert _close(moved.pressure, rates.pressure), system
+        else:
+            shifts["dmu"] = advect_scalar(boost, state.mu_field)
+        for name, shift in shifts.items():
+            rate = getattr(rates, name)
+            assert _close(getattr(moved, name), rate - shift, rate, shift), (system, name)
+    state = _fluid_state(grid, seed, False, fraction)
+    rate = upper_convected_vector(state.E, state.v, None)
+    shift = vector_advection(boost, state.E)
+    moved = upper_convected_vector(state.E, state.v + boost, None)
+    assert _close(moved, rate + shift, rate, shift)
+
+
 @SETTINGS
 @given(grids(), seeds, st.floats(0.0, 2.0), st.floats(0.5, 3.0), st.floats(0.5, 3.0))
 def test_fi_corollaries_close_at_round_off(grid, seed, kappa, mu, eta):
@@ -207,6 +247,20 @@ def test_fi_corollaries_close_at_round_off(grid, seed, kappa, mu, eta):
     for law in ("faraday_lorentz", "hertz_form", "generalized_ampere",
                 "metacharge_continuity"):
         assert report.entry(law).normalized_linf < 1e-9, law
+
+
+@SETTINGS
+@given(grids(), seeds)
+def test_fi_faraday_lorentz_closes_on_full_band_states(grid, seed):
+    # every mode occupied, so no product is resolved: the momentum's
+    # P[v x curl v] is the dealiased v x B / mu that the law reads, and the
+    # projection removes only a gradient, which the curl annihilates
+    rng = np.random.default_rng(seed)
+    noise = lambda: VectorField(grid, 0.1 * rng.standard_normal((3,) + grid.shape))  # noqa: E731
+    state = FluidState(time=0.0, v=leray_project(noise()).solenoidal, E=noise())
+    params = MediumParams(mu=1.3, eta=0.8, kappa=0.4)
+    report = fi_report(state, params, rhs_fi_incompressible(state, params))
+    assert report.entry("faraday_lorentz").normalized_linf < 1e-12
 
 
 _times = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -4,6 +4,7 @@ other pair is rejected at configuration time."""
 import numpy as np
 import pytest
 
+from metacont import dynamics
 from metacont.cli import ConfigError, RunConfig
 from metacont.dynamics import (
     SYSTEMS,
@@ -13,6 +14,7 @@ from metacont.dynamics import (
     MediumParams,
     SolenoidalityError,
     StepControl,
+    StepSizeError,
     auto_step_size,
     integrate,
     step,
@@ -90,6 +92,11 @@ def test_blowup_raises_with_the_last_finite_state(system):
     record = SYSTEMS[system]
     state = record.initial(generate(spec, GRID, params), params)
     control = StepControl(t_end=1e9, dt=1e3)
+    if record.diffusivity is not None:
+        # such a dt is far beyond the diffusive limit, so no stage runs
+        with pytest.raises(StepSizeError, match="D\\*k2_max\\*dt"):
+            step(state, params, control, system)
+        return
     with pytest.raises(IntegrationError) as info, \
             np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
@@ -133,6 +140,44 @@ def test_auto_dt_obeys_the_diffusive_limit():
         pytest.approx(diffusive, rel=1e-12)
     # the solid's dilational stress is elastic: a wave limit only
     assert auto_step_size(state, params, control, "compressible_solid") > diffusive
+
+
+@pytest.mark.parametrize("system, params, term, h_max", [
+    # (nu + 2 zeta) / mu x k2_max with |m| <= 15 on 32x32
+    ("compressible_liquid", MediumParams(nu=0.5), "D\\*k2_max\\*dt",
+     2.78 / (2.5 * 2 * 15.0 ** 2)),
+    ("compressible_solid", MediumParams(kappa=4.0), "kappa\\*dt", 2.0 / 4.0),
+    ("fi_incompressible", MediumParams(kappa=4.0), "kappa\\*dt", 2.0 / 4.0),
+], ids=("liquid_diffusion", "solid_kappa", "fi_kappa"))
+def test_fixed_dt_is_held_to_the_stiff_limits(system, params, term, h_max,
+                                              monkeypatch):
+    grid = make_grid((32, 32, 1), (2 * np.pi,) * 3)
+    spec = ScenarioSpec("random_solenoidal", amplitude=1e-3, seed=1)
+    state = SYSTEMS[system].initial(generate(spec, grid, params), params)
+    inside = StepControl(t_end=1.0, dt=h_max * (1.0 - 1e-9))
+    assert step(state, params, inside, system).time == inside.dt
+    # beyond the limit: rejected before the first RK stage evaluates the RHS
+    calls = []
+    for name in ("rhs_compressible", "_rhs_fi_hat"):
+        monkeypatch.setattr(dynamics, name, lambda *a: calls.append(a))
+    beyond = StepControl(t_end=1.0, dt=h_max * (1.0 + 1e-9))
+    with pytest.raises(StepSizeError, match=term):
+        integrate(state, params, beyond, system)
+    assert calls == []
+
+
+def test_auto_dt_at_cfl_one_stays_inside_the_diffusive_limit():
+    # cfl * limit / rate at cfl = 1 is exactly limit / rate
+    grid = make_grid((32, 32, 1), (2 * np.pi,) * 3)
+    params = MediumParams(nu=0.5)
+    state = generate(ScenarioSpec("random_solenoidal", amplitude=1e-3, seed=1),
+                     grid, params)
+    control = StepControl(t_end=1e-3, cfl=1.0)
+    dt = auto_step_size(state, params, control, "compressible_liquid")
+    assert dt == 2.78 / ((0.5 + 2.0) * 2 * 15.0 ** 2)
+    out = integrate(state, params, StepControl(t_end=2 * dt, cfl=1.0),
+                    "compressible_liquid")
+    assert out.time == pytest.approx(2 * dt)
 
 
 def test_density_error_in_a_stage_raises_integration_error():
