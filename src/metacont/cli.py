@@ -214,7 +214,7 @@ def _snapshot_fields(system: str, state, rates=None):
 def run(config: RunConfig, observer=None):
     """Execute one configured simulation; returns (summary dict, final state).
 
-    `observer(i, state, rates)`, when given, sees every accepted state after
+    `observer(i, state, rates)`, when given, sees every observed state after
     the run has recorded it (see `dynamics.integrate`).
     """
     out = Path(config.out_dir)
@@ -272,34 +272,21 @@ def run(config: RunConfig, observer=None):
                        _snapshot_fields(config.system, diag, exc.rates), diag.time)
         raise
 
-    # measurement vs oracle
+    # measurement vs oracle, on uniform ticks less a short final one
     measurement = None
-    if oracle is not None and len(times) >= 8:
-        t_arr, s_arr = trim_uniform(np.array(times), np.array(series))
-        resampled = False
-        if len(t_arr) < len(times) - 1:
-            # auto dt makes the sampling non-uniform; interpolate onto a
-            # uniform grid of the same span for the linear-prediction fit
-            # (a fixed dt loses at most its shortened final sample)
-            t_raw = np.array(times)
-            s_raw = np.array(series)
-            t_arr = np.linspace(t_raw[0], t_raw[-1], len(t_raw))
-            s_arr = (np.interp(t_arr, t_raw, s_raw.real)
-                     + 1j * np.interp(t_arr, t_raw, s_raw.imag))
-            resampled = True
-        if len(t_arr) >= 8:
-            m = measure_wave(t_arr, s_arr, k_mag=oracle.k_mag)
-            measurement = {
-                "resampled": resampled,
-                "measured_omega": m.omega,
-                "measured_phase_speed": m.phase_speed,
-                "measured_decay_rate": m.decay_rate,
-                "fit_residual": m.fit_residual,
-                "valid": m.valid,
-                "degenerate": m.degenerate,
-                "oracle": oracle.summary(),
-                **oracle.errors(m),
-            }
+    t_arr, s_arr = trim_uniform(np.array(times), np.array(series))
+    if oracle is not None and len(t_arr) >= 8:
+        m = measure_wave(t_arr, s_arr, k_mag=oracle.k_mag)
+        measurement = {
+            "measured_omega": m.omega,
+            "measured_phase_speed": m.phase_speed,
+            "measured_decay_rate": m.decay_rate,
+            "fit_residual": m.fit_residual,
+            "valid": m.valid,
+            "degenerate": m.degenerate,
+            "oracle": oracle.summary(),
+            **oracle.errors(m),
+        }
 
     reports_path = out / "reports.ndjson"
     emlaws.write_reports_ndjson(reports, reports_path)
@@ -590,9 +577,10 @@ def _config_with(doc: dict, axis: str, value: float) -> dict:
 
 def _maxwell_twin(config: RunConfig, row: dict):
     """The observer of an fi run of `config` that steps the classical twin of
-    the run's initial state alongside it, with the run's own steps, and keeps
-    in row["maxwell_distance"] the sup over sampled times of the
-    (E, mu curl v) distance between the two."""
+    the run's initial state alongside it, one step per tick of the run's
+    sample clock (its own steps under a fixed dt), and keeps in
+    row["maxwell_distance"] the sup over ticks of the (E, mu curl v)
+    distance between the two."""
     params, control = config.params, config.control
     twin = None
 

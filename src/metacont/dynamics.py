@@ -65,8 +65,10 @@ physical state it forms from coefficients.  A non-finite value, like a
 DensityError or SolenoidalityError raised in a stage, aborts with an
 IntegrationError carrying the last accepted state.
 The systems are hyperbolic; kappa of order 1 adds mild attenuation, and the
-liquid's dilational stress a diffusion.  A step beyond the explicit stability
-range of either (`_stiff_limits`) is rejected rather than treated implicitly.
+liquid's dilational stress a diffusion that stiffens where the density falls.
+A step beyond the explicit stability range of either at its start state (the
+one table `_stiff_limits`) is rejected, not treated implicitly.  Auto dt
+keeps inside it: `integrate` holds its first step and halves it if need be.
 """
 
 from __future__ import annotations
@@ -271,7 +273,9 @@ class SecondOrderState:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Time-step control: fixed dt or 'auto' (cfl * h_min / (c_max + |v|_max))."""
+    """Time-step control: a fixed dt, or 'auto': `auto_step_size` of the
+    initial state, which `integrate` holds, halving it only where it would
+    break a limit itself."""
 
     t_end: float
     dt: float | str = "auto"
@@ -582,8 +586,8 @@ class System:
     observed     rate attributes a run writes beside the fields (fi's pressure)
     projected    fields Leray-projected after every step
     cfl_speed    the MediumParams attribute that is the fastest signal speed
-    diffusivity  None, or params -> the diffusivity D of an explicit diffusion
-                 term; every step then keeps below RK4's diffusive limit
+    diffusivity  None, or (params, mu) -> the diffusivity D at density mu of an
+                 explicit diffusion term, held to RK4's limit at least mu_field
     uses_kappa   whether kappa*dt is held to KAPPA_DT_LIMIT
     report       (state, params, rates) -> law report, or None
     initial      (scenario state, params) -> the system's initial state
@@ -631,8 +635,8 @@ SYSTEMS: dict[str, System] = {
         rhs=lambda s, p: rhs_compressible(s, p, "liquid"),
         scenarios=_STRESSED, cfl_speed="c_s", uses_kappa=True,
         # the dilational stress (nu + 2 zeta) div v diffuses v with
-        # D = (nu + 2 zeta) / mu
-        diffusivity=lambda p: (p.nu + 2.0 * p.zeta) / p.mu,
+        # D = (nu + 2 zeta) / mu at the density mu
+        diffusivity=lambda p, mu: (p.nu + 2.0 * p.zeta) / mu,
         report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "compressible_solid": System(
         fields=("v", "E", "mu_field", "u"), rates=("dv", "dE", "dmu", "du"),
@@ -663,40 +667,36 @@ def _record(system: str) -> System:
 RK4_DIFFUSIVE_LIMIT = 2.78    # RK4 is stable for real h*lambda in [-2.78, 0]
 
 
-def _stiff_limits(record: System, params: MediumParams, grid) -> dict:
-    """{term: (rate, limit)} of the system's stiff linear terms: a step h is
-    stable on a term only for rate * h <= limit.  kappa E has rate kappa; a
-    diffusion of diffusivity D has rate D k2_max, k2_max the largest |k|^2
-    of the grid.  Every step is held to all of them."""
+def _stiff_limits(record: System, params: MediumParams, state) -> dict:
+    """{term: (rate, limit)} of the system's stiff linear terms: a step h from
+    `state` is stable on a term only for rate * h <= limit.  kappa E has rate
+    kappa; a diffusion has rate D k2_max, D at the state's least density (the
+    only read of the state) and k2_max the largest |k|^2 of the grid."""
     limits = {"kappa*dt": (params.kappa, KAPPA_DT_LIMIT)} if record.uses_kappa else {}
     if record.diffusivity is not None:
+        mu = state.mu_field
         limits["D*k2_max*dt"] = (
-            record.diffusivity(params) * float(_k_squared(grid).max()),
+            record.diffusivity(params, float(mu.values.min()))
+            * float(_k_squared(mu.grid).max()),
             RK4_DIFFUSIVE_LIMIT)
     return limits
 
 
 def auto_step_size(state, params: MediumParams, control: StepControl,
                    system: str) -> float:
-    """cfl * h_min / (c_max + |v|_max), |v|_max zero for the classical system;
-    for a system with a diffusivity, at most cfl times the diffusive limit
-    of `_stiff_limits`."""
+    """cfl times the least of h_min / (c_max + |v|_max), |v|_max zero for the
+    classical system, and every limit / rate of `_stiff_limits` at `state`:
+    at cfl = 1, the longest step from `state` that breaks no limit."""
     record = _record(system)
     grid = getattr(state, record.fields[0]).grid
     vmax = norm_linf(state.v) if hasattr(state, "v") else 0.0
     h = control.cfl * grid.min_active_spacing() / (
         getattr(params, record.cfl_speed) + vmax
     )
-    rate, limit = _stiff_limits(record, params, grid).get("D*k2_max*dt", (0.0, 0.0))
-    if rate > 0.0:
-        h = min(h, control.cfl * limit / rate)
+    for rate, limit in _stiff_limits(record, params, state).values():
+        if rate > 0.0:
+            h = min(h, control.cfl * limit / rate)
     return h
-
-
-def _resolve_dt(state, params, control, system) -> float:
-    if control.dt == "auto":
-        return auto_step_size(state, params, control, system)
-    return float(control.dt)
 
 
 # what an RHS evaluation inside a step may raise; the step turns each into
@@ -824,16 +824,17 @@ class _Stepper:
         self.record = record = _record(system)
         grid = getattr(like, record.fields[0]).grid
         self.layout = (_Physical if record.rhs_hat is None else _Spectral)(record, grid)
-        self.limits = _stiff_limits(record, params, grid)
 
     def start(self, state) -> _Sample:
         return _Sample(self, self.layout.encode(state), state.time, state)
 
     def advance(self, sample: _Sample, h: float) -> _Sample:
-        """The accepted state one RK4 step of size h after `sample`."""
+        """The accepted state one RK4 step of size h after `sample`, h held to
+        `_stiff_limits` at its state before any stage."""
         if not h > 0:
             raise StepSizeError(f"step size must be positive, got {h}")
-        for term, (rate, limit) in self.limits.items():
+        limits = _stiff_limits(self.record, self.params, sample.state)
+        for term, (rate, limit) in limits.items():
             # not rate * h > limit: cfl <= 1 times the limit never trips it
             if rate > 0.0 and h > limit / rate:
                 raise StepSizeError(
@@ -889,25 +890,33 @@ def step(state, params: MediumParams, control: StepControl, system: str,
     IntegrationError that carries `state`, with the original as __cause__.
     """
     stepper = _Stepper(system, params, state)
-    h = float(dt) if dt is not None else _resolve_dt(state, params, control, system)
-    return stepper.advance(stepper.start(state), h).state
+    if dt is None:
+        dt = (auto_step_size(state, params, control, system)
+              if control.dt == "auto" else control.dt)
+    return stepper.advance(stepper.start(state), float(dt)).state
 
 
 def integrate(state, params: MediumParams, control: StepControl, system: str,
               observer=None):
     """Advance to control.t_end, shortening the final step to land exactly.
 
-    `observer(step_index, state, rates)` is called with the initial state
-    (index 0) and after every accepted step.  `rates()` returns the system's
-    physical RHS result at that state.  The RHS is evaluated once per
-    accepted state: that evaluation is the next step's first stage, and the
-    final state is evaluated only if the observer calls `rates()`.  A failed
-    step raises an IntegrationError carrying the last accepted state and,
-    when it was evaluated, its `rates`.
+    The step is dt, or under auto dt `auto_step_size` of the initial state,
+    held: it halves for the rest of the run only at a start state where it
+    would break a limit (`auto_step_size` at cfl = 1 is below it).  Its first
+    value is the sample clock: `observer(tick, state, rates)` is called with
+    the initial state (tick 0), at every multiple of it and at t_end.
+    `rates()` returns the system's physical RHS result at that state.  The
+    RHS is evaluated once per accepted state: that evaluation is the next
+    step's first stage, and the final state is evaluated only if the
+    observer calls `rates()`.  A failed step raises an IntegrationError
+    carrying the last accepted state and, when it was evaluated, its `rates`.
     """
     stepper = _Stepper(system, params, state)
     sample = stepper.start(state)
-    n = 0
+    auto = control.dt == "auto"
+    h = auto_step_size(state, params, control, system) if auto else float(control.dt)
+    at_limit = dataclasses.replace(control, cfl=1.0)
+    n, per_tick = 0, 1       # ticks observed, steps of size h per tick
     t_end = control.t_end
     eps = 1e-12 * max(1.0, abs(t_end))
     while True:
@@ -915,7 +924,10 @@ def integrate(state, params: MediumParams, control: StepControl, system: str,
             observer(n, sample.state, sample.rates)
         if not sample.time < t_end - eps:
             return sample.state
-        h = min(_resolve_dt(sample.state, params, control, system),
-                t_end - sample.time)
-        sample = stepper.advance(sample, h)
+        taken = 0
+        while taken < per_tick and sample.time < t_end - eps:
+            while auto and auto_step_size(sample.state, params, at_limit, system) < h:
+                h, per_tick, taken = h / 2.0, per_tick * 2, taken * 2
+            sample = stepper.advance(sample, min(h, t_end - sample.time))
+            taken += 1
         n += 1

@@ -158,26 +158,25 @@ class TestRun:
         assert m["valid"]
         assert m["phase_speed_rel_error"] < 0.005
 
-    def test_auto_dt_wave_run_is_resampled_and_measured(self, tmp_path):
-        # auto dt varies the step with the wave's velocity, so the sample
-        # times are not uniform and the fit runs on an interpolated series
+    def test_auto_dt_wave_run_is_measured_on_its_sample_clock(self, tmp_path):
+        # auto dt would vary the step with the wave's velocity; the run holds
+        # its first step as the sample clock, so the fit reads a uniform series
         doc = shear_config(tmp_path / "out", t_end=13.0, amplitude=0.3, dt="auto")
         doc["grid"]["dims"] = [32, 32, 1]
         summary, _ = run(RunConfig.from_dict(doc))
         m = summary["measurement"]
-        assert m["resampled"]
+        assert summary["samples"] == 217
         assert m["valid"]
-        assert m["phase_speed_rel_error"] < 0.005
+        assert m["phase_speed_rel_error"] < 1e-6
 
     def test_fixed_dt_wave_run_drops_only_the_short_final_step(self, tmp_path):
         # 6.5 / 0.03 is not whole: the last step is shortened and its sample
-        # dropped, and the uniform rest is fitted without interpolation
+        # dropped, and the uniform rest is fitted
         doc = shear_config(tmp_path / "out", t_end=6.5, dt=0.03)
         doc["grid"]["dims"] = [32, 32, 1]
         summary, _ = run(RunConfig.from_dict(doc))
         m = summary["measurement"]
         assert summary["samples"] == 218
-        assert not m["resampled"]
         assert m["valid"]
         assert m["phase_speed_rel_error"] < 1e-6
 
@@ -500,6 +499,14 @@ class TestSweep:
         # telegraph damping: measured decay rate tracks kappa/2
         assert rows[0]["decay_rate"] == pytest.approx(0.05, rel=0.05)
         assert rows[1]["decay_rate"] == pytest.approx(0.10, rel=0.05)
+
+    def test_kappa_axis_with_auto_dt_runs_every_value(self, tmp_path):
+        # at kappa 20 the wave limit alone would give kappa dt = 3.14
+        doc = shear_config(tmp_path / "o", t_end=1.0, dt="auto")
+        doc["grid"]["dims"] = [16, 16, 1]
+        summary = sweep(doc, "kappa", [0.5, 20.0], tmp_path / "s")
+        assert not summary["partial"]
+        assert [r["status"] for r in summary["rows"]] == ["ok", "ok"]
 
     def test_sweep_csv_holds_plain_numbers(self, tmp_path):
         doc = shear_config(tmp_path / "o", t_end=2.0)

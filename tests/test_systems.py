@@ -1,6 +1,8 @@
 """The SYSTEMS table: every declared (system, scenario) pair steps, every
 other pair is rejected at configuration time."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,21 +109,43 @@ def test_blowup_raises_with_the_last_finite_state(system):
         assert np.isfinite(getattr(last, name).values).all(), name
 
 
-@pytest.mark.parametrize("system", list(SYSTEMS))
-@pytest.mark.parametrize("dims", [(32, 32, 1), (64, 64, 1), (16, 16, 16)])
-def test_auto_dt_keeps_every_system_stable(system, dims):
+def _compressed(state):
+    """`state` with the density 1 - 0.7 cos x, whose least value is 0.3."""
+    grid = state.v.grid
+    mu = np.ones(grid.shape) - 0.7 * np.cos(grid.coordinates()[0])
+    return dataclasses.replace(state, mu_field=ScalarField(grid, mu))
+
+
+# every system on three grids, and a compressed liquid at cfl 1: D at the
+# least density is 3.3 times D at mu, so a step from the background mu
+# would break the diffusive limit (D k2_max dt = 9.27) and lose positivity
+# by t = 0.26
+_STABLE_CASES = [
+    pytest.param(system, dims, None, id=f"dims{i}-{system}")
+    for i, dims in enumerate([(32, 32, 1), (64, 64, 1), (16, 16, 16)])
+    for system in SYSTEMS
+] + [pytest.param("compressible_liquid", (32, 32, 1), _compressed,
+                  id="compressed-compressible_liquid")]
+
+
+@pytest.mark.parametrize("system, dims, density", _STABLE_CASES)
+def test_auto_dt_keeps_every_system_stable(system, dims, density):
     # compressible_liquid's dilational stress is a diffusion with
     # D = (nu + 2 zeta) / mu = 2 here; a wave-only auto dt loses density
     # positivity on 64x64x1 before t = 0.05
     grid = make_grid(dims, (2 * np.pi,) * 3)
     params = MediumParams()
+    control = StepControl(t_end=0.05, dt="auto")
     record = SYSTEMS[system]
     kind = ("random_solenoidal" if "random_solenoidal" in record.scenarios
             else "compression_pulse")
     spec = ScenarioSpec(kind, amplitude=0.05, seed=1)
     state = record.initial(generate(spec, grid, params), params)
-    out = integrate(state, params, StepControl(t_end=0.05, dt="auto"), system)
-    assert out.time == pytest.approx(0.05)
+    if density is not None:
+        params, control = MediumParams(nu=0.5), StepControl(t_end=0.3, cfl=1.0)
+        state = density(state)
+    out = integrate(state, params, control, system)
+    assert out.time == pytest.approx(control.t_end)
     for name in record.fields:
         assert np.isfinite(getattr(out, name).values).all(), name
     if "mu_field" in record.fields:
@@ -142,18 +166,24 @@ def test_auto_dt_obeys_the_diffusive_limit():
     assert auto_step_size(state, params, control, "compressible_solid") > diffusive
 
 
-@pytest.mark.parametrize("system, params, term, h_max", [
+@pytest.mark.parametrize("system, params, term, h_max, density", [
     # (nu + 2 zeta) / mu x k2_max with |m| <= 15 on 32x32
     ("compressible_liquid", MediumParams(nu=0.5), "D\\*k2_max\\*dt",
-     2.78 / (2.5 * 2 * 15.0 ** 2)),
-    ("compressible_solid", MediumParams(kappa=4.0), "kappa\\*dt", 2.0 / 4.0),
-    ("fi_incompressible", MediumParams(kappa=4.0), "kappa\\*dt", 2.0 / 4.0),
-], ids=("liquid_diffusion", "solid_kappa", "fi_kappa"))
+     2.78 / (2.5 * 2 * 15.0 ** 2), None),
+    # the same at the least density, 0.3
+    ("compressible_liquid", MediumParams(nu=0.5), "D\\*k2_max\\*dt",
+     2.78 / (2.5 / (1.0 - 0.7) * 2 * 15.0 ** 2), _compressed),
+    ("compressible_solid", MediumParams(kappa=4.0), "kappa\\*dt", 2.0 / 4.0, None),
+    ("fi_incompressible", MediumParams(kappa=4.0), "kappa\\*dt", 2.0 / 4.0, None),
+], ids=("liquid_diffusion", "compressed_liquid_diffusion", "solid_kappa",
+        "fi_kappa"))
 def test_fixed_dt_is_held_to_the_stiff_limits(system, params, term, h_max,
-                                              monkeypatch):
+                                              density, monkeypatch):
     grid = make_grid((32, 32, 1), (2 * np.pi,) * 3)
     spec = ScenarioSpec("random_solenoidal", amplitude=1e-3, seed=1)
     state = SYSTEMS[system].initial(generate(spec, grid, params), params)
+    if density is not None:
+        state = density(state)
     inside = StepControl(t_end=1.0, dt=h_max * (1.0 - 1e-9))
     assert step(state, params, inside, system).time == inside.dt
     # beyond the limit: rejected before the first RK stage evaluates the RHS
@@ -164,6 +194,71 @@ def test_fixed_dt_is_held_to_the_stiff_limits(system, params, term, h_max,
     with pytest.raises(StepSizeError, match=term):
         integrate(state, params, beyond, system)
     assert calls == []
+
+
+def test_auto_dt_keeps_kappa_dt_inside_its_limit():
+    # the wave limit alone gives dt = 0.157 and kappa dt = 3.14
+    grid = make_grid((16, 16, 1), (2 * np.pi,) * 3)
+    params = MediumParams(kappa=20.0)
+    spec = ScenarioSpec("standing_shear_wave", amplitude=1e-3,
+                        **SCENARIOS["standing_shear_wave"])
+    state = generate(spec, grid, params)
+    control = StepControl(t_end=1.0, cfl=0.4)
+    assert auto_step_size(state, params, control, "fi_incompressible") <= \
+        0.4 * 2.0 / 20.0
+    out = integrate(state, params, control, "fi_incompressible")
+    assert out.time == pytest.approx(1.0)
+    assert np.isfinite(out.E.values).all()
+
+
+def test_auto_dt_observes_a_varying_step_on_a_uniform_clock():
+    # a large-amplitude wave: |v|_max, and with it the auto step, varies
+    # along the run, but the observer sees every multiple of the first step
+    grid = make_grid((32, 32, 1), (2 * np.pi,) * 3)
+    params = MediumParams()
+    spec = ScenarioSpec("standing_shear_wave", amplitude=0.3,
+                        **SCENARIOS["standing_shear_wave"])
+    control = StepControl(t_end=2.0, cfl=0.4)
+    times, steps = [], []
+
+    def observer(i, state, rates):
+        times.append(state.time)
+        steps.append(auto_step_size(state, params, control, "fi_incompressible"))
+
+    integrate(generate(spec, grid, params), params, control,
+              "fi_incompressible", observer)
+    assert max(steps) / min(steps) > 1.01
+    clock = steps[0]
+    assert times[-1] == pytest.approx(2.0)
+    np.testing.assert_allclose(times[:-1], clock * np.arange(len(times) - 1),
+                               rtol=0.0, atol=1e-9)
+
+
+def test_a_halved_step_keeps_the_sample_clock(monkeypatch):
+    # at cfl 1 the first dip of the least density breaks the diffusive
+    # limit at the held step, so the step halves and a tick takes two
+    grid = make_grid((32, 32, 1), (2 * np.pi,) * 3)
+    params = MediumParams(nu=0.5)
+    spec = ScenarioSpec("random_solenoidal", amplitude=0.05, seed=1)
+    state = _compressed(generate(spec, grid, params))
+    control = StepControl(t_end=0.02, cfl=1.0)
+    clock = auto_step_size(state, params, control, "compressible_liquid")
+    taken = []
+    advance = dynamics._Stepper.advance
+
+    def recorded(self, sample, h):
+        taken.append(h)
+        return advance(self, sample, h)
+
+    monkeypatch.setattr(dynamics._Stepper, "advance", recorded)
+    times = []
+    integrate(state, params, control, "compressible_liquid",
+              lambda i, s, rates: times.append(s.time))
+    assert min(taken[:-1]) == clock / 2.0
+    assert len(taken) > len(times)
+    assert times[-1] == pytest.approx(0.02)
+    np.testing.assert_allclose(times[:-1], clock * np.arange(len(times) - 1),
+                               rtol=0.0, atol=1e-9)
 
 
 def test_auto_dt_at_cfl_one_stays_inside_the_diffusive_limit():
