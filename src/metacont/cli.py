@@ -4,14 +4,14 @@ Configs are single JSON documents; all quantities are dimensionless with the
 convention mu = 1, eta = 1 (so c = 1) unless overridden.  Artifacts are
 written atomically (temp file + rename) under the output directory:
 
-    manifest.json     config echo, content hash, checksummed artifact list
+    manifest.json     config echo, content hash, artifact checksums, run costs
     reports.ndjson    one law-residual report per sampled time
     reports.csv       same data as (time, law, l2, linf, norm) rows
     snapshots/        per sampled step, one raw f64 file per field and one
                       JSON sidecar (snapshot.json) for the step
     summary.json      final norms, wave measurement vs oracle when available
 
-Identical configs (including seeds) produce byte-identical artifacts.
+Identical configs give byte-identical artifacts, apart from manifest.json's costs.
 
 `sweep` runs one simulation per value of one config key, in a process pool
 of min(number of values, usable CPUs) workers; it takes no worker option.
@@ -30,6 +30,7 @@ import hashlib
 import json
 import numbers
 import os
+import resource
 import sys
 import time as _time
 from dataclasses import asdict, dataclass
@@ -217,6 +218,8 @@ def run(config: RunConfig, observer=None):
     `observer(i, state, rates)`, when given, sees every observed state after
     the run has recorded it (see `dynamics.integrate`).
     """
+    t_start = _time.perf_counter()
+    usage_start = resource.getrusage(resource.RUSAGE_SELF)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     snap_root = out / "snapshots"
@@ -335,8 +338,15 @@ def run(config: RunConfig, observer=None):
             for p in sorted(set(written))
         },
     }
-    atomic_write_text(out / "manifest.json",
-                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    # the run's costs differ between reruns; fixed-width fields keep the size
+    # of the manifest, which perfbench's trace counts, the same (ru_maxrss: KiB)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    resources = ('{"minor_page_faults": %12d, "process_peak_rss_mb": %12.3f, '
+                 '"wall_s": %12.6f}' % (usage.ru_minflt - usage_start.ru_minflt,
+                                        usage.ru_maxrss / 1024.0,
+                                        _time.perf_counter() - t_start))
+    atomic_write_text(out / "manifest.json", '{\n  "resources": ' + resources + ","
+                      + json.dumps(manifest, sort_keys=True, indent=2)[1:] + "\n")
     return summary, final_state
 
 

@@ -64,12 +64,15 @@ def _ik(g) -> np.ndarray:
 
 
 def _div_hat(g, hats) -> np.ndarray:
-    """sum_i (i k_i) hats[i] over the active axes i: the divergence of stacked
-    coefficients over their leading axis.  Only the hats[i] of active axes
-    are read, so hats may be a dict of those."""
-    ik = _ik(g)
-    return sum((ik[i] * hats[i] for i in _transform_axes(g)),
-               np.zeros(g.spectral_shape, dtype=np.complex128))
+    """sum_i (i k_i) hats[i] over the active axes i, from +0: the divergence
+    of stacked coefficients over their leading axis (of a tensor stack too).
+    Only the hats[i] of active axes are read, so hats may be a dict of those."""
+    ik, axes = _ik(g), _transform_axes(g)
+    shape = np.broadcast_shapes(g.spectral_shape, *(np.shape(hats[i]) for i in axes))
+    out = np.zeros(shape, dtype=np.complex128)
+    for i in axes:
+        out += ik[i] * hats[i]
+    return out
 
 
 def _gradient(g, values: np.ndarray) -> np.ndarray:
@@ -103,7 +106,9 @@ def div(v: VectorField) -> ScalarField:
 
 def _curl_hat(k, hats) -> np.ndarray:
     """ik x h for stacked wavenumbers k and coefficients h of a vector field."""
-    return 1j * _cross_arrays(k, hats)
+    out = _cross_arrays(k, hats)
+    out *= 1j
+    return out
 
 
 def _curl_curl_hat(k, hats) -> np.ndarray:
@@ -244,8 +249,11 @@ def _guarded_k_squared(g) -> np.ndarray:
 def _leray_hat(g, hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral Leray projection of stacked coefficients: (solenoidal
     coefficients, potential coefficients)."""
-    phi_hat = -_div_hat(g, hats) / _guarded_k_squared(g)
-    return hats - _ik(g) * phi_hat, phi_hat
+    phi_hat = _div_hat(g, hats)
+    np.negative(phi_hat, out=phi_hat)
+    phi_hat /= _guarded_k_squared(g)
+    sol_hat = _ik(g) * phi_hat
+    return np.subtract(hats, sol_hat, out=sol_hat), phi_hat
 
 
 def identity_residual_triple(v: VectorField, e: VectorField) -> VectorField:

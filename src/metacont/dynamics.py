@@ -45,11 +45,13 @@ its initial-state builder and the scenario kinds it accepts.  `step`,
 adding one record.
 
 State layout.  Time stepping is one four-stage explicit Runge-Kutta scheme
-for every system.  fi's RK stages hold the half-spectrum coefficients of v
-and E (`GridSpec.spectral_shape`), and its RHS (`_rhs_fi_hat`) returns rate
-coefficients, so a stage inverse-transforms v, E, curl v, div v and div E
-once and forward-transforms only the three products.  The post-step
-Leray projection is then one multiply.  The compressible systems keep physical
+for every system; its stage inputs and update are formed in place in new
+arrays, bitwise y + k h/2 and y + (k1 + (k2 + k3) 2 + k4) h/6 in that order.
+fi's RK stages hold the half-spectrum coefficients of v and E
+(`GridSpec.spectral_shape`), and its RHS (`_rhs_fi_hat`) returns rate
+coefficients, so a stage inverse-transforms v, E, curl v, div v and div E once
+and forward-transforms only the three products.  The post-step Leray
+projection is then one multiply.  The compressible systems keep physical
 stages, because their 1/mu_field factor and positivity check need the
 density in physical space at every stage; the other systems are built from
 the `diffops` operators.  `step` and `integrate` take and return physical
@@ -353,7 +355,8 @@ def _lamb(g, v_hat, va):
 def _head_hat(g, va):
     """P[|v|^2/2] less its mean: the kinetic head whose gradient the
     rotational form subtracts."""
-    head_hat = fftn_array(g, 0.5 * np.sum(va * va, axis=0)) * dealias_mask(g)
+    head_hat = fftn_array(g, 0.5 * np.sum(va * va, axis=0))
+    head_hat *= dealias_mask(g)
     head_hat.flat[0] = 0.0
     return head_hat
 
@@ -372,8 +375,11 @@ def _bracket_hat(g, e_hat, va, ea):
 
 def _stress_rate_hat(g, hats, bracket_hat, params: MediumParams) -> np.ndarray:
     """Coefficients of E_t = eta curl(curl v) - bracket - kappa E."""
-    return (params.eta * _curl_curl_hat(_k_vector(g), hats[0]) - bracket_hat
-            - params.kappa * hats[1])
+    out = _curl_curl_hat(_k_vector(g), hats[0])
+    out *= params.eta
+    out -= bracket_hat
+    out -= params.kappa * hats[1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +477,10 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
         raise SolenoidalityError(
             f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
         )
-    lamb_hat = fftn_array(g, _lamb(g, hats[0], va)) * dealias_mask(g)
-    dv_hat, phi_hat = _leray_hat(g, lamb_hat - hats[1] / params.mu)
+    lamb_hat = fftn_array(g, _lamb(g, hats[0], va))
+    lamb_hat *= dealias_mask(g)
+    lamb_hat -= hats[1] / params.mu
+    dv_hat, phi_hat = _leray_hat(g, lamb_hat)
     bracket_hat = _bracket_hat(g, hats[1], va, ea)
     rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, bracket_hat, params)])
 
@@ -544,7 +552,8 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         du = v
     # v x omega and the force per mass, (grad(dilational stress) - E) / mu
     inv_mu = 1.0 / mu_f.values
-    momentum = _lamb(g, hats[0], va) - ea * inv_mu
+    momentum = _lamb(g, hats[0], va)
+    momentum -= ea * inv_mu
     momentum[axes] += ifftn_array(g, _ik(g)[axes] * dilational_hat) * inv_mu
     dv_hat = fftn_array(g, momentum) * dealias_mask(g) - _ik(g) * _head_hat(g, va)
     del momentum
@@ -849,12 +858,23 @@ class _Stepper:
             _check_finite(k)
             return k
 
+        def plus_y0(arrays):
+            for out, y in zip(arrays, y0):
+                out += y
+            return arrays
+
         try:
-            k2 = rates_at([y + k * (h / 2.0) for y, k in zip(y0, k1)])
-            k3 = rates_at([y + k * (h / 2.0) for y, k in zip(y0, k2)])
-            k4 = rates_at([y + k * h for y, k in zip(y0, k3)])
-            new = [y + (a + (b + c) * 2.0 + d) * (h / 6.0)
-                   for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+            k2 = rates_at(plus_y0([k * (h / 2.0) for k in k1]))
+            k3 = rates_at(plus_y0([k * (h / 2.0) for k in k2]))
+            k4 = rates_at(plus_y0([k * h for k in k3]))
+            # y + (a + (b + c) * 2 + d) * (h / 6), in that operation order
+            new = [b + c for b, c in zip(k2, k3)]
+            for out, a, d in zip(new, k1, k4):
+                out *= 2.0
+                out += a
+                out += d
+                out *= h / 6.0
+            new = plus_y0(new)
             layout.project(new)
             _check_finite(new)
         except _STAGE_ERRORS as exc:

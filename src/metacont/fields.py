@@ -4,7 +4,10 @@ Everything in this package operates on double-precision fields sampled on a
 uniform grid over the periodic box [0,Lx) x [0,Ly) x [0,Lz).  Fields are
 immutable once constructed; all operations are pure functions returning new
 fields and are deterministic for a fixed grid regardless of the FFT worker
-count (set via the METACONT_THREADS environment variable).
+count (set via the METACONT_THREADS environment variable).  The private
+array helpers behind them (`_cross_arrays`, the `diffops` and `dynamics`
+spectral helpers) may scale, accumulate and subtract in place, but only
+into arrays they allocated themselves, never into an argument.
 
 A dimension of size 1 is inactive: derivatives along it vanish and it is
 exempt from the even-and-at-least-4 rule.  2D runs are 3D grids with nz=1.
@@ -100,9 +103,13 @@ class FieldError(ValueError):
 
 
 def _fft_workers() -> int:
-    """FFT worker count from METACONT_THREADS (default 1, deterministic); any
-    value but a positive integer raises ValueError."""
-    value = os.environ.get("METACONT_THREADS", "1")
+    """FFT worker count from METACONT_THREADS (default 1, deterministic), parsed
+    once per value; any value but a positive integer raises ValueError."""
+    return _parse_workers(os.environ.get("METACONT_THREADS", "1"))
+
+
+@lru_cache(maxsize=16)
+def _parse_workers(value: str) -> int:
     if not value.strip().isdecimal() or int(value) < 1:
         raise ValueError(
             f"METACONT_THREADS must be a positive integer, got {value!r}")
@@ -462,9 +469,14 @@ _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # component j -> (j + 1) % 3, (j + 2) % 3
 
 
 def _cross_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product over the leading axis of two stacked triples (formed
-    per component: indexing the whole stacks would copy four of them)."""
-    return np.stack([a[n] * b[f] - a[f] * b[n] for n, f in zip(_NEXT, _AFTER)])
+    """Cross product over the leading axis of two stacked triples, formed
+    per component in one new array (indexing whole stacks would copy four)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    term = np.empty_like(out[0])
+    for j, (n, f) in enumerate(zip(_NEXT, _AFTER)):
+        np.multiply(a[n], b[f], out=out[j])
+        out[j] -= np.multiply(a[f], b[n], out=term)
+    return out
 
 
 def cross(v: VectorField, w: VectorField) -> VectorField:

@@ -139,6 +139,13 @@ class TestRun:
         # both candidate induction weights are reported
         assert manifest["params"]["b_weight_mu"] == 1.0
         assert manifest["params"]["b_weight_eta_c2"] == 1.0
+        # what the run cost: wall time, minor page faults and peak RSS
+        resources = manifest["resources"]
+        assert set(resources) == {"wall_s", "minor_page_faults", "process_peak_rss_mb"}
+        assert resources["wall_s"] > 0.0
+        assert isinstance(resources["minor_page_faults"], int)
+        assert resources["minor_page_faults"] >= 0
+        assert resources["process_peak_rss_mb"] > 0.0
 
     def test_snapshots_round_trip(self, tmp_path):
         out = tmp_path / "out"
@@ -209,6 +216,9 @@ class TestRun:
                 a = json.loads((tmp_path / "a" / rel).read_text())
                 b = json.loads((tmp_path / "b" / rel).read_text())
                 assert a["artifacts"] == b["artifacts"]
+                # the run costs differ, in fixed-width fields
+                assert (tmp_path / "a" / rel).stat().st_size == \
+                    (tmp_path / "b" / rel).stat().st_size
             else:
                 assert (tmp_path / "a" / rel).read_bytes() == \
                     (tmp_path / "b" / rel).read_bytes(), rel

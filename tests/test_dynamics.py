@@ -7,6 +7,7 @@ from metacont.fields import (
     ScalarField,
     TensorField,
     VectorField,
+    make_grid,
     norm_l2,
     norm_linf,
 )
@@ -21,6 +22,7 @@ from metacont.dynamics import (
     SolenoidalityError,
     StepControl,
     StepSizeError,
+    _Stepper,
     auto_step_size,
     integrate,
     oldroyd_discrepancy,
@@ -34,6 +36,7 @@ from metacont.dynamics import (
     upper_convected_vector,
 )
 
+import outofplace_reference as ref
 from helpers import (
     GRID_64,
     band_limited_scalar,
@@ -467,6 +470,40 @@ class TestStepAndIntegrate:
         out = integrate(state, params, StepControl(t_end=0.5, dt=7e-4),
                         "compressible_liquid")
         assert norm_linf(div(out.v)) < 1e-12
+
+    @pytest.mark.parametrize("system, dims", [("fi_incompressible", (16, 16, 1)),
+                                              ("compressible_solid", (8, 8, 8))])
+    def test_advance_equals_out_of_place_rk4_and_keeps_its_source(self, system, dims):
+        # fi's stages hold coefficients, compressible_solid's physical values
+        grid = make_grid(dims, (2 * np.pi, 3.0, 4.0))
+        state = FluidState(
+            time=0.0,
+            v=band_limited_vector(grid, 72, 1 / 6, 0.1, solenoidal=True),
+            E=band_limited_vector(grid, 73, 1 / 6, 0.1),
+            mu_field=ScalarField(
+                grid, 1.0 + band_limited_scalar(grid, 74, 1 / 6, 0.2).values),
+            u=band_limited_vector(grid, 75, 1 / 6, 0.01),
+        )
+        params = MediumParams(lam=1.0, kappa=0.3)
+        stepper = _Stepper(system, params, state)
+        sample = stepper.start(state)
+        h = 0.01
+        y0, k1 = [y.copy() for y in sample.y], [k.copy() for k in sample.k]
+        new = stepper.advance(sample, h).y
+        for got, want in zip(sample.y + sample.k, y0 + k1):
+            assert got.tobytes() == want.tobytes()
+
+        def rates_at(y):
+            return stepper.layout.evaluate(y, state, 0.0, params)[0]
+
+        k2 = rates_at(ref.rk4_stage(y0, k1, h / 2.0))
+        k3 = rates_at(ref.rk4_stage(y0, k2, h / 2.0))
+        k4 = rates_at(ref.rk4_stage(y0, k3, h))
+        expected = ref.rk4_update(y0, k1, k2, k3, k4, h)
+        stepper.layout.project(expected)
+        assert len(new) == len(expected)
+        for got, want in zip(new, expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTemporalConvergence:

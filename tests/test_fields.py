@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from metacont.fields import (
     SNAPSHOT_LAYOUT,
@@ -219,6 +220,25 @@ class TestSpectral:
         with pytest.raises(ValueError, match=re.escape(
                 f"METACONT_THREADS must be a positive integer, got {threads!r}")):
             fftn_array(GRID_64, np.zeros(GRID_64.shape))
+
+    def test_changed_thread_count_takes_effect(self, monkeypatch):
+        # each value is parsed once, yet a changed value reaches the next
+        # transform and a bad one still raises after good ones were parsed
+        rfftn, seen = scipy.fft.rfftn, []
+
+        def recording(*args, workers, **kwargs):
+            seen.append(workers)
+            return rfftn(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfftn", recording)
+        values = np.zeros(GRID_64.shape)
+        for threads in ("1", "2", "1", "2"):
+            monkeypatch.setenv("METACONT_THREADS", threads)
+            fftn_array(GRID_64, values)
+        assert seen == [1, 2, 1, 2]
+        monkeypatch.setenv("METACONT_THREADS", "0")
+        with pytest.raises(ValueError, match="got '0'"):
+            fftn_array(GRID_64, values)
 
     def test_parseval(self):
         f = band_limited_scalar(GRID_64, seed=7, fraction=0.5)

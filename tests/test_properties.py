@@ -16,9 +16,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from metacont.diffops import (
+    _curl_curl_hat,
+    _curl_hat,
+    _div_hat,
+    _leray_hat,
     advect_scalar,
     curl,
     div,
+    divergence_tensor,
     grad,
     laplacian,
     leray_project,
@@ -27,12 +32,21 @@ from metacont.diffops import (
 from metacont.dynamics import (
     FluidState,
     MediumParams,
+    _head_hat,
+    _rhs_fi_hat,
+    _stress_rate_hat,
+    rhs_compressible,
     rhs_fi_incompressible,
     upper_convected_vector,
 )
 from metacont.emlaws import fi_report
 from metacont.fields import (
     ScalarField,
+    _cross_arrays,
+    _k_vector,
+    _transform_axes,
+    fftn_array,
+    ifftn_array,
     TensorField,
     VectorField,
     axpy,
@@ -50,6 +64,7 @@ from metacont.fields import (
 )
 from metacont.scenarios import band_limited_noise
 
+import outofplace_reference as ref
 from helpers import band_limited_vector
 from test_rhs_core import SYSTEMS, _bracket, _oracle, _rhs
 
@@ -261,6 +276,94 @@ def test_fi_faraday_lorentz_closes_on_full_band_states(grid, seed):
     params = MediumParams(mu=1.3, eta=0.8, kappa=0.4)
     report = fi_report(state, params, rhs_fi_incompressible(state, params))
     assert report.entry("faraday_lorentz").normalized_linf < 1e-12
+
+
+def _bitwise(got, expected) -> bool:
+    return (got.dtype == expected.dtype and got.shape == expected.shape
+            and got.tobytes() == expected.tobytes())
+
+
+def _writeable_copies(args):
+    """Each array argument (or dict of arrays) as a fresh writeable copy:
+    numpy then lets a helper write into it, and the byte comparison after
+    the call sees the write."""
+    def copy(a):
+        if isinstance(a, np.ndarray):
+            return a.copy()
+        if isinstance(a, dict):
+            return {i: x.copy() for i, x in a.items()}
+        return a
+    return [copy(a) for a in args]
+
+
+def _arrays(args):
+    for a in args:
+        if isinstance(a, np.ndarray):
+            yield a
+        elif isinstance(a, dict):
+            yield from a.values()
+
+
+@SETTINGS
+@given(grids(), seeds, st.floats(0.0, 2.0), st.floats(0.5, 3.0), st.floats(0.5, 3.0))
+def test_in_place_helpers_equal_out_of_place_forms_bitwise(grid, seed, kappa, mu, eta):
+    # full-band noise, so the masks, the Nyquist modes and the zero-wavenumber
+    # guard all act; the tensor stacks catch a divergence that assumes
+    # grid-shaped entries
+    g = grid
+    rng = np.random.default_rng(seed)
+    noise = lambda shape: band_limited_noise(g, rng, 0.5, shape, 1.0)  # noqa: E731
+    params = MediumParams(mu=mu, eta=eta, kappa=kappa)
+    k = _k_vector(g)
+    hats = fftn_array(g, noise((2, 3)))
+    tensor_hats = fftn_array(g, noise((3, 3)))
+    va, ea = noise((3,)), noise((3,))
+    active = {i: hats[0][i] for i in _transform_axes(g)}
+    bracket = fftn_array(g, noise((3,)))
+    cases = [
+        (_cross_arrays, ref.cross_arrays, (va, ea)),
+        (_cross_arrays, ref.cross_arrays, (k, hats[0])),
+        (_curl_hat, ref.curl_hat, (k, hats[0])),
+        (_curl_curl_hat, ref.curl_curl_hat, (k, hats[0])),
+        (_div_hat, ref.div_hat, (g, hats[0])),
+        (_div_hat, ref.div_hat, (g, active)),
+        (_div_hat, ref.div_hat, (g, tensor_hats)),
+        (_div_hat, ref.div_hat, (g, hats.transpose(1, 0, 2, 3, 4))),
+        (_leray_hat, ref.leray_hat, (g, hats[0])),
+        (_head_hat, ref.head_hat, (g, va)),
+        (_stress_rate_hat, ref.stress_rate_hat, (g, hats, bracket, params)),
+    ]
+    for helper, reference, args in cases:
+        args = _writeable_copies(args)
+        before = [a.copy() for a in _arrays(args)]
+        got, expected = helper(*args), reference(*args)
+        if isinstance(expected, tuple):
+            assert all(_bitwise(a, b) for a, b in zip(got, expected)), helper.__name__
+        else:
+            assert _bitwise(got, expected), helper.__name__
+        assert all(_bitwise(a, b) for a, b in zip(_arrays(args), before)), helper.__name__
+    tensor = TensorField(g, noise((3, 3)))
+    expected = ifftn_array(g, ref.div_hat(g, fftn_array(g, tensor.values)))
+    assert _bitwise(divergence_tensor(tensor).values, expected)
+
+
+@SETTINGS
+@given(grids(), seeds, st.floats(0.0, 2.0), st.floats(0.5, 3.0), st.floats(0.5, 3.0))
+def test_rhs_coefficient_algebra_equals_out_of_place_form_bitwise(
+        grid, seed, kappa, mu, eta):
+    params = MediumParams(mu=mu, eta=eta, kappa=kappa, lam=1.5, nu=0.3)
+    state = _fluid_state(grid, seed, solenoidal=True)
+    hats = fftn_array(grid, np.stack([state.v.values, state.E.values]))
+    before = hats.copy()
+    assert _bitwise(_rhs_fi_hat(grid, hats, params)[0],
+                    ref.fi_rates_hat(grid, hats, params))
+    assert _bitwise(hats, before)
+    state = _fluid_state(grid, seed, solenoidal=False)
+    for rheology in ("liquid", "solid"):
+        rates = rhs_compressible(state, params, rheology)
+        expected = ref.compressible_rates(state, params, rheology)
+        for got, want in zip((rates.dv, rates.dE, rates.dmu), expected):
+            assert _bitwise(got.values, want), rheology
 
 
 _times = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
