@@ -63,15 +63,21 @@ def _ik(g) -> np.ndarray:
     return ik
 
 
+@lru_cache(maxsize=128)
+def _broadcast_shape(*shapes) -> tuple[int, ...]:
+    return np.broadcast_shapes(*shapes)
+
+
 def _div_hat(g, hats) -> np.ndarray:
     """sum_i (i k_i) hats[i] over the active axes i, from +0: the divergence
     of stacked coefficients over their leading axis (of a tensor stack too).
     Only the hats[i] of active axes are read, so hats may be a dict of those."""
     ik, axes = _ik(g), _transform_axes(g)
-    shape = np.broadcast_shapes(g.spectral_shape, *(np.shape(hats[i]) for i in axes))
+    shape = _broadcast_shape(g.spectral_shape, *(np.shape(hats[i]) for i in axes))
     out = np.zeros(shape, dtype=np.complex128)
+    term = np.empty_like(out)
     for i in axes:
-        out += ik[i] * hats[i]
+        out += np.multiply(ik[i], hats[i], out=term)
     return out
 
 
@@ -136,8 +142,8 @@ def curl_curl(v: VectorField) -> VectorField:
     the composition cancels mode products bitwise, so gradient fields map to
     zero at the rounding floor instead of being amplified by k_max^2.  The
     elastic-fluid RHS core in `dynamics` forms the same composition without
-    the physical round trip between the curls, as ik x (ik x v_hat) through
-    `_curl_curl_hat`, so its eta curl(curl v) term keeps this cancellation.
+    the physical round trip between the curls, as ik x (ik x v_hat), so its
+    eta curl(curl v) term keeps this cancellation.
     """
     return curl(curl(v))
 
@@ -189,7 +195,7 @@ _SYM_OFF = (np.array(_SYM_I) != np.array(_SYM_J)).reshape(6, 1, 1, 1)
 
 def _second_derivative_symbols(g) -> np.ndarray:
     """The symbols -k_i k_j of d_i d_j for the six pairs."""
-    k = _k_vector(g)
+    k = _k_vector(g).real
     return -(k[_SYM_I] * k[_SYM_J])
 
 
@@ -237,11 +243,11 @@ def leray_project(v: VectorField) -> ProjectionResult:
 
 @lru_cache(maxsize=128)
 def _guarded_k_squared(g) -> np.ndarray:
-    """|k|^2 with 1 where it is 0, for the Leray projection.  k = 0 at the
-    mean and the all-Nyquist modes, where div_hat is zero too, so the guard
-    pins phi_hat to zero there."""
+    """|k|^2 with 1 where it is 0, for the Leray projection, as complex128
+    (see the `fields` docstring).  k = 0 at the mean and the all-Nyquist
+    modes, where div_hat is zero too, so the guard pins phi_hat to zero there."""
     k2 = _k_squared(g)
-    guarded = np.where(k2 > 0.0, k2, 1.0)
+    guarded = np.where(k2 > 0.0, k2, 1.0).astype(np.complex128)
     guarded.setflags(write=False)
     return guarded
 

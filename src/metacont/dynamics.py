@@ -24,8 +24,8 @@ Spectral core.  The fi and compressible systems form their quadratic terms
 alike from the stacked half-spectrum coefficients [v, E] and the physical v
 and E, with P the two-thirds mask.  The momentum is in rotational form,
 -(v.grad)v = v x omega - grad(|v|^2/2) (T. A. Zang, Appl. Numer. Math. 7,
-1991): omega = curl v from one inverse transform of ik x v, then P[v x omega]
-(`_lamb`).  fi's Leray projection removes the gradient; the compressible
+1991): omega = curl v from one inverse transform of ik x v, then P[v x omega].
+fi's Leray projection removes the gradient; the compressible
 systems subtract ik P[|v|^2/2] (`_head_hat`).  The convected bracket
 v.grad E - E.grad v + (div v) E is formed in the Maxwell form of the paper's
 generalized Ampere law, v div E - curl(v x E), from one inverse transform of
@@ -49,13 +49,14 @@ for every system; its stage inputs and update are formed in place in new
 arrays, bitwise y + k h/2 and y + (k1 + (k2 + k3) 2 + k4) h/6 in that order.
 fi's RK stages hold the half-spectrum coefficients of v and E
 (`GridSpec.spectral_shape`), and its RHS (`_rhs_fi_hat`) returns rate
-coefficients, so a stage inverse-transforms v, E, curl v, div v and div E once
-and forward-transforms only the three products.  The post-step Leray
-projection is then one multiply.  The compressible systems keep physical
-stages, because their 1/mu_field factor and positivity check need the
-density in physical space at every stage; the other systems are built from
-the `diffops` operators.  `step` and `integrate` take and return physical
-states whatever the layout.
+coefficients.  A fi stage forms the coefficients of curl v once, for the
+Lamb product and for eta curl(curl v) = eta ik x curl v, inverse-transforms
+[v, E], curl v and [div v, div E] in three calls and forward-transforms only
+the three products.  The post-step Leray projection is then one multiply.
+The compressible systems keep physical stages, because their 1/mu_field
+factor and positivity check need the density in physical space at every
+stage; the other systems are built from the `diffops` operators.  `step`
+and `integrate` take and return physical states whatever the layout.
 
 `integrate` evaluates the RHS once per accepted state: the evaluation is
 the next step's first stage and is what the observer sees.  The physical
@@ -106,11 +107,11 @@ from .fields import (
     TensorField,
     VectorField,
     _cross_arrays,
+    _dealias_factor,
     _k_squared,
     _k_vector,
     _transform_axes,
     dealias_array,
-    dealias_mask,
     fftn_array,
     ifftn_array,
     norm_linf,
@@ -305,7 +306,7 @@ def upper_convected_vector(E: VectorField, v: VectorField,
     dE_partial + v.grad E - E.grad v + (div v) E, formed as the spectral
     core forms it (`_bracket_hat`)."""
     g = v.grid
-    bracket_hat = _bracket_hat(g, fftn_array(g, E.values), v.values, E.values)
+    bracket_hat = _bracket_hat(g, v.values, E.values, div(E).values)
     out = VectorField._wrap(g, ifftn_array(g, bracket_hat))
     return out if dE_partial is None else dE_partial + out
 
@@ -345,37 +346,33 @@ def oldroyd_discrepancy(sigma: TensorField, v: VectorField) -> VectorField:
 # spectral core of the elastic-fluid systems
 # ---------------------------------------------------------------------------
 
-def _lamb(g, v_hat, va):
-    """v x omega on the grid, not yet dealiased, with omega = curl v from one
-    inverse transform of ik x v_hat: the momentum's quadratic term in
-    rotational form, -(v.grad)v = v x omega - grad(|v|^2/2)."""
-    return _cross_arrays(va, ifftn_array(g, _curl_hat(_k_vector(g), v_hat)))
-
-
 def _head_hat(g, va):
     """P[|v|^2/2] less its mean: the kinetic head whose gradient the
     rotational form subtracts."""
     head_hat = fftn_array(g, 0.5 * np.sum(va * va, axis=0))
-    head_hat *= dealias_mask(g)
+    head_hat *= _dealias_factor(g)
     head_hat.flat[0] = 0.0
     return head_hat
 
 
-def _bracket_hat(g, e_hat, va, ea):
+def _bracket_hat(g, va, ea, div_e):
     """P[v div E] - ik x P[v x E], the dealiased coefficients of
-    v.grad E - E.grad v + (div v) E in Maxwell form, from the coefficients
-    e_hat of E and the grid values va, ea of v and E."""
-    div_e = ifftn_array(g, _div_hat(g, e_hat))
-    # two 3-component calls: one stacked 6-component call is slower at 32^3
+    v.grad E - E.grad v + (div v) E in Maxwell form, from the grid values
+    va, ea and div_e of v, E and div E."""
+    # two 3-component calls: at 32^3 one stacked 6-component call is slower,
+    # because glibc hands its larger buffers back to the system after each
+    # call and the next call faults them in anew
     bracket_hat = fftn_array(g, va * div_e)
     bracket_hat -= _curl_hat(_k_vector(g), fftn_array(g, _cross_arrays(va, ea)))
-    bracket_hat *= dealias_mask(g)
+    bracket_hat *= _dealias_factor(g)
     return bracket_hat
 
 
-def _stress_rate_hat(g, hats, bracket_hat, params: MediumParams) -> np.ndarray:
-    """Coefficients of E_t = eta curl(curl v) - bracket - kappa E."""
-    out = _curl_curl_hat(_k_vector(g), hats[0])
+def _stress_rate_hat(g, hats, omega_hat, bracket_hat,
+                     params: MediumParams) -> np.ndarray:
+    """Coefficients of E_t = eta curl(curl v) - bracket - kappa E, with
+    curl(curl v) read as ik x omega_hat from omega_hat = ik x v_hat."""
+    out = _curl_hat(_k_vector(g), omega_hat)
     out *= params.eta
     out -= bracket_hat
     out -= params.kappa * hats[1]
@@ -472,17 +469,21 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     if physical is None:
         physical = ifftn_array(g, hats)
     va, ea = physical
-    divv_linf = float(np.max(np.abs(ifftn_array(g, _div_hat(g, hats[0])))))
+    # div v and div E from one inverse transform of the swapped [v, E] stack
+    div_v, div_e = ifftn_array(g, _div_hat(g, hats.swapaxes(0, 1)))
+    divv_linf = float(np.max(np.abs(div_v)))
     if divv_linf > DIV_INPUT_TOL:
         raise SolenoidalityError(
             f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
         )
-    lamb_hat = fftn_array(g, _lamb(g, hats[0], va))
-    lamb_hat *= dealias_mask(g)
+    omega_hat = _curl_hat(_k_vector(g), hats[0])
+    lamb_hat = fftn_array(g, _cross_arrays(va, ifftn_array(g, omega_hat)))
+    lamb_hat *= _dealias_factor(g)
     lamb_hat -= hats[1] / params.mu
     dv_hat, phi_hat = _leray_hat(g, lamb_hat)
-    bracket_hat = _bracket_hat(g, hats[1], va, ea)
-    rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, bracket_hat, params)])
+    bracket_hat = _bracket_hat(g, va, ea, div_e)
+    rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, omega_hat, bracket_hat,
+                                                    params)])
 
     @functools.cache
     def rates() -> FiRates:
@@ -552,17 +553,19 @@ def rhs_compressible(state: FluidState, params: MediumParams,
         du = v
     # v x omega and the force per mass, (grad(dilational stress) - E) / mu
     inv_mu = 1.0 / mu_f.values
-    momentum = _lamb(g, hats[0], va)
+    momentum = _cross_arrays(va, ifftn_array(g, _curl_hat(_k_vector(g), hats[0])))
     momentum -= ea * inv_mu
     momentum[axes] += ifftn_array(g, _ik(g)[axes] * dilational_hat) * inv_mu
-    dv_hat = fftn_array(g, momentum) * dealias_mask(g) - _ik(g) * _head_hat(g, va)
+    dv_hat = fftn_array(g, momentum) * _dealias_factor(g) - _ik(g) * _head_hat(g, va)
     del momentum
     dv = ifftn_array(g, dv_hat)
-    dE = ifftn_array(g, _stress_rate_hat(
-        g, hats, _bracket_hat(g, hats[1], va, ea), params))
+    # the bracket, its rate coefficients, the rate: each frees the one before
+    dE = _bracket_hat(g, va, ea, ifftn_array(g, _div_hat(g, hats[1])))
+    dE = _stress_rate_hat(g, hats, _curl_hat(_k_vector(g), hats[0]), dE, params)
+    dE = ifftn_array(g, dE)
     # the mass flux mu v, only along the active axes that its divergence reads
     flux_hat = {i: fftn_array(g, mu_f.values * va[i]) for i in axes}
-    dmu = ifftn_array(g, -_div_hat(g, flux_hat) * dealias_mask(g))
+    dmu = ifftn_array(g, -_div_hat(g, flux_hat) * _dealias_factor(g))
     return CompressibleRates(dv=VectorField._wrap(g, dv),
                              dE=VectorField._wrap(g, dE),
                              dmu=ScalarField._wrap(g, dmu),
@@ -892,8 +895,10 @@ class _Stepper:
 
 
 def _check_finite(arrays) -> None:
+    # a complex array is scanned through its float view, twice as fast: a
+    # complex value is finite exactly when both its parts are
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not np.isfinite(a.view(a.real.dtype)).all():
             raise FieldError("non-finite values in an RK stage")
 
 

@@ -48,6 +48,14 @@ complex-to-complex transform followed by `.real` yields; without it, `irfftn`
 would keep the anti-Hermitian Nyquist part of i*k*c along the non-halved
 axes.  Band-limited fields and dealiased products carry no Nyquist content,
 so the convention shows only on full-band input.
+
+Cached symbols.  The constant spectral symbols that multiply coefficients on
+the stepping path are cached once per grid as complex128: the wavenumber
+stack `_k_vector`, the two-thirds factor `_dealias_factor` and the Leray
+guard in `diffops`.  A real or boolean factor would be cast to complex on
+every call, which costs about as much as the multiply itself; numpy's
+cast-then-multiply is this same complex multiply, so the results carry the
+same bits.
 """
 
 from __future__ import annotations
@@ -258,8 +266,9 @@ def _k_squared(grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _k_vector(grid: GridSpec) -> np.ndarray:
-    """The wavenumbers k_x, k_y, k_z stacked: shape (3,) + spectral_shape."""
-    k = np.stack(np.broadcast_arrays(*angular_wavenumbers(grid)))
+    """The wavenumbers k_x, k_y, k_z stacked as complex128 (see the module
+    docstring): shape (3,) + spectral_shape; a real user reads `.real`."""
+    k = np.stack(np.broadcast_arrays(*angular_wavenumbers(grid)), dtype=np.complex128)
     k.setflags(write=False)
     return k
 
@@ -273,6 +282,15 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
             mask = mask & (np.abs(m) <= n / 3.0)
     mask.setflags(write=False)
     return mask
+
+
+@lru_cache(maxsize=128)
+def _dealias_factor(grid: GridSpec) -> np.ndarray:
+    """`dealias_mask` as complex128, the factor of the package's own products
+    with coefficients (see the module docstring)."""
+    factor = dealias_mask(grid).astype(np.complex128)
+    factor.setflags(write=False)
+    return factor
 
 
 def _stack_axes(grid: GridSpec, values: np.ndarray) -> tuple[int, ...]:
@@ -302,7 +320,7 @@ def ifftn_array(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
 
 def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Physical-space round trip through the two-thirds mask."""
-    return ifftn_array(grid, fftn_array(grid, values) * dealias_mask(grid))
+    return ifftn_array(grid, fftn_array(grid, values) * _dealias_factor(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +551,7 @@ def from_spectral(sf: SpectralField) -> ScalarField:
 
 def dealias(sf: SpectralField) -> SpectralField:
     """Zero every mode with |m_i| > n_i/3 in any active dimension."""
-    return SpectralField(sf.grid, sf.coeffs * dealias_mask(sf.grid))
+    return SpectralField(sf.grid, sf.coeffs * _dealias_factor(sf.grid))
 
 
 def dealias_field(f: Field) -> Field:

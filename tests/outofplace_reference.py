@@ -4,7 +4,10 @@ path, the RHS coefficient algebra around them and the RK4 update.
 The package forms each of these by scaling, accumulating and subtracting in
 place, in arrays the helper allocates itself.  Each one-liner here is the
 plain expression in the same operation order, so the in-place form must equal
-it bitwise (`test_properties`, `test_dynamics`).
+it bitwise (`test_properties`, `test_dynamics`).  The references multiply by
+the real wavenumbers, the real Leray guard and the boolean two-thirds mask,
+which numpy casts to complex on every call, where the package multiplies by
+cached complex copies; the results must still carry the same bits.
 """
 
 import numpy as np
@@ -25,6 +28,10 @@ def cross_arrays(a, b):
     return np.stack([a[n] * b[f] - a[f] * b[n] for n, f in zip(_NEXT, _AFTER)])
 
 
+def real_k(g):
+    return _k_vector(g).real
+
+
 def div_hat(g, hats):
     ik = _ik(g)
     return sum((ik[i] * hats[i] for i in _transform_axes(g)),
@@ -40,7 +47,7 @@ def curl_curl_hat(k, hats):
 
 
 def leray_hat(g, hats):
-    phi_hat = -div_hat(g, hats) / _guarded_k_squared(g)
+    phi_hat = -div_hat(g, hats) / _guarded_k_squared(g).real
     return hats - _ik(g) * phi_hat, phi_hat
 
 
@@ -51,17 +58,17 @@ def head_hat(g, va):
 
 
 def stress_rate_hat(g, hats, bracket_hat, params):
-    return (params.eta * curl_curl_hat(_k_vector(g), hats[0]) - bracket_hat
+    return (params.eta * curl_curl_hat(real_k(g), hats[0]) - bracket_hat
             - params.kappa * hats[1])
 
 
 def lamb(g, v_hat, va):
-    return cross_arrays(va, ifftn_array(g, curl_hat(_k_vector(g), v_hat)))
+    return cross_arrays(va, ifftn_array(g, curl_hat(real_k(g), v_hat)))
 
 
 def bracket_hat(g, e_hat, va, ea):
     div_e = ifftn_array(g, div_hat(g, e_hat))
-    curl_ve = curl_hat(_k_vector(g), fftn_array(g, cross_arrays(va, ea)))
+    curl_ve = curl_hat(real_k(g), fftn_array(g, cross_arrays(va, ea)))
     return (fftn_array(g, va * div_e) - curl_ve) * dealias_mask(g)
 
 

@@ -413,6 +413,13 @@ def _replacing(attr, change):
     return fault
 
 
+def _with_params(change):
+    """Fault: op called with every MediumParams argument passed through
+    `change`, wherever the signature puts it."""
+    return lambda op: lambda *args: op(*(
+        change(a) if isinstance(a, MediumParams) else a for a in args))
+
+
 def _leaky(op):
     """A Leray projection whose solenoidal part grows by one part in 1e9."""
     def leaky(g, hats):
@@ -455,10 +462,9 @@ CHECK_FAULTS = {
     "div_b": (emlaws, "curl", lambda op: lambda v: _stretch_x(op(v))),
     "dispersion_root_residual": (
         cli, "dispersion_shear", _replacing("omega_plus", lambda w: w + 1e-3)),
-    "kappa_decay_rate": (
-        dynamics, "_stress_rate_hat", lambda op: lambda g, hats, bracket, params:
-        op(g, hats, bracket, dataclasses.replace(params, kappa=0.9 * params.kappa))),
-    "shear_wave_speed": (dynamics, "_curl_curl_hat", _scaled(1.02)),
+    "kappa_decay_rate": (dynamics, "_stress_rate_hat", _with_params(
+        lambda p: dataclasses.replace(p, kappa=0.9 * p.kappa))),
+    "shear_wave_speed": (dynamics, "_stress_rate_hat", _scaled(1.02)),
     "energy_drift_100_steps": (dynamics, "_leray_hat", _leaky),
     "bitwise_rerun": (cli, "integrate", _drifting),
 }
@@ -794,9 +800,13 @@ class TestMainEntryPoint:
         assert code == 2
 
     def test_console_script_installed(self):
+        # the child imports metacont from where this process did, whether
+        # through PYTHONPATH or through pytest's `pythonpath` setting
+        root = str(Path(metacont.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "metacont.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "run" in proc.stdout and "verify" in proc.stdout
 

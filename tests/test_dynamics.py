@@ -1,9 +1,13 @@
 """Governing-system right-hand sides, Oldroyd rates, and the RK4 integrator."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from metacont.fields import (
+    FieldError,
     ScalarField,
     TensorField,
     VectorField,
@@ -18,6 +22,7 @@ from metacont.dynamics import (
     IntegrationError,
     MaxwellState,
     MediumParams,
+    SYSTEMS,
     SecondOrderState,
     SolenoidalityError,
     StepControl,
@@ -353,6 +358,18 @@ class TestClassicalMaxwell:
             assert norm_linf(div(state.B)) < 1e-12
 
 
+def _stepper_state(grid):
+    """Band-limited fields for every state attribute of the fluid systems."""
+    return FluidState(
+        time=0.0,
+        v=band_limited_vector(grid, 72, 1 / 6, 0.1, solenoidal=True),
+        E=band_limited_vector(grid, 73, 1 / 6, 0.1),
+        mu_field=ScalarField(
+            grid, 1.0 + band_limited_scalar(grid, 74, 1 / 6, 0.2).values),
+        u=band_limited_vector(grid, 75, 1 / 6, 0.01),
+    )
+
+
 def _standing_shear_state(grid, amplitude=1e-3, k=1):
     return FluidState(
         time=0.0,
@@ -476,14 +493,7 @@ class TestStepAndIntegrate:
     def test_advance_equals_out_of_place_rk4_and_keeps_its_source(self, system, dims):
         # fi's stages hold coefficients, compressible_solid's physical values
         grid = make_grid(dims, (2 * np.pi, 3.0, 4.0))
-        state = FluidState(
-            time=0.0,
-            v=band_limited_vector(grid, 72, 1 / 6, 0.1, solenoidal=True),
-            E=band_limited_vector(grid, 73, 1 / 6, 0.1),
-            mu_field=ScalarField(
-                grid, 1.0 + band_limited_scalar(grid, 74, 1 / 6, 0.2).values),
-            u=band_limited_vector(grid, 75, 1 / 6, 0.01),
-        )
+        state = _stepper_state(grid)
         params = MediumParams(lam=1.0, kappa=0.3)
         stepper = _Stepper(system, params, state)
         sample = stepper.start(state)
@@ -504,6 +514,54 @@ class TestStepAndIntegrate:
         assert len(new) == len(expected)
         for got, want in zip(new, expected):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("system, dims, bad", [
+        ("fi_incompressible", (16, 16, 1), complex(0.0, np.nan)),
+        ("fi_incompressible", (16, 16, 1), complex(np.inf, 0.0)),
+        ("compressible_solid", (8, 8, 8), np.nan),
+        ("compressible_solid", (8, 8, 8), np.inf),
+    ])
+    def test_non_finite_stage_rate_aborts_with_last_accepted_state(
+            self, monkeypatch, system, dims, bad):
+        # fi's stage rates are coefficients, scanned through their float view:
+        # a NaN only in an imaginary part, or +inf only in a real part, must
+        # abort as a non-finite physical rate does.  The value is planted in
+        # the sixth RHS evaluation, the second stage of the second step.
+        grid = make_grid(dims, (2 * np.pi, 3.0, 4.0))
+        state = _stepper_state(grid)
+        params = MediumParams(lam=1.0, kappa=0.3)
+        control = StepControl(t_end=0.03, dt=0.01)
+        accepted = step(state, params, control, system)
+        record = SYSTEMS[system]
+        calls = itertools.count(1)
+
+        def rhs_hat(g, hats, p, physical):
+            k, physical, rates = record.rhs_hat(g, hats, p, physical)
+            if next(calls) == 6:
+                k = k.copy()
+                k[1, 0, 1, 2, 0] = bad
+            return k, physical, rates
+
+        def rhs(s, p):
+            rates = record.rhs(s, p)
+            if next(calls) == 6:
+                dv = rates.dv.values.copy()
+                dv[0, 1, 2, 3] = bad
+                rates = dataclasses.replace(rates, dv=VectorField._wrap(grid, dv))
+            return rates
+
+        planted = (dict(rhs_hat=rhs_hat) if record.rhs_hat is not None
+                   else dict(rhs=rhs))
+        monkeypatch.setitem(SYSTEMS, system, dataclasses.replace(record, **planted))
+        with pytest.raises(IntegrationError) as info:
+            integrate(state, params, control, system)
+        assert isinstance(info.value.__cause__, FieldError)
+        assert next(calls) == 7
+        carried = info.value.state
+        assert carried.time == accepted.time
+        for name in record.fields:
+            assert (getattr(carried, name).values.tobytes()
+                    == getattr(accepted, name).values.tobytes()), name
 
 
 class TestTemporalConvergence:

@@ -43,8 +43,10 @@ from metacont.emlaws import fi_report
 from metacont.fields import (
     ScalarField,
     _cross_arrays,
+    _dealias_factor,
     _k_vector,
     _transform_axes,
+    dealias_mask,
     fftn_array,
     ifftn_array,
     TensorField,
@@ -314,29 +316,43 @@ def test_in_place_helpers_equal_out_of_place_forms_bitwise(grid, seed, kappa, mu
     rng = np.random.default_rng(seed)
     noise = lambda shape: band_limited_noise(g, rng, 0.5, shape, 1.0)  # noqa: E731
     params = MediumParams(mu=mu, eta=eta, kappa=kappa)
-    k = _k_vector(g)
+    k, real_k = _k_vector(g), ref.real_k(g)
     hats = fftn_array(g, noise((2, 3)))
     tensor_hats = fftn_array(g, noise((3, 3)))
     va, ea = noise((3,)), noise((3,))
     active = {i: hats[0][i] for i in _transform_axes(g)}
     bracket = fftn_array(g, noise((3,)))
+    omega = ref.curl_hat(real_k, hats[0])
+
+    def two_curl_stress_rate(g, hats, omega, bracket, params):
+        return ref.stress_rate_hat(g, hats, bracket, params)
+
+    def masked(factor, hats):
+        return hats * factor
+
+    # (helper, reference, args, reference args if not the helper's); the
+    # package multiplies by the cached complex k and two-thirds factor, the
+    # references by the real k and the boolean mask, which numpy casts
     cases = [
         (_cross_arrays, ref.cross_arrays, (va, ea)),
-        (_cross_arrays, ref.cross_arrays, (k, hats[0])),
-        (_curl_hat, ref.curl_hat, (k, hats[0])),
-        (_curl_curl_hat, ref.curl_curl_hat, (k, hats[0])),
+        (_cross_arrays, ref.cross_arrays, (k, hats[0]), (real_k, hats[0])),
+        (_curl_hat, ref.curl_hat, (k, hats[0]), (real_k, hats[0])),
+        (_curl_curl_hat, ref.curl_curl_hat, (k, hats[0]), (real_k, hats[0])),
         (_div_hat, ref.div_hat, (g, hats[0])),
         (_div_hat, ref.div_hat, (g, active)),
         (_div_hat, ref.div_hat, (g, tensor_hats)),
         (_div_hat, ref.div_hat, (g, hats.transpose(1, 0, 2, 3, 4))),
         (_leray_hat, ref.leray_hat, (g, hats[0])),
         (_head_hat, ref.head_hat, (g, va)),
-        (_stress_rate_hat, ref.stress_rate_hat, (g, hats, bracket, params)),
+        # curl(curl v) as ik x omega against the unchanged two-curl form
+        (_stress_rate_hat, two_curl_stress_rate, (g, hats, omega, bracket, params)),
+        (masked, masked, (_dealias_factor(g), hats), (dealias_mask(g), hats)),
     ]
-    for helper, reference, args in cases:
+    for helper, reference, args, *ref_args in cases:
         args = _writeable_copies(args)
         before = [a.copy() for a in _arrays(args)]
-        got, expected = helper(*args), reference(*args)
+        got = helper(*args)
+        expected = reference(*(_writeable_copies(ref_args[0]) if ref_args else args))
         if isinstance(expected, tuple):
             assert all(_bitwise(a, b) for a, b in zip(got, expected)), helper.__name__
         else:
