@@ -38,25 +38,27 @@ generalized Ampere and metacharge continuity close at round-off on any state
 stay in spectral space.
 
 Each system is one `System` record in the `SYSTEMS` table, keyed by its
-name: the state fields it advances and their rates, its RHS, the fields
-projected after each step, its CFL speed and diffusivity, its law report,
-its initial-state builder and the scenario kinds it accepts.  `step`,
-`integrate` and the runner read only the record, so adding a system means
-adding one record.
+name: the state fields it advances and their rates, its RHS, its CFL speed
+and diffusivity, its law report, its initial-state builder and the scenario
+kinds it accepts.  `step`, `integrate` and the runner read only the record,
+so adding a system means adding one record.
 
 State layout.  Time stepping is one four-stage explicit Runge-Kutta scheme
 for every system; its stage inputs and update are formed in place in new
 arrays, bitwise y + k h/2 and y + (k1 + (k2 + k3) 2 + k4) h/6 in that order.
-fi's RK stages hold the half-spectrum coefficients of v and E
-(`GridSpec.spectral_shape`), and its RHS (`_rhs_fi_hat`) returns rate
-coefficients.  A fi stage forms the coefficients of curl v once, for the
-Lamb product and for eta curl(curl v) = eta ik x curl v, inverse-transforms
-[v, E], curl v and [div v, div E] in three calls and forward-transforms only
-the three products.  The post-step Leray projection is then one multiply.
-The compressible systems keep physical stages, because their 1/mu_field
-factor and positivity check need the density in physical space at every
-stage; the other systems are built from the `diffops` operators.  `step`
-and `integrate` take and return physical states whatever the layout.
+The RK stages of fi and second_order, the systems held to div v = 0, hold
+the half-spectrum coefficients (`GridSpec.spectral_shape`) of [v, E] and
+[v, v_t]; their RHS (`_rhs_fi_hat`, `_rhs_second_order_hat`) return rate
+coefficients, each velocity rate Leray-projected by a multiply.  Rates are
+projected, never states: solenoidal rates keep div v at round-off.  A fi
+stage forms the coefficients of curl v once, for the Lamb product and for
+eta curl(curl v) = eta ik x curl v, inverse-transforms [v, E], curl v and
+[div v, div E] in three calls and forward-transforms only the three products.
+The other systems have no constraint and keep physical stages: the
+compressible ones because their 1/mu_field factor and positivity check need
+the density in physical space at every stage, and the linear ones are built
+from the `diffops` operators.  `step` and `integrate` take and return
+physical states whatever the layout.
 
 `integrate` evaluates the RHS once per accepted state: the evaluation is
 the next step's first stage and is what the observer sees.  The physical
@@ -97,8 +99,6 @@ from .diffops import (
     divergence_tensor,
     double_advection,
     grad_vector,
-    laplacian,
-    leray_project,
     vector_advection,
 )
 from .fields import (
@@ -379,6 +379,19 @@ def _stress_rate_hat(g, hats, omega_hat, bracket_hat,
     return out
 
 
+def _divergences(g, hats, checked: tuple[str, ...]) -> np.ndarray:
+    """The grid values of the divergence of every field in the stacked
+    coefficients hats, from one inverse transform; the fields named in
+    `checked` (the leading ones, in order) must be solenoidal on input."""
+    divs = ifftn_array(g, _div_hat(g, hats.swapaxes(0, 1)))
+    for name, d in zip(checked, divs):
+        linf = float(np.max(np.abs(d)))
+        if linf > DIV_INPUT_TOL:
+            raise SolenoidalityError(
+                f"div {name} = {linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input")
+    return divs
+
+
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
@@ -469,13 +482,7 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     if physical is None:
         physical = ifftn_array(g, hats)
     va, ea = physical
-    # div v and div E from one inverse transform of the swapped [v, E] stack
-    div_v, div_e = ifftn_array(g, _div_hat(g, hats.swapaxes(0, 1)))
-    divv_linf = float(np.max(np.abs(div_v)))
-    if divv_linf > DIV_INPUT_TOL:
-        raise SolenoidalityError(
-            f"div v = {divv_linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
-        )
+    div_e = _divergences(g, hats, ("v",))[1]
     omega_hat = _curl_hat(_k_vector(g), hats[0])
     lamb_hat = fftn_array(g, _cross_arrays(va, ifftn_array(g, omega_hat)))
     lamb_hat *= _dealias_factor(g)
@@ -503,19 +510,30 @@ def rhs_second_order(state: SecondOrderState, params: MediumParams) -> SecondOrd
 
     mu v_tt + 2 mu (v.grad) v_t + (vv) grad grad v = -(rate of grad p) + eta lap v.
     All known terms are evaluated and v_tt is Leray-projected, which realizes
-    the pressure-gradient rate implicitly as the projected-out gradient.
+    the pressure-gradient rate implicitly as the projected-out gradient; v's
+    rate is v_t projected.  The physical form of `_rhs_second_order_hat`, as
+    `rhs_fi_incompressible` is of `_rhs_fi_hat`.
     """
-    v, v_t = state.v, state.v_t
-    for name, f in (("v", v), ("v_t", v_t)):
-        linf = norm_linf(div(f))
-        if linf > DIV_INPUT_TOL:
-            raise SolenoidalityError(
-                f"div {name} = {linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input"
-            )
-    raw = (laplacian(v) * (params.eta / params.mu)
-           - vector_advection(v, v_t) * 2.0
-           - double_advection(v, v) * (1.0 / params.mu))
-    return SecondOrderRates(dv=v_t, dv_t=leray_project(raw).solenoidal)
+    g = state.v.grid
+    physical = np.stack([state.v.values, state.v_t.values])
+    return _rhs_second_order_hat(g, fftn_array(g, physical), params, physical)[2]()
+
+
+def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
+    """The second_order RHS on the stacked coefficients hats = [v_hat,
+    v_t_hat], returning what `_rhs_fi_hat` does; only the dealiased products
+    (v.grad) v_t and (vv) grad grad v leave spectral space."""
+    if physical is None:
+        physical = ifftn_array(g, hats)
+    _divergences(g, hats, ("v", "v_t"))
+    v, v_t = (VectorField._wrap(g, a) for a in physical)
+    products = vector_advection(v, v_t) * 2.0 + double_advection(v, v) * (1.0 / params.mu)
+    raw_hat = hats[0] * (-_k_squared(g) * (params.eta / params.mu))
+    raw_hat -= fftn_array(g, products.values)
+    rates_hat = np.stack([_leray_hat(g, hats[1])[0], _leray_hat(g, raw_hat)[0]])
+    rates = functools.cache(lambda: SecondOrderRates(
+        *(VectorField._wrap(g, a) for a in ifftn_array(g, rates_hat))))
+    return rates_hat, physical, rates
 
 
 def rhs_compressible(state: FluidState, params: MediumParams,
@@ -593,10 +611,9 @@ class System:
     scenarios    the scenario kinds whose initial state the system accepts
     rhs          (state, params) -> rates, evaluated on physical RK stages
     rhs_hat      or the RHS on the fields' stacked half-spectrum coefficients
-                 (the signature of `_rhs_fi_hat`): the RK stages then hold
-                 coefficients
+                 (the signature of `_rhs_fi_hat`), velocity rates projected:
+                 the RK stages then hold coefficients
     observed     rate attributes a run writes beside the fields (fi's pressure)
-    projected    fields Leray-projected after every step
     cfl_speed    the MediumParams attribute that is the fastest signal speed
     diffusivity  None, or (params, mu) -> the diffusivity D at density mu of an
                  explicit diffusion term, held to RK4's limit at least mu_field
@@ -611,7 +628,6 @@ class System:
     rhs: Callable | None = None
     rhs_hat: Callable | None = None
     observed: tuple[str, ...] = ()
-    projected: tuple[str, ...] = ()
     cfl_speed: str = "c"
     diffusivity: Callable | None = None
     uses_kappa: bool = False
@@ -633,12 +649,11 @@ SYSTEMS: dict[str, System] = {
     "fi_incompressible": System(
         fields=("v", "E"), rates=("dv", "dE"),
         rhs_hat=lambda g, hats, p, physical: _rhs_fi_hat(g, hats, p, physical),
-        observed=("pressure",), scenarios=_STRESSED, projected=("v",),
+        observed=("pressure",), scenarios=_STRESSED,
         uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "second_order": System(
-        fields=("v", "v_t"), rates=("dv", "dv_t"),
-        rhs=lambda s, p: rhs_second_order(s, p),
-        scenarios=_SOLENOIDAL, projected=("v", "v_t"),
+        fields=("v", "v_t"), rates=("dv", "dv_t"), scenarios=_SOLENOIDAL,
+        rhs_hat=lambda g, hats, p, physical: _rhs_second_order_hat(g, hats, p, physical),
         # v_t starts as the fi velocity rate of the scenario state
         initial=lambda s, p: SecondOrderState(
             time=s.time, v=s.v, v_t=rhs_fi_incompressible(s, p).dv)),
@@ -741,12 +756,6 @@ class _Physical:
         k = [getattr(rates, name).values for name in self.record.rates]
         return k, state, lambda: rates
 
-    def project(self, y: list) -> None:
-        for i, name in enumerate(self.record.fields):
-            if name in self.record.projected:
-                field = VectorField._wrap(self.grid, y[i])
-                y[i] = leray_project(field).solenoidal.values
-
 
 class _Spectral(_Physical):
     """RK stages that hold one array: the stacked half-spectrum coefficients
@@ -767,12 +776,6 @@ class _Spectral(_Physical):
         if state is None:
             state = super().decode(physical, like, time)
         return [k], state, rates
-
-    def project(self, y: list) -> None:
-        for i, name in enumerate(self.record.fields):
-            if name in self.record.projected:
-                # y[0] is the step's own new array
-                y[0][i] = _leray_hat(self.grid, y[0][i])[0]
 
 
 class _Sample:
@@ -878,7 +881,6 @@ class _Stepper:
                 out += d
                 out *= h / 6.0
             new = plus_y0(new)
-            layout.project(new)
             _check_finite(new)
         except _STAGE_ERRORS as exc:
             raise self.failure(sample, h, exc) from exc
@@ -908,10 +910,10 @@ def step(state, params: MediumParams, control: StepControl, system: str,
 
     dt overrides the control.  The stages hold what the system's record
     says: physical values, or half-spectrum coefficients for a system with
-    an `rhs_hat` (fi), whose state is transformed in and out here.  Fields
-    named `projected` are Leray-projected after the update, so the
-    solenoidality invariant holds to round-off.  Any failure inside a stage
-    (a non-finite value, DensityError, SolenoidalityError) raises an
+    an `rhs_hat` (fi, second_order), whose state is transformed in and out
+    here.  No state is projected: div v (and div v_t) holds to round-off
+    because every stage's velocity rate is.  Any failure inside a stage (a
+    non-finite value, DensityError, SolenoidalityError) raises an
     IntegrationError that carries `state`, with the original as __cause__.
     """
     stepper = _Stepper(system, params, state)

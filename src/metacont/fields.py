@@ -27,8 +27,8 @@ input and reject a misshaped or non-finite one with `FieldError`, as the
 snapshot reader does.  Operator results are adopted as they are, without a
 copy or a scan.  The time stepper in `dynamics` scans instead: the rates of
 every RK stage and each accepted state, in the layout the stages hold
-(physical values, or fi's half-spectrum coefficients), and a physical state
-it forms from coefficients.
+(physical values, or the half-spectrum coefficients of fi and second_order),
+and a physical state it forms from coefficients.
 
 Spectral layout.  Every field is real, so the forward transform is the
 real-to-complex `scipy.fft.rfftn` over the active axes and the inverse is
@@ -274,12 +274,13 @@ def _k_vector(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Two-thirds-rule mask: modes with |m_i| > n_i/3 in any active dim are zeroed."""
+def dealias_mask(grid: GridSpec, fraction: float = 1 / 3) -> np.ndarray:
+    """The modes with |m_i| <= n_i * fraction along every active axis; the
+    default is the two-thirds-rule mask."""
     mask = np.ones(grid.spectral_shape, dtype=bool)
     for m, n, active in zip(_mode_indices(grid), grid.dims, grid.active):
         if active:
-            mask = mask & (np.abs(m) <= n / 3.0)
+            mask = mask & (np.abs(m) <= n * fraction)
     mask.setflags(write=False)
     return mask
 

@@ -52,12 +52,12 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    dealias_mask,
     fftn_array,
     ifftn_array,
     mode_coefficient,
     norm_linf,
     _is_integer,
-    _mode_indices,
 )
 
 __all__ = [
@@ -187,11 +187,8 @@ def band_limited_noise(grid: GridSpec, rng, fraction: float = RANDOM_BAND_FRACTI
     result is scaled so that its largest magnitude is `peak`.
     """
     rng = np.random.default_rng(rng)
-    mask = np.ones(grid.spectral_shape, dtype=bool)
-    for m, n, active in zip(_mode_indices(grid), grid.dims, grid.active):
-        if active:
-            mask = mask & (np.abs(m) <= n * fraction)
-    coeffs = fftn_array(grid, rng.standard_normal(tuple(shape) + grid.shape)) * mask
+    coeffs = (fftn_array(grid, rng.standard_normal(tuple(shape) + grid.shape))
+              * dealias_mask(grid, fraction))
     coeffs[..., 0, 0, 0] = 0.0
     out = ifftn_array(grid, coeffs)
     largest = float(np.max(np.abs(out)))

@@ -15,9 +15,11 @@ from metacont.fields import (
     TensorField,
     VectorField,
     axpy,
+    _mode_indices,
     cross,
     dealias,
     dealias_field,
+    dealias_mask,
     dot,
     fftn_array,
     from_spectral,
@@ -290,6 +292,17 @@ class TestDealias:
         a = dealias_field(f)
         b = from_spectral(dealias(to_spectral(f)))
         np.testing.assert_allclose(a.values, b.values, atol=1e-14)
+
+    def test_default_mask_keeps_the_modes_within_n_over_3(self):
+        # the default bound n * (1/3) is a different float from n / 3.0 for
+        # many n, yet keeps the same integer modes, along a full axis (x) and
+        # along the halved one (y)
+        for n in range(4, 8193, 2):
+            for dims in ((n, 4, 1), (4, n, 1)):
+                g = make_grid(dims, (2 * np.pi,) * 3)
+                mx, my, _ = _mode_indices(g)
+                expected = (np.abs(mx) <= dims[0] / 3.0) & (np.abs(my) <= dims[1] / 3.0)
+                np.testing.assert_array_equal(dealias_mask(g), expected)
 
 
 class TestSnapshots:

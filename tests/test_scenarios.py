@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from metacont.cli import RunConfig, run
-from metacont.fields import VectorField, make_grid, norm_l2, norm_linf
+from metacont.fields import (
+    VectorField,
+    _mode_indices,
+    fftn_array,
+    ifftn_array,
+    make_grid,
+    norm_l2,
+    norm_linf,
+)
 from metacont.diffops import curl, div
 from metacont.dynamics import SYSTEMS, MediumParams
 from metacont.scenarios import (
@@ -16,6 +24,7 @@ from metacont.scenarios import (
     FitError,
     ScenarioError,
     ScenarioSpec,
+    band_limited_noise,
     dispersion_compressional,
     dispersion_shear,
     generate,
@@ -68,6 +77,28 @@ class TestScenarioSpec:
         spec = ScenarioSpec("standing_shear_wave", amplitude=1e-3,
                             wavevector=(1, 0, 0), polarization=(0.0, 2.0, 0.0))
         assert spec.polarization == (0.0, 1.0, 0.0)
+
+
+def _noise_reference(grid, seed, fraction, shape=(3,)):
+    """`band_limited_noise` with its band mask built in place from the mode
+    indices, as the generator once built it."""
+    mask = np.ones(grid.spectral_shape, dtype=bool)
+    for m, n, active in zip(_mode_indices(grid), grid.dims, grid.active):
+        if active:
+            mask = mask & (np.abs(m) <= n * fraction)
+    rng = np.random.default_rng(seed)
+    coeffs = fftn_array(grid, rng.standard_normal(shape + grid.shape)) * mask
+    coeffs[..., 0, 0, 0] = 0.0
+    return ifftn_array(grid, coeffs)
+
+
+class TestBandLimitedNoise:
+    @pytest.mark.parametrize("fraction", (1 / 6, 1 / 4, 0.4))
+    @pytest.mark.parametrize("seed", (0, 7, 2024))
+    def test_bitwise_equal_to_the_in_place_mask(self, seed, fraction):
+        for grid in (GRID_64, make_grid((16, 8, 12), (2 * np.pi, 3.0, 5.5))):
+            got = band_limited_noise(grid, seed, fraction, (3,))
+            assert got.tobytes() == _noise_reference(grid, seed, fraction).tobytes()
 
 
 class TestGenerate:
