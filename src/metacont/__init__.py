@@ -9,21 +9,16 @@ from .fields import (  # noqa: F401
     GridError,
     GridSpec,
     ScalarField,
-    SpectralField,
     TensorField,
     VectorField,
-    axpy,
     cross,
-    dealias,
     dealias_field,
     dot,
-    from_spectral,
     make_grid,
     mode_coefficient,
     norm_l2,
     norm_linf,
     spectral_norm_l2,
-    to_spectral,
 )
 from .diffops import (  # noqa: F401
     ProjectionResult,

@@ -55,12 +55,12 @@ from .fields import (
     TensorField,
     VectorField,
     atomic_write_text,
-    from_spectral,
+    fftn_array,
+    ifftn_array,
     make_grid,
     norm_l2,
     norm_linf,
     spectral_norm_l2,
-    to_spectral,
     write_snapshot,
 )
 from .scenarios import (
@@ -88,7 +88,10 @@ _SECTION_KEYS = {"grid": {"dims", "lengths"},
 _INTEGER_KEYS = {"snapshot_every", "report_every"}
 
 
-def _check_section(section: str, body: dict) -> None:
+def _check_section(section: str, body) -> None:
+    if not isinstance(body, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object, "
+                          f"got {type(body).__name__}")
     unknown = set(body) - _SECTION_KEYS.get(section, set(body))
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
@@ -99,6 +102,8 @@ def _check_section(section: str, body: dict) -> None:
         if key in _INTEGER_KEYS and not all(
                 isinstance(x, numbers.Integral) for x in items):
             raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        if key == "out_dir" and not isinstance(value, str):
+            raise ConfigError(f"{section}.{key} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +127,6 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for section in ("grid", "params", "scenario", "control", "outputs"):
-            if not isinstance(doc.get(section, {}), dict):
-                raise ConfigError(
-                    f"config section {section!r} must be a JSON object, "
-                    f"got {type(doc[section]).__name__}"
-                )
             _check_section(section, doc.get(section, {}))
         try:
             grid_doc = doc.get("grid", {})
@@ -363,20 +363,20 @@ def _verify_checks():
     grid2d = grids[0]
 
     def noise_vector(grid, seed, fraction):
-        return VectorField.from_arrays(
-            grid, band_limited_noise(grid, seed, fraction, (3,), 1.0))
+        return VectorField(grid, band_limited_noise(grid, seed, fraction, (3,), 1.0))
 
     def roundtrip(grid):
         rng = np.random.default_rng(42)
         f = ScalarField(grid, rng.standard_normal(grid.shape))
-        back = from_spectral(to_spectral(f))
-        return norm_linf(back - f) / norm_linf(f), 1e-13
+        back = ifftn_array(grid, fftn_array(grid, f.values))
+        return float(np.max(np.abs(back - f.values))) / norm_linf(f), 1e-13
 
     def parseval(grid):
         rng = np.random.default_rng(43)
         f = ScalarField(grid, rng.standard_normal(grid.shape))
         phys = norm_l2(f)
-        return abs(phys - spectral_norm_l2(to_spectral(f))) / phys, 1e-12
+        coeffs = fftn_array(grid, f.values)
+        return abs(phys - spectral_norm_l2(grid, coeffs)) / phys, 1e-12
 
     def div_curl(grid):
         return norm_linf(div(curl(noise_vector(grid, 44, 0.4)))), 1e-12
@@ -411,7 +411,7 @@ def _verify_checks():
 
     def oldroyd(grid):
         arrs = band_limited_noise(grid, 52, shape=(3, 3))
-        sigma = TensorField.from_arrays(
+        sigma = TensorField(
             grid, arrs / np.max(np.abs(arrs), axis=(2, 3, 4), keepdims=True))
         v = noise_vector(grid, 53, 1 / 6)
         residual = oldroyd_discrepancy(sigma, v) + hessian_contract(v, sigma)
@@ -493,10 +493,8 @@ def _verify_checks():
         for _ in range(2):
             out = integrate(generate(spec, grid2d, params), params,
                             StepControl(t_end=0.2, dt=0.02), "fi_incompressible")
-            h = hashlib.sha256()
-            for arr in out.v.arrays() + out.E.arrays():
-                h.update(arr.tobytes())
-            digests.append(h.hexdigest())
+            digests.append(hashlib.sha256(
+                out.v.values.tobytes() + out.E.values.tobytes()).hexdigest())
         return float(digests[0] != digests[1]), 0.5
 
     # twelve check kinds on every grid, named `<kind>_<grid tag>`, then the
@@ -794,7 +792,11 @@ def main(argv=None) -> int:
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --values: {exc}") from exc
-            out_dir = args.out or doc.get("outputs", {}).get("out_dir", "out")
+            # the out dir is resolved before any run checks the config; a
+            # swept key may be absent from it, so only `outputs` is checked
+            outputs = doc.get("outputs", {})
+            _check_section("outputs", outputs)
+            out_dir = args.out or outputs.get("out_dir", "out")
             summary = sweep(doc, args.axis, values, out_dir)
             print(json.dumps({k: v for k, v in summary.items() if k != "rows"},
                              sort_keys=True, indent=2))

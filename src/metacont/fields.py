@@ -22,13 +22,13 @@ acts on the whole stack at once; a batched transform gives the same bits as
 one transform per component.
 
 Finiteness is checked where values come from outside: the public
-constructors (`ScalarField(grid, values)`, `from_arrays`, `full`) copy their
-input and reject a misshaped or non-finite one with `FieldError`, as the
-snapshot reader does.  Operator results are adopted as they are, without a
-copy or a scan.  The time stepper in `dynamics` scans instead: the rates of
-every RK stage and each accepted state, in the layout the stages hold
-(physical values, or the half-spectrum coefficients of fi and second_order),
-and a physical state it forms from coefficients.
+constructors (`ScalarField(grid, values)`, its vector and tensor kin, and
+`full`) copy their input and reject a misshaped or non-finite one with
+`FieldError`, as the snapshot reader does.  Operator results are adopted as
+they are, without a copy or a scan.  The time stepper in `dynamics` scans
+instead: the rates of every RK stage and each accepted state, in the layout
+the stages hold (physical values, or the half-spectrum coefficients of fi
+and second_order), and a physical state it forms from coefficients.
 
 Spectral layout.  Every field is real, so the forward transform is the
 real-to-complex `scipy.fft.rfftn` over the active axes and the inverse is
@@ -36,10 +36,10 @@ real-to-complex `scipy.fft.rfftn` over the active axes and the inverse is
 coefficients); the other active axes keep all n modes in FFT order.  The
 missing modes are the complex conjugates of the stored ones, c(-m) =
 conj(c(m)).  `GridSpec.spectral_shape` is the coefficient shape, and
-`_mode_indices`, `angular_wavenumbers`, `dealias_mask`, `SpectralField`,
-`spectral_norm_l2` and `mode_coefficient` all describe this one layout; no
-other module knows which axis is halved.  A grid without an active axis is
-its own (complex) coefficient array.
+`_mode_indices`, `angular_wavenumbers`, `dealias_mask`, `fftn_array`,
+`ifftn_array`, `spectral_norm_l2` and `mode_coefficient` all describe this
+one layout; no other module knows which axis is halved.  A grid without an
+active axis is its own (complex) coefficient array.
 
 Nyquist convention.  The Nyquist mode |m| = n/2 of an active axis has no
 sign, so `angular_wavenumbers` gives it k = 0 on every active axis: every
@@ -80,15 +80,12 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "TensorField",
-    "SpectralField",
-    "axpy",
     "dot",
     "cross",
     "norm_l2",
     "norm_linf",
-    "to_spectral",
-    "from_spectral",
-    "dealias",
+    "fftn_array",
+    "ifftn_array",
     "dealias_field",
     "spectral_norm_l2",
     "mode_coefficient",
@@ -374,11 +371,6 @@ class Field:
         return field
 
     @classmethod
-    def from_arrays(cls, grid: GridSpec, arrays):
-        """A field from its component arrays, nested like the components."""
-        return cls(grid, arrays)
-
-    @classmethod
     def zeros(cls, grid: GridSpec):
         return cls._wrap(grid, np.zeros(cls.COMPONENTS + grid.shape))
 
@@ -439,9 +431,6 @@ class VectorField(Field):
     def z(self) -> ScalarField:
         return ScalarField._wrap(self.grid, self.values[2])
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(self.values)
-
 
 class TensorField(Field):
     """Rank-2 field T_ij, not assumed symmetric; `values` has shape
@@ -449,33 +438,10 @@ class TensorField(Field):
 
     COMPONENTS = (3, 3)
 
-    @classmethod
-    def identity(cls, grid: GridSpec) -> "TensorField":
-        eye = np.eye(3).reshape((3, 3, 1, 1, 1))
-        return cls._wrap(grid, np.broadcast_to(eye, (3, 3) + grid.shape).copy())
-
-    def component(self, i: int, j: int) -> ScalarField:
-        return ScalarField._wrap(self.grid, self.values[i, j])
-
-    def array(self, i: int, j: int) -> np.ndarray:
-        return self.values[i, j]
-
-    def transpose(self) -> "TensorField":
-        return TensorField._wrap(
-            self.grid, np.ascontiguousarray(self.values.swapaxes(0, 1)))
-
 
 # ---------------------------------------------------------------------------
 # field algebra
 # ---------------------------------------------------------------------------
-
-def axpy(a: float, x: Field, y: Field) -> Field:
-    """a*x + y for fields of the same rank on the same grid."""
-    if type(x) is not type(y):
-        raise FieldError("axpy operands must have the same rank")
-    _check_same_grid(x, y)
-    return x._wrap(x.grid, float(a) * x.values + y.values)
-
 
 def dot(v: VectorField, w: VectorField) -> ScalarField:
     """Pointwise inner product of two vector fields."""
@@ -518,61 +484,25 @@ def norm_linf(f: Field) -> float:
 # spectral layer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex DFT coefficients of a real scalar field (unnormalized forward
-    transform) in the half-spectrum layout: `coeffs` has the grid's
-    `spectral_shape`, the last active axis holding modes 0..n/2 only."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128, order="C", copy=True)
-        if arr.shape != self.grid.spectral_shape:
-            raise FieldError(
-                f"coefficient shape {arr.shape} does not match the spectral "
-                f"shape {self.grid.spectral_shape} of grid {self.grid.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise FieldError("spectral field contains non-finite coefficients")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-
-def to_spectral(f: ScalarField) -> SpectralField:
-    """Forward DFT of a scalar field."""
-    return SpectralField(f.grid, fftn_array(f.grid, f.values))
-
-
-def from_spectral(sf: SpectralField) -> ScalarField:
-    """Inverse DFT; imaginary round-off is discarded."""
-    return ScalarField._wrap(sf.grid, ifftn_array(sf.grid, sf.coeffs))
-
-
-def dealias(sf: SpectralField) -> SpectralField:
-    """Zero every mode with |m_i| > n_i/3 in any active dimension."""
-    return SpectralField(sf.grid, sf.coeffs * _dealias_factor(sf.grid))
-
-
 def dealias_field(f: Field) -> Field:
     """Physical-space dealiasing of any-rank field (round trip through the mask)."""
     return f._wrap(f.grid, dealias_array(f.grid, f.values))
 
 
-def spectral_norm_l2(sf: SpectralField) -> float:
-    """Coefficient L2 norm matching the volume-weighted physical norm (Parseval).
+def spectral_norm_l2(grid: GridSpec, coeffs: np.ndarray) -> float:
+    """L2 norm of a scalar field's coefficients, `fftn_array(grid, values)`,
+    matching the volume-weighted physical norm (Parseval).
 
     Each interior bin of the halved axis stands for itself and its conjugate
     mirror, so it counts twice; its 0 and Nyquist bins count once."""
-    power = np.abs(sf.coeffs) ** 2
+    power = np.abs(coeffs) ** 2
     total = float(np.sum(power))
-    half = _halved_axis(sf.grid)
+    half = _halved_axis(grid)
     if half is not None:
         interior = [slice(None)] * 3
-        interior[half] = slice(1, sf.grid.dims[half] // 2)
+        interior[half] = slice(1, grid.dims[half] // 2)
         total += float(np.sum(power[tuple(interior)]))
-    return float(np.sqrt(sf.grid.cell_volume * total / sf.grid.num_points))
+    return float(np.sqrt(grid.cell_volume * total / grid.num_points))
 
 
 def mode_coefficient(f: ScalarField, mode) -> complex:

@@ -171,9 +171,7 @@ def _directional_wave(grid: GridSpec, k: np.ndarray, direction: np.ndarray,
                       profile) -> VectorField:
     shape = grid.shape
     wave = profile(_phase_array(grid, k))
-    return VectorField.from_arrays(grid, tuple(
-        np.broadcast_to(d * wave, shape) for d in direction
-    ))
+    return VectorField(grid, [np.broadcast_to(d * wave, shape) for d in direction])
 
 
 def band_limited_noise(grid: GridSpec, rng, fraction: float = RANDOM_BAND_FRACTION,
@@ -225,15 +223,14 @@ def generate(spec: ScenarioSpec, grid: GridSpec, params: MediumParams) -> FluidS
         w = _VORTEX_WIDTH * min(lx, ly)
         bump = np.exp(-((x - lx / 2) ** 2 + (y - ly / 2) ** 2) / (2.0 * w * w))
         zero = np.zeros(grid.shape)
-        stream = VectorField.from_arrays(
-            grid, (zero, zero, np.broadcast_to(bump, grid.shape)))
+        stream = VectorField(grid, (zero, zero, np.broadcast_to(bump, grid.shape)))
         v = _scaled_to_peak(curl(stream), spec.amplitude)
     elif spec.kind == "random_solenoidal":
         rng = np.random.default_rng(spec.seed)
-        raw = VectorField.from_arrays(grid, band_limited_noise(grid, rng, shape=(3,)))
+        raw = VectorField(grid, band_limited_noise(grid, rng, shape=(3,)))
         v = _scaled_to_peak(leray_project(raw).solenoidal, spec.amplitude)
-        E = VectorField.from_arrays(grid, band_limited_noise(
-            grid, rng, shape=(3,), peak=spec.amplitude))
+        E = VectorField(grid, band_limited_noise(grid, rng, shape=(3,),
+                                                 peak=spec.amplitude))
     elif spec.kind == "compression_pulse":
         k = _physical_wavevector(spec, grid)
         khat = k / np.linalg.norm(k)

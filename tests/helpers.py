@@ -28,9 +28,9 @@ def band_limited_scalar(grid: GridSpec, seed: int, fraction: float = 0.25,
 def band_limited_vector(grid: GridSpec, seed: int, fraction: float = 0.25,
                         amplitude: float = 1.0, solenoidal: bool = False) -> VectorField:
     if not solenoidal:
-        return VectorField.from_arrays(
+        return VectorField(
             grid, band_limited_noise(grid, seed, fraction, (3,), amplitude))
-    raw = VectorField.from_arrays(grid, band_limited_noise(grid, seed, fraction, (3,)))
+    raw = VectorField(grid, band_limited_noise(grid, seed, fraction, (3,)))
     v = leray_project(raw).solenoidal
     peak = norm_linf(v)
     return v * (amplitude / peak) if peak > 0 else v
@@ -40,10 +40,15 @@ def band_limited_tensor(grid: GridSpec, seed: int, fraction: float = 0.25,
                         amplitude: float = 1.0) -> TensorField:
     """Each component scaled to its own peak `amplitude`."""
     rng = np.random.default_rng(seed)
-    return TensorField.from_arrays(grid, [
+    return TensorField(grid, [
         [band_limited_noise(grid, rng, fraction, peak=amplitude) for _ in range(3)]
         for _ in range(3)
     ])
+
+
+def identity_tensor(grid: GridSpec) -> TensorField:
+    """delta_ij at every grid point."""
+    return TensorField(grid, np.eye(3).reshape((3, 3, 1, 1, 1)) * np.ones(grid.shape))
 
 
 def sine_scalar(grid: GridSpec, axis: int = 0, k: int = 1) -> ScalarField:
@@ -63,7 +68,7 @@ def vector_of(grid: GridSpec, fx=None, fy=None, fz=None) -> VectorField:
     """Vector field from optional per-component scalar fields (None = zero)."""
     zero = np.zeros(grid.shape)
     arrs = [f.values if f is not None else zero for f in (fx, fy, fz)]
-    return VectorField.from_arrays(grid, tuple(arrs))
+    return VectorField(grid, tuple(arrs))
 
 
 def assert_plain_numbers(out_dir) -> None:

@@ -394,8 +394,7 @@ class TestVerify:
 
 def _stretch_x(v, factor=1.001):
     """v with its x component scaled, so it is neither a gradient nor a curl."""
-    return VectorField.from_arrays(v.grid, (factor * v.x.values, v.y.values,
-                                            v.z.values))
+    return VectorField(v.grid, (factor * v.x.values, v.y.values, v.z.values))
 
 
 def _scaled(factor):
@@ -446,7 +445,7 @@ def _drifting(op):
 # imports and in the defining module for the rest, so patching there plants
 # the fault in that check.  A per-grid kind's fault serves all its grids.
 CHECK_FAULTS = {
-    "transform_roundtrip": (cli, "from_spectral", _scaled(1.001)),
+    "transform_roundtrip": (cli, "ifftn_array", _scaled(1.001)),
     "parseval": (cli, "spectral_norm_l2", _scaled(1.001)),
     "div_of_curl": (cli, "curl", lambda op: lambda v: op(v) + v * 1e-3),
     "curl_of_grad": (cli, "grad", lambda op: lambda f: _stretch_x(op(f))),
@@ -715,6 +714,28 @@ class TestMainEntryPoint:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
         assert f"config section '{section}' must be a JSON object" in payload["message"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("outputs, message", [
+        ([], "config section 'outputs' must be a JSON object, got list"),
+        ({"out_dir": 5}, "outputs.out_dir must be a string, got 5"),
+    ], ids=["list", "numeric_out_dir"])
+    def test_malformed_outputs_exit_2_with_json_error(self, tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      outputs, message):
+        # sweep resolves its out dir from `outputs` before any run checks it
+        monkeypatch.chdir(tmp_path)
+        doc = shear_config(tmp_path / "out", t_end=0.04)
+        doc["outputs"] = outputs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        sweep_args = ["--axis", "kappa", "--values", "0.1"]
+        code = main([command, "--config", str(cfg),
+                     *(sweep_args if command == "sweep" else [])])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "ConfigError", "message": message}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("section, key, value", [
         ("control", "t_end", float("inf")),

@@ -33,6 +33,7 @@ from helpers import (
     band_limited_tensor,
     band_limited_vector,
     cosine_scalar,
+    identity_tensor,
     sine_scalar,
     vector_of,
 )
@@ -118,13 +119,13 @@ class TestAdvectionOperators:
     def test_vector_advection_zero_inputs(self):
         w = band_limited_vector(GRID_64, seed=25)
         assert norm_linf(vector_advection(VectorField.zeros(GRID_64), w)) == 0.0
-        const = VectorField.from_arrays(GRID_64, (np.full(GRID_64.shape, 2.0),) * 3)
+        const = VectorField(GRID_64, (np.full(GRID_64.shape, 2.0),) * 3)
         v = band_limited_vector(GRID_64, seed=26)
         assert norm_linf(vector_advection(v, const)) < 1e-13
 
     def test_vector_advection_oracle(self):
         # v = (1,0,0), w = (sin x, 0, 0): (v.grad)w = (cos x, 0, 0)
-        v = VectorField.from_arrays(
+        v = VectorField(
             GRID_64, (np.ones(GRID_64.shape), np.zeros(GRID_64.shape), np.zeros(GRID_64.shape)))
         w = vector_of(GRID_64, fx=sine_scalar(GRID_64, axis=0))
         out = vector_advection(v, w)
@@ -133,7 +134,7 @@ class TestAdvectionOperators:
         assert norm_linf(out.y) < 1e-13
 
     def test_advect_scalar_oracle(self):
-        v = VectorField.from_arrays(
+        v = VectorField(
             GRID_64, (np.ones(GRID_64.shape), np.zeros(GRID_64.shape), np.zeros(GRID_64.shape)))
         out = advect_scalar(v, sine_scalar(GRID_64, axis=0))
         np.testing.assert_allclose(out.values, cosine_scalar(GRID_64, axis=0).values,
@@ -141,7 +142,7 @@ class TestAdvectionOperators:
 
     def test_hessian_contract_zero_cases(self):
         sigma = band_limited_tensor(GRID_64, seed=27)
-        const_v = VectorField.from_arrays(GRID_64, (np.full(GRID_64.shape, 3.0),) * 3)
+        const_v = VectorField(GRID_64, (np.full(GRID_64.shape, 3.0),) * 3)
         assert norm_linf(hessian_contract(const_v, sigma)) < 1e-13
         v = band_limited_vector(GRID_64, seed=28)
         assert norm_linf(hessian_contract(v, TensorField.zeros(GRID_64))) == 0.0
@@ -149,7 +150,7 @@ class TestAdvectionOperators:
     def test_hessian_contract_oracle(self):
         # v = (sin x, 0, 0), sigma = I: sum_ij delta_ij d_i d_j v = laplacian v = -v
         v = vector_of(GRID_64, fx=sine_scalar(GRID_64, axis=0))
-        out = hessian_contract(v, TensorField.identity(GRID_64))
+        out = hessian_contract(v, identity_tensor(GRID_64))
         np.testing.assert_allclose(out.x.values, -v.x.values, atol=1e-12)
         assert norm_linf(out.y) < 1e-13
 
@@ -157,12 +158,12 @@ class TestAdvectionOperators:
         w = band_limited_vector(GRID_64, seed=29)
         assert norm_linf(double_advection(VectorField.zeros(GRID_64), w)) == 0.0
         v = band_limited_vector(GRID_64, seed=30)
-        const_grad_w = VectorField.from_arrays(GRID_64, (np.full(GRID_64.shape, 1.5),) * 3)
+        const_grad_w = VectorField(GRID_64, (np.full(GRID_64.shape, 1.5),) * 3)
         assert norm_linf(double_advection(v, const_grad_w)) < 1e-13
 
     def test_double_advection_oracle(self):
         # v = (1,0,0), w = (sin x,0,0): sum v_i v_j d_i d_j w = -sin x
-        v = VectorField.from_arrays(
+        v = VectorField(
             GRID_64, (np.ones(GRID_64.shape), np.zeros(GRID_64.shape), np.zeros(GRID_64.shape)))
         w = vector_of(GRID_64, fx=sine_scalar(GRID_64, axis=0))
         out = double_advection(v, w)
@@ -234,7 +235,7 @@ class TestIdentityResiduals:
         assert norm_linf(identity_residual_triple(v, e)) < 1e-10
 
     def test_gromeka_lamb_const(self):
-        v = VectorField.from_arrays(GRID_64, (np.full(GRID_64.shape, 1.0),) * 3)
+        v = VectorField(GRID_64, (np.full(GRID_64.shape, 1.0),) * 3)
         assert norm_linf(gromeka_lamb_residual(v)) < 1e-13
 
     def test_gromeka_lamb_gradient_field(self):

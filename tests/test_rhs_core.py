@@ -331,15 +331,8 @@ def test_second_order_matches_composed_operators(shape):
 # ---------------------------------------------------------------------------
 
 def _digest(rates):
-    arrays = []
-    for value in vars(rates).values():
-        if value is None:
-            continue
-        if isinstance(value, ScalarField):
-            arrays.append(value.values)
-        else:
-            arrays.extend(value.arrays())
-    return [a.tobytes() for a in arrays]
+    return [value.values.tobytes() for value in vars(rates).values()
+            if value is not None]
 
 
 @pytest.mark.parametrize("system", ("fi", "compressible_solid"))
