@@ -40,7 +40,7 @@ stay in spectral space.
 Each system is one `System` record in the `SYSTEMS` table, keyed by its
 name: the state fields it advances and their rates, its RHS, its CFL speed
 and diffusivity, its law report, its initial-state builder and the scenario
-kinds it accepts.  `step`, `integrate` and the runner read only the record,
+kinds it accepts.  `rhs`, `integrate` and the runner read only the record,
 so adding a system means adding one record.
 
 State layout.  Time stepping is one four-stage explicit Runge-Kutta scheme
@@ -57,7 +57,7 @@ eta curl(curl v) = eta ik x curl v, inverse-transforms [v, E], curl v and
 The other systems have no constraint and keep physical stages: the
 compressible ones because their 1/mu_field factor and positivity check need
 the density in physical space at every stage, and the linear ones are built
-from the `diffops` operators.  `step` and `integrate` take and return
+from the `diffops` operators.  `rhs` and `integrate` take and return
 physical states whatever the layout.
 
 `integrate` evaluates the RHS once per accepted state: the evaluation is
@@ -135,12 +135,7 @@ __all__ = [
     "upper_convected_vector",
     "upper_convected_tensor",
     "oldroyd_discrepancy",
-    "rhs_linear_navier",
-    "rhs_fi_incompressible",
-    "rhs_second_order",
-    "rhs_compressible",
-    "rhs_classical_maxwell",
-    "step",
+    "rhs",
     "integrate",
     "auto_step_size",
     "System",
@@ -300,22 +295,19 @@ class StepControl:
 # Oldroyd (upper-convected) rates
 # ---------------------------------------------------------------------------
 
-def upper_convected_vector(E: VectorField, v: VectorField,
-                           dE_partial: VectorField | None) -> VectorField:
-    """Upper-convected rate of a vector density:
-    dE_partial + v.grad E - E.grad v + (div v) E, formed as the spectral
-    core forms it (`_bracket_hat`)."""
+def upper_convected_vector(E: VectorField, v: VectorField) -> VectorField:
+    """The convected part of the upper-convected rate of a vector density,
+    v.grad E - E.grad v + (div v) E, formed as the spectral core forms it
+    (`_bracket_hat`)."""
     g = v.grid
     bracket_hat = _bracket_hat(g, v.values, E.values, div(E).values)
-    out = VectorField._wrap(g, ifftn_array(g, bracket_hat))
-    return out if dE_partial is None else dE_partial + out
+    return VectorField._wrap(g, ifftn_array(g, bracket_hat))
 
 
-def upper_convected_tensor(sigma: TensorField, v: VectorField,
-                           dsigma_partial: TensorField | None) -> TensorField:
-    """Upper-convected rate of a rank-2 density:
-    dsigma_partial + v.grad sigma - sigma grad v - (grad v)^T sigma + sigma div v,
-    with (grad v)_ij = d_i v_j and all products dealiased."""
+def upper_convected_tensor(sigma: TensorField, v: VectorField) -> TensorField:
+    """The convected part of the upper-convected rate of a rank-2 density,
+    v.grad sigma - sigma grad v - (grad v)^T sigma + sigma div v, with
+    (grad v)_ij = d_i v_j and all products dealiased."""
     g = sigma.grid
     s = sigma.values
     gv = grad_vector(v).values
@@ -323,22 +315,19 @@ def upper_convected_tensor(sigma: TensorField, v: VectorField,
     conv = _contract(g, v.values, _ik(g), s)
     lower = np.sum(s[:, :, None] * gv[None], axis=1)      # sum_k s_ik gv_kj
     upper = np.sum(gv[:, :, None] * s[:, None], axis=0)   # sum_k gv_ki s_kj
-    out = TensorField._wrap(g, dealias_array(g, conv - lower - upper + s * divv))
-    if dsigma_partial is None:
-        return out
-    return dsigma_partial + out
+    return TensorField._wrap(g, dealias_array(g, conv - lower - upper + s * divv))
 
 
 def oldroyd_discrepancy(sigma: TensorField, v: VectorField) -> VectorField:
-    """div(tensor rate) - vector rate of (div sigma), both with zero partials.
+    """div(tensor rate) - vector rate of (div sigma), both convected parts.
 
     Contract: equals -hessian_contract(v, sigma) up to dealiasing, i.e. the
     tensor and vector upper-convected rates differ exactly by the contraction
     of the velocity Hessian with sigma.
     """
-    tensor_rate = upper_convected_tensor(sigma, v, None)
+    tensor_rate = upper_convected_tensor(sigma, v)
     stress_vector = divergence_tensor(sigma)
-    vector_rate = upper_convected_vector(stress_vector, v, None)
+    vector_rate = upper_convected_vector(stress_vector, v)
     return divergence_tensor(tensor_rate) - vector_rate
 
 
@@ -429,11 +418,9 @@ class MaxwellRates:
     dB: VectorField
 
 
-def rhs_linear_navier(state: FluidState, params: MediumParams) -> NavierRates:
+def _rhs_linear_navier(state: FluidState, params: MediumParams) -> NavierRates:
     """Linear compressible elastodynamics:
     mu v_t = (lam + 2 eta) grad(div u) - eta curl(curl u), u_t = v."""
-    if state.u is None:
-        raise ValueError("linear_navier needs a displacement field u")
     g = state.u.grid
     # one forward and one inverse transform of u; ik x (ik x u_hat) keeps
     # the cancellation of gradient fields that `curl_curl` documents
@@ -444,8 +431,9 @@ def rhs_linear_navier(state: FluidState, params: MediumParams) -> NavierRates:
     return NavierRates(du=state.v, dv=dv)
 
 
-def rhs_fi_incompressible(state: FluidState, params: MediumParams) -> FiRates:
-    """Frame-indifferent incompressible elastic fluid.
+def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
+    """Frame-indifferent incompressible elastic fluid, on the stacked
+    half-spectrum coefficients hats = [v_hat, E_hat].
 
     v_t is the Leray projection of P[v x omega] - E/mu, omega = curl v: the
     rotational form of -(v.grad)v - E/mu less grad(P[|v|^2/2]), which the
@@ -455,23 +443,8 @@ def rhs_fi_incompressible(state: FluidState, params: MediumParams) -> FiRates:
         E_t = eta curl(curl v) - v.grad E + E.grad v - (div v) E - kappa E,
     with the (div v) E term retained even though div v = 0 analytically, so
     that the derived-law residuals close discretely; `_bracket_hat` forms
-    the bracket as v div E - curl(v x E).
-
-    The physical form of `_rhs_fi_hat`, which the stepper calls on
-    coefficients: v and E are transformed once and the rates and pressure
-    are transformed back.  Each term equals the composed diffops evaluation
-    up to rounding.
-    """
-    if state.E is None:
-        raise ValueError("fi_incompressible needs the stress vector E")
-    g = state.v.grid
-    physical = np.stack([state.v.values, state.E.values])
-    return _rhs_fi_hat(g, fftn_array(g, physical), params, physical)[2]()
-
-
-def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
-    """The fi right-hand side on the stacked half-spectrum coefficients
-    hats = [v_hat, E_hat].
+    the bracket as v div E - curl(v x E).  Each term equals the composed
+    diffops evaluation up to rounding.
 
     Returns the stacked rate coefficients [dv_hat, dE_hat], the stacked
     physical [v, E] that the products used (inverse-transformed unless
@@ -505,24 +478,16 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     return rates_hat, physical, rates
 
 
-def rhs_second_order(state: SecondOrderState, params: MediumParams) -> SecondOrderRates:
-    """Stress-eliminated second-order form.
+def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
+    """Stress-eliminated second-order form, on the stacked coefficients
+    hats = [v_hat, v_t_hat].
 
     mu v_tt + 2 mu (v.grad) v_t + (vv) grad grad v = -(rate of grad p) + eta lap v.
     All known terms are evaluated and v_tt is Leray-projected, which realizes
     the pressure-gradient rate implicitly as the projected-out gradient; v's
-    rate is v_t projected.  The physical form of `_rhs_second_order_hat`, as
-    `rhs_fi_incompressible` is of `_rhs_fi_hat`.
+    rate is v_t projected.  Returns what `_rhs_fi_hat` does; only the
+    dealiased products (v.grad) v_t and (vv) grad grad v leave spectral space.
     """
-    g = state.v.grid
-    physical = np.stack([state.v.values, state.v_t.values])
-    return _rhs_second_order_hat(g, fftn_array(g, physical), params, physical)[2]()
-
-
-def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
-    """The second_order RHS on the stacked coefficients hats = [v_hat,
-    v_t_hat], returning what `_rhs_fi_hat` does; only the dealiased products
-    (v.grad) v_t and (vv) grad grad v leave spectral space."""
     if physical is None:
         physical = ifftn_array(g, hats)
     _divergences(g, hats, ("v", "v_t"))
@@ -536,8 +501,8 @@ def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
     return rates_hat, physical, rates
 
 
-def rhs_compressible(state: FluidState, params: MediumParams,
-                     rheology: str) -> CompressibleRates:
+def _rhs_compressible(state: FluidState, params: MediumParams,
+                      rheology: str) -> CompressibleRates:
     """Slightly compressible extension.
 
     mu (v_t + v.grad v) = -E + grad(dilational stress) with the dilational
@@ -546,17 +511,11 @@ def rhs_compressible(state: FluidState, params: MediumParams,
     incompressible system, and mu_t = -div(mu v), formed as -ik.P[mu v] with
     P the two-thirds mask.  The solid branch also advances u_t = v.
     """
-    if rheology not in ("liquid", "solid"):
-        raise ValueError(f"rheology must be 'liquid' or 'solid', got {rheology!r}")
-    if state.E is None or state.mu_field is None:
-        raise ValueError("compressible systems need E and mu_field")
     v, E, mu_f = state.v, state.E, state.mu_field
     if float(mu_f.values.min()) <= 0.0:
         raise DensityError(
             f"density lost positivity (min = {float(mu_f.values.min()):.3e})"
         )
-    if rheology == "solid" and state.u is None:
-        raise ValueError("compressible solid branch needs u")
     g = v.grid
     va, ea = v.values, E.values
     hats = fftn_array(g, np.stack([va, ea]))
@@ -590,7 +549,7 @@ def rhs_compressible(state: FluidState, params: MediumParams,
                              du=du)
 
 
-def rhs_classical_maxwell(state: MaxwellState, params: MediumParams) -> MaxwellRates:
+def _rhs_classical_maxwell(state: MaxwellState, params: MediumParams) -> MaxwellRates:
     """Classical reference evolution: B_t = -curl E, E_t = c^2 curl B."""
     return MaxwellRates(
         dE=curl(state.B) * (params.c ** 2),
@@ -644,7 +603,7 @@ _STRESSED = _SOLENOIDAL | {"uniform_E_decay"}
 SYSTEMS: dict[str, System] = {
     "linear_navier": System(
         fields=("u", "v"), rates=("du", "dv"),
-        rhs=lambda s, p: rhs_linear_navier(s, p),
+        rhs=lambda s, p: _rhs_linear_navier(s, p),
         scenarios=_WAVES | {"compression_pulse"}, cfl_speed="c_s"),
     "fi_incompressible": System(
         fields=("v", "E"), rates=("dv", "dE"),
@@ -656,10 +615,10 @@ SYSTEMS: dict[str, System] = {
         rhs_hat=lambda g, hats, p, physical: _rhs_second_order_hat(g, hats, p, physical),
         # v_t starts as the fi velocity rate of the scenario state
         initial=lambda s, p: SecondOrderState(
-            time=s.time, v=s.v, v_t=rhs_fi_incompressible(s, p).dv)),
+            time=s.time, v=s.v, v_t=rhs(s, p, "fi_incompressible").dv)),
     "compressible_liquid": System(
         fields=("v", "E", "mu_field"), rates=("dv", "dE", "dmu"),
-        rhs=lambda s, p: rhs_compressible(s, p, "liquid"),
+        rhs=lambda s, p: _rhs_compressible(s, p, "liquid"),
         scenarios=_STRESSED, cfl_speed="c_s", uses_kappa=True,
         # the dilational stress (nu + 2 zeta) div v diffuses v with
         # D = (nu + 2 zeta) / mu at the density mu
@@ -667,12 +626,12 @@ SYSTEMS: dict[str, System] = {
         report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "compressible_solid": System(
         fields=("v", "E", "mu_field", "u"), rates=("dv", "dE", "dmu", "du"),
-        rhs=lambda s, p: rhs_compressible(s, p, "solid"),
+        rhs=lambda s, p: _rhs_compressible(s, p, "solid"),
         scenarios=_STRESSED | {"compression_pulse"}, cfl_speed="c_s",
         uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "classical_maxwell": System(
         fields=("E", "B"), rates=("dE", "dB"),
-        rhs=lambda s, p: rhs_classical_maxwell(s, p),
+        rhs=lambda s, p: _rhs_classical_maxwell(s, p),
         scenarios=_SOLENOIDAL,
         report=lambda s, p, r: emlaws.classical_report(s, p, r),
         # the classical twin of a fluid state: E, and B = mu curl v
@@ -680,11 +639,17 @@ SYSTEMS: dict[str, System] = {
 }
 
 
-def _record(system: str) -> System:
+def _record(system: str, state) -> System:
+    """The record of `system`, once `state` holds every field it advances."""
     try:
-        return SYSTEMS[system]
+        record = SYSTEMS[system]
     except KeyError:
         raise ValueError(f"unknown system {system!r}") from None
+    missing = [name for name in record.fields if getattr(state, name, None) is None]
+    if missing:
+        raise ValueError(f"{system} advances {', '.join(missing)}, "
+                         f"which the state lacks")
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +679,7 @@ def auto_step_size(state, params: MediumParams, control: StepControl,
     """cfl times the least of h_min / (c_max + |v|_max), |v|_max zero for the
     classical system, and every limit / rate of `_stiff_limits` at `state`:
     at cfl = 1, the longest step from `state` that breaks no limit."""
-    record = _record(system)
+    record = _record(system, state)
     grid = getattr(state, record.fields[0]).grid
     vmax = norm_linf(state.v) if hasattr(state, "v") else 0.0
     h = control.cfl * grid.min_active_spacing() / (
@@ -836,7 +801,7 @@ class _Stepper:
 
     def __init__(self, system: str, params: MediumParams, like):
         self.system, self.params, self.like = system, params, like
-        self.record = record = _record(system)
+        self.record = record = _record(system, like)
         grid = getattr(like, record.fields[0]).grid
         self.layout = (_Physical if record.rhs_hat is None else _Spectral)(record, grid)
 
@@ -904,23 +869,13 @@ def _check_finite(arrays) -> None:
             raise FieldError("non-finite values in an RK stage")
 
 
-def step(state, params: MediumParams, control: StepControl, system: str,
-         dt: float | None = None):
-    """One explicit RK4 step from a physical state to a physical state.
-
-    dt overrides the control.  The stages hold what the system's record
-    says: physical values, or half-spectrum coefficients for a system with
-    an `rhs_hat` (fi, second_order), whose state is transformed in and out
-    here.  No state is projected: div v (and div v_t) holds to round-off
-    because every stage's velocity rate is.  Any failure inside a stage (a
-    non-finite value, DensityError, SolenoidalityError) raises an
-    IntegrationError that carries `state`, with the original as __cause__.
-    """
-    stepper = _Stepper(system, params, state)
-    if dt is None:
-        dt = (auto_step_size(state, params, control, system)
-              if control.dt == "auto" else control.dt)
-    return stepper.advance(stepper.start(state), float(dt)).state
+def rhs(state, params: MediumParams, system: str):
+    """The system's physical RHS result at a physical state (`FiRates`,
+    `CompressibleRates`, ...): the first RK stage that `integrate` evaluates
+    there, through the same stage layout.  A system that steps on
+    coefficients transforms the state in once and its rates out once."""
+    layout = _Stepper(system, params, state).layout
+    return layout.evaluate(layout.encode(state), state, state.time, params, state)[2]()
 
 
 def integrate(state, params: MediumParams, control: StepControl, system: str,
@@ -945,7 +900,7 @@ def integrate(state, params: MediumParams, control: StepControl, system: str,
     at_limit = dataclasses.replace(control, cfl=1.0)
     n, per_tick = 0, 1       # ticks observed, steps of size h per tick
     t_end = control.t_end
-    eps = 1e-12 * max(1.0, abs(t_end))
+    eps = 1e-12 * abs(t_end)
     while True:
         if observer is not None:
             observer(n, sample.state, sample.rates)

@@ -15,8 +15,7 @@ from metacont.dynamics import (
     StepControl,
     integrate,
     oldroyd_discrepancy,
-    rhs_fi_incompressible,
-    rhs_second_order,
+    rhs,
     SecondOrderState,
 )
 from metacont.emlaws import extract_em, fi_report
@@ -111,18 +110,21 @@ def test_criterion_04_exact_discrete_corollaries():
 
     worst_laws = {}
     worst_div_b = 0.0
-    for _ in range(11):
-        rates = rhs_fi_incompressible(state, params)
-        report = fi_report(state, params, rates)
+    observed = []
+
+    def observer(i, state, rates):
+        nonlocal worst_div_b
+        observed.append(i)
+        report = fi_report(state, params, rates())
         for law in ("faraday_lorentz", "hertz_form", "generalized_ampere",
                     "metacharge_continuity"):
             value = report.entry(law).normalized_linf
             worst_laws[law] = max(worst_laws.get(law, 0.0), value)
         em = extract_em(state, params)
         worst_div_b = max(worst_div_b, norm_linf(div(em.B)))
-        from metacont.dynamics import step
 
-        state = step(state, params, control, "fi_incompressible")
+    integrate(state, params, control, "fi_incompressible", observer)
+    assert observed == list(range(11))
     for law, value in worst_laws.items():
         assert value < 1e-9, law
     assert worst_div_b < 1e-12
@@ -176,7 +178,7 @@ def test_criterion_07_second_order_equivalence():
     spec = ScenarioSpec("standing_shear_wave", amplitude=1e-3,
                         wavevector=(1, 0, 0), polarization=(0, 1, 0))
     fi_state = generate(spec, GRID_64, params)
-    rates0 = rhs_fi_incompressible(fi_state, params)
+    rates0 = rhs(fi_state, params, "fi_incompressible")
     so_state = SecondOrderState(time=0.0, v=fi_state.v, v_t=rates0.dv)
     control = StepControl(t_end=1.0, dt=0.02)
     fi_final = integrate(fi_state, params, control, "fi_incompressible")

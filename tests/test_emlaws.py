@@ -21,10 +21,7 @@ from metacont.dynamics import (
     MediumParams,
     StepControl,
     integrate,
-    rhs_classical_maxwell,
-    rhs_compressible,
-    rhs_fi_incompressible,
-    step,
+    rhs,
 )
 from metacont import emlaws
 from metacont.emlaws import (
@@ -108,21 +105,25 @@ class TestClassicalTrajectoryLaws:
             E=vector_of(GRID_64, fy=sine_scalar(GRID_64, axis=0)),
             B=VectorField.zeros(GRID_64),
         )
-        control = StepControl(t_end=1.0, dt=0.02)
-        for _ in range(10):
-            rates = rhs_classical_maxwell(state, params)
-            report = classical_report(state, params, rates)
+        observed = []
+
+        def observer(i, state, rates):
+            observed.append(i)
+            report = classical_report(state, params, rates())
             assert report.entry("faraday").linf < 1e-11
             assert report.entry("displacement_current").linf < 1e-11
             assert norm_linf(div(state.B)) < 1e-12
-            state = step(state, params, control, "classical_maxwell")
+
+        integrate(state, params, StepControl(t_end=0.18, dt=0.02),
+                  "classical_maxwell", observer)
+        assert observed == list(range(10))
 
 
 class TestExactCorollaries:
     def test_fi_corollary_residuals_band_limited(self):
         params = MediumParams(mu=1.0, eta=1.0, kappa=0.3)
         state = _band_limited_state(GRID_64, amplitude=1e-2)
-        report = fi_report(state, params, rhs_fi_incompressible(state, params))
+        report = fi_report(state, params, rhs(state, params, "fi_incompressible"))
         for law in ("faraday_lorentz", "hertz_form", "generalized_ampere",
                     "metacharge_continuity"):
             assert report.entry(law).linf < 1e-9
@@ -130,11 +131,11 @@ class TestExactCorollaries:
     def test_fi_corollary_residuals_3d(self):
         params = MediumParams(kappa=0.1)
         state = _band_limited_state(GRID_32_3D, seed=104, amplitude=1e-2)
-        report = fi_report(state, params, rhs_fi_incompressible(state, params))
+        report = fi_report(state, params, rhs(state, params, "fi_incompressible"))
         assert report.entry("faraday_lorentz").linf < 1e-9
         assert report.entry("generalized_ampere").linf < 1e-9
 
-    @pytest.mark.parametrize("system", ("fi", "compressible_solid"))
+    @pytest.mark.parametrize("system", ("fi_incompressible", "compressible_solid"))
     @pytest.mark.parametrize("dims", ((64, 64, 1), (16, 16, 16), (24, 24, 24)))
     def test_ampere_and_continuity_close_on_full_band_states(self, system, dims):
         # the stress rate's bracket is formed in the Maxwell form
@@ -147,18 +148,16 @@ class TestExactCorollaries:
         noise = lambda scale: scale * rng.standard_normal((3,) + dims)  # noqa: E731
         v = VectorField(grid, noise(0.1))
         params = MediumParams(mu=1.3, eta=0.8, lam=2.5, kappa=0.4)
-        if system == "fi":
+        if system == "fi_incompressible":
             state = FluidState(time=0.0, v=leray_project(v).solenoidal,
                                E=VectorField(grid, noise(0.1)))
-            rates = rhs_fi_incompressible(state, params)
         else:
             mu = ScalarField(grid, 1.0 + 0.2 * rng.uniform(-1.0, 1.0, dims))
             state = FluidState(time=0.0, v=v, E=VectorField(grid, noise(0.1)),
                                mu_field=mu, u=VectorField(grid, noise(0.01)))
-            rates = rhs_compressible(state, params, "solid")
-        report = fi_report(state, params, rates)
+        report = fi_report(state, params, rhs(state, params, system))
         laws = ("generalized_ampere", "metacharge_continuity")
-        if system == "fi":
+        if system == "fi_incompressible":
             laws += ("faraday_lorentz",)
         for law in laws:
             assert report.entry(law).normalized_linf < 1e-12, law
@@ -166,7 +165,7 @@ class TestExactCorollaries:
     def test_hertz_matches_faraday_lorentz(self):
         params = MediumParams()
         state = _band_limited_state(GRID_64, seed=106, amplitude=1e-2)
-        rates = rhs_fi_incompressible(state, params)
+        rates = rhs(state, params, "fi_incompressible")
         em = extract_em(state, params)
         dB = curl(rates.dv) * params.mu
         fl = _law("faraday_lorentz", em, state.v, params, rates.dE, dB)
@@ -177,7 +176,7 @@ class TestExactCorollaries:
         params = MediumParams(kappa=0.0)
         E = band_limited_vector(GRID_64, seed=107, fraction=1 / 6, amplitude=0.1)
         state = FluidState(time=0.0, v=VectorField.zeros(GRID_64), E=E)
-        rates = rhs_fi_incompressible(state, params)
+        rates = rhs(state, params, "fi_incompressible")
         em = extract_em(state, params)
         dB = curl(rates.dv) * params.mu
         fl, fa, ga, dc = (
@@ -195,7 +194,7 @@ class TestLinearLimitScaling:
         values = []
         for a in amplitudes:
             state = _band_limited_state(GRID_64, seed=108, amplitude=a)
-            rates = rhs_fi_incompressible(state, params)
+            rates = rhs(state, params, "fi_incompressible")
             em = extract_em(state, params)
             dB = curl(rates.dv) * params.mu
             report = full_report(em, state.v, rates.dE, dB, params, 0.0)
@@ -209,7 +208,7 @@ class TestLinearLimitScaling:
         values = []
         for a in amplitudes:
             state = _band_limited_state(GRID_64, seed=109, amplitude=a)
-            rates = rhs_fi_incompressible(state, params)
+            rates = rhs(state, params, "fi_incompressible")
             em = extract_em(state, params)
             dB = curl(rates.dv) * params.mu
             report = full_report(em, state.v, rates.dE, dB, params, 0.0)
@@ -223,7 +222,7 @@ class TestStationaryDiagnostics:
         params = MediumParams()
         state = FluidState(time=0.0, v=VectorField.zeros(GRID_64),
                            E=VectorField.zeros(GRID_64))
-        report = fi_report(state, params, rhs_fi_incompressible(state, params))
+        report = fi_report(state, params, rhs(state, params, "fi_incompressible"))
         assert report.entry("biot_savart").linf == 0.0
 
     def test_biot_savart_static_field_residual_is_b(self):
@@ -304,7 +303,7 @@ class TestReports:
         params = MediumParams()
         state = FluidState(time=0.0, v=VectorField.zeros(GRID_64),
                            E=VectorField.zeros(GRID_64))
-        rates = rhs_fi_incompressible(state, params)
+        rates = rhs(state, params, "fi_incompressible")
         report = fi_report(state, params, rates)
         names = [e.name for e in report.entries]
         assert names == list(LAW_NAMES)
@@ -320,7 +319,7 @@ class TestReports:
             E=vector_of(GRID_64, fy=sine_scalar(GRID_64, axis=0)),
             B=vector_of(GRID_64, fz=cosine_scalar(GRID_64, axis=0)),
         )
-        rates = rhs_classical_maxwell(state, params)
+        rates = rhs(state, params, "classical_maxwell")
         report = classical_report(state, params, rates)
         assert report.entry("faraday").normalized_linf < 1e-11
         assert report.entry("displacement_current").normalized_linf < 1e-11
@@ -328,7 +327,7 @@ class TestReports:
     def test_fi_report_corollary_entries(self):
         params = MediumParams(kappa=0.2)
         state = _band_limited_state(GRID_64, seed=118, amplitude=1e-2)
-        rates = rhs_fi_incompressible(state, params)
+        rates = rhs(state, params, "fi_incompressible")
         report = fi_report(state, params, rates)
         for law in ("faraday_lorentz", "hertz_form", "generalized_ampere",
                     "metacharge_continuity"):
@@ -337,7 +336,7 @@ class TestReports:
     def test_serialization_round_trip(self, tmp_path):
         params = MediumParams(kappa=0.2)
         state = _band_limited_state(GRID_64, seed=119, amplitude=1e-2)
-        rates = rhs_fi_incompressible(state, params)
+        rates = rhs(state, params, "fi_incompressible")
         report = fi_report(state, params, rates)
 
         ndjson = tmp_path / "reports.ndjson"

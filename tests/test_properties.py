@@ -35,8 +35,7 @@ from metacont.dynamics import (
     _head_hat,
     _rhs_fi_hat,
     _stress_rate_hat,
-    rhs_compressible,
-    rhs_fi_incompressible,
+    rhs,
     upper_convected_vector,
 )
 from metacont.emlaws import fi_report
@@ -65,7 +64,7 @@ from metacont.scenarios import band_limited_noise
 
 import outofplace_reference as ref
 from helpers import band_limited_vector
-from test_rhs_core import PARAMS, SYSTEMS, _bracket, _oracle, _rhs
+from test_rhs_core import PARAMS, SYSTEMS, _bracket, _oracle
 
 SETTINGS = settings(max_examples=25, deadline=2000, derandomize=True,
                     database=None)
@@ -183,15 +182,15 @@ def _check_core(grid, seed, fraction, form):
     # the fi RHS rejects a divergent v; the others get one, so that every
     # div v term is exercised
     for system in SYSTEMS:
-        state = _fluid_state(grid, seed, system == "fi", fraction)
-        rates = _rhs(system, state)
+        state = _fluid_state(grid, seed, system == "fi_incompressible", fraction)
+        rates = rhs(state, PARAMS, system)
         for name, expected in _oracle(system, state, form=form).items():
             scale = norm_linf(expected)
             assert scale > 0.0, (system, name)
             assert norm_linf(getattr(rates, name) - expected) <= 1e-12 * scale, (system, name)
     state = _fluid_state(grid, seed, False, fraction)
     expected = _bracket(state.v, state.E, form)
-    got = upper_convected_vector(state.E, state.v, None)
+    got = upper_convected_vector(state.E, state.v)
     assert norm_linf(got - expected) <= 1e-12 * norm_linf(expected)
 
 
@@ -228,12 +227,12 @@ def test_rhs_is_galilean_covariant(grid, seed, fraction, U):
     # linear_navier and second_order are not covariant in this form.
     boost = VectorField(grid, np.reshape(U, (3, 1, 1, 1)) * np.ones((3,) + grid.shape))
     for system in SYSTEMS:
-        state = _fluid_state(grid, seed, system == "fi", fraction)
+        state = _fluid_state(grid, seed, system == "fi_incompressible", fraction)
         boosted = dataclasses.replace(state, v=state.v + boost)
-        rates, moved = _rhs(system, state), _rhs(system, boosted)
+        rates, moved = rhs(state, PARAMS, system), rhs(boosted, PARAMS, system)
         shifts = {"dv": vector_advection(boost, state.v),
                   "dE": vector_advection(boost, state.E)}
-        if system == "fi":
+        if system == "fi_incompressible":
             assert _close(moved.pressure, rates.pressure), system
         else:
             shifts["dmu"] = advect_scalar(boost, state.mu_field)
@@ -241,9 +240,9 @@ def test_rhs_is_galilean_covariant(grid, seed, fraction, U):
             rate = getattr(rates, name)
             assert _close(getattr(moved, name), rate - shift, rate, shift), (system, name)
     state = _fluid_state(grid, seed, False, fraction)
-    rate = upper_convected_vector(state.E, state.v, None)
+    rate = upper_convected_vector(state.E, state.v)
     shift = vector_advection(boost, state.E)
-    moved = upper_convected_vector(state.E, state.v + boost, None)
+    moved = upper_convected_vector(state.E, state.v + boost)
     assert _close(moved, rate + shift, rate, shift)
 
 
@@ -297,13 +296,13 @@ def test_rhs_commutes_with_lattice_symmetries(pair, seed, fraction, axis):
     # RHS: the mask, the Nyquist convention and the half-spectrum layout keep
     # the lattice's symmetry, also where the swap moves the halved axis
     grid, i, j = pair
-    for system in ("fi", "compressible_solid"):
-        state = _fluid_state(grid, seed, system == "fi", fraction)
-        rates = _rates(_rhs(system, state))
+    for system in ("fi_incompressible", "compressible_solid"):
+        state = _fluid_state(grid, seed, system == "fi_incompressible", fraction)
+        rates = _rates(rhs(state, PARAMS, system))
         for act in (_swap(i, j), _reflect(axis)):
-            moved = _rhs(system, dataclasses.replace(
+            moved = rhs(dataclasses.replace(
                 state, **{name: act(f) for name, f in vars(state).items()
-                          if name != "time"}))
+                          if name != "time"}), PARAMS, system)
             for name, rate in rates.items():
                 assert _close(getattr(moved, name), act(rate)), (system, name)
 
@@ -316,10 +315,10 @@ def test_rhs_is_time_reversible_without_conductivity(grid, seed, fraction):
     # compressible_liquid is excluded: its dilational viscosity term
     # grad((nu + 2 zeta) div v) / mu is odd in v, so it is not reversible.
     params = dataclasses.replace(PARAMS, kappa=0.0)
-    for system in ("fi", "compressible_solid"):
-        state = _fluid_state(grid, seed, system == "fi", fraction)
-        back = _rhs(system, dataclasses.replace(state, v=-state.v), params)
-        for name, rate in _rates(_rhs(system, state, params)).items():
+    for system in ("fi_incompressible", "compressible_solid"):
+        state = _fluid_state(grid, seed, system == "fi_incompressible", fraction)
+        back = rhs(dataclasses.replace(state, v=-state.v), params, system)
+        for name, rate in _rates(rhs(state, params, system)).items():
             expected = rate if name in ("dv", "pressure") else -rate
             assert _bitwise(getattr(back, name).values, expected.values), (system, name)
 
@@ -333,7 +332,7 @@ def test_fi_corollaries_close_at_round_off(grid, seed, kappa, mu, eta):
                             solenoidal=True)
     E = band_limited_vector(grid, seed + 1, fraction=1 / 6, amplitude=1e-2)
     state = FluidState(time=0.0, v=v, E=E)
-    report = fi_report(state, params, rhs_fi_incompressible(state, params))
+    report = fi_report(state, params, rhs(state, params, "fi_incompressible"))
     for law in ("faraday_lorentz", "hertz_form", "generalized_ampere",
                 "metacharge_continuity"):
         assert report.entry(law).normalized_linf < 1e-9, law
@@ -349,7 +348,7 @@ def test_fi_faraday_lorentz_closes_on_full_band_states(grid, seed):
     noise = lambda: VectorField(grid, 0.1 * rng.standard_normal((3,) + grid.shape))  # noqa: E731
     state = FluidState(time=0.0, v=leray_project(noise()).solenoidal, E=noise())
     params = MediumParams(mu=1.3, eta=0.8, kappa=0.4)
-    report = fi_report(state, params, rhs_fi_incompressible(state, params))
+    report = fi_report(state, params, rhs(state, params, "fi_incompressible"))
     assert report.entry("faraday_lorentz").normalized_linf < 1e-12
 
 
@@ -449,7 +448,7 @@ def test_rhs_coefficient_algebra_equals_out_of_place_form_bitwise(
     assert _bitwise(hats, before)
     state = _fluid_state(grid, seed, solenoidal=False)
     for rheology in ("liquid", "solid"):
-        rates = rhs_compressible(state, params, rheology)
+        rates = rhs(state, params, f"compressible_{rheology}")
         expected = ref.compressible_rates(state, params, rheology)
         for got, want in zip((rates.dv, rates.dE, rates.dmu), expected):
             assert _bitwise(got.values, want), rheology

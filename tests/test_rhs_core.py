@@ -33,11 +33,7 @@ from metacont.dynamics import (
     StepControl,
     _rhs_fi_hat,
     integrate,
-    rhs_compressible,
-    rhs_fi_incompressible,
-    rhs_linear_navier,
-    rhs_second_order,
-    step,
+    rhs,
     upper_convected_tensor,
     upper_convected_vector,
 )
@@ -56,7 +52,7 @@ from metacont.scenarios import ScenarioSpec, generate
 from helpers import band_limited_scalar, band_limited_vector
 
 PARAMS = MediumParams(mu=1.3, eta=0.8, lam=2.5, kappa=0.4, nu=0.3)
-SYSTEMS = ("fi", "compressible_solid", "compressible_liquid")
+SYSTEMS = ("fi_incompressible", "compressible_solid", "compressible_liquid")
 
 
 def _state(grid, seed=0, solenoidal=True):
@@ -69,25 +65,17 @@ def _state(grid, seed=0, solenoidal=True):
     return FluidState(time=0.0, v=v, E=E, mu_field=mu_field, u=u)
 
 
-def _rhs(system, state, params=PARAMS):
-    if system == "fi":
-        return rhs_fi_incompressible(state, params)
-    if system == "second_order":
-        return rhs_second_order(state, params)
-    return rhs_compressible(state, params, system.split("_")[1])
-
-
 # ---------------------------------------------------------------------------
 # transform budget
 # ---------------------------------------------------------------------------
 
 # component transforms per RHS call (a call on a stack of n components counts
 # n); the count depends only on which axes are active, so 16^3 stands in for
-# every 3D grid.  "fi" is the physical rhs_fi_incompressible (v and E
-# transformed in, the rates and pressure out); "fi_hat" is the coefficient
-# RHS that one RK stage of fi evaluates.
+# every 3D grid.  A system's name stands for its physical RHS, `rhs` (for fi:
+# v and E transformed in, the rates and pressure out); "fi_hat" is the
+# coefficient RHS that one RK stage of fi evaluates.
 BUDGET = {
-    ("fi", "2d"): 28, ("fi", "3d"): 28,
+    ("fi_incompressible", "2d"): 28, ("fi_incompressible", "3d"): 28,
     ("fi_hat", "2d"): 20, ("fi_hat", "3d"): 20,
     ("compressible_solid", "2d"): 33, ("compressible_solid", "3d"): 36,
     ("compressible_liquid", "2d"): 31, ("compressible_liquid", "3d"): 33,
@@ -100,8 +88,7 @@ BUDGET = {
     ("grad_vector", "2d"): 9, ("grad_vector", "3d"): 12,
     ("upper_convected_tensor", "2d"): 54, ("upper_convected_tensor", "3d"): 66,
 }
-# component transforms per accepted step of `integrate`; for a system on
-# physical stages this is also one `step` call
+# component transforms per accepted step of `integrate`
 STEP_BUDGET = {
     ("fi_incompressible", "2d"): 80, ("fi_incompressible", "3d"): 80,
     ("compressible_liquid", "2d"): 124, ("compressible_liquid", "3d"): 132,
@@ -110,10 +97,6 @@ STEP_BUDGET = {
     ("linear_navier", "2d"): 24, ("linear_navier", "3d"): 24,
     ("classical_maxwell", "2d"): 48, ("classical_maxwell", "3d"): 48,
 }
-# one public fi `step`: v and E transformed in and out around the 4 stages
-FI_PUBLIC_STEP = {"2d": 86, "3d": 86}
-# one public second_order `step`: v and v_t transformed in and out likewise
-SECOND_ORDER_PUBLIC_STEP = {"2d": 182, "3d": 230}
 BUDGET_GRIDS = {
     "2d": make_grid((64, 64, 1), (2 * np.pi,) * 3),
     "3d": make_grid((16, 16, 16), (2 * np.pi,) * 3),
@@ -159,23 +142,21 @@ def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
     state = _state(g)
     if system == "second_order":
         state = SecondOrderState(time=0.0, v=state.v,
-                                 v_t=rhs_fi_incompressible(state, PARAMS).dv)
+                                 v_t=rhs(state, PARAMS, "fi_incompressible").dv)
     if system == "fi_hat":
         hats = fftn_array(g, np.stack([state.v.values, state.E.values]))
         call = lambda: _rhs_fi_hat(g, hats, PARAMS)  # noqa: E731
     elif system == "upper_convected_vector":
-        call = lambda: upper_convected_vector(state.E, state.v, None)  # noqa: E731
-    elif system == "linear_navier":
-        call = lambda: rhs_linear_navier(state, PARAMS)  # noqa: E731
+        call = lambda: upper_convected_vector(state.E, state.v)  # noqa: E731
     elif system == "grad":
         call = lambda: grad(state.mu_field)  # noqa: E731
     elif system == "grad_vector":
         call = lambda: grad_vector(state.v)  # noqa: E731
     elif system == "upper_convected_tensor":
         sigma = grad_vector(state.E)
-        call = lambda: upper_convected_tensor(sigma, state.v, None)  # noqa: E731
+        call = lambda: upper_convected_tensor(sigma, state.v)  # noqa: E731
     else:
-        call = lambda: _rhs(system, state)  # noqa: E731
+        call = lambda: rhs(state, PARAMS, system)  # noqa: E731
     assert _count_transforms(monkeypatch, call) == BUDGET[(system, shape)]
 
 
@@ -197,29 +178,6 @@ def test_transform_budget_per_step(system, shape, monkeypatch):
             monkeypatch, lambda: integrate(state, PARAMS, control, system))
 
     assert steps(3) - steps(2) == STEP_BUDGET[(system, shape)]
-    if SYSTEM_TABLE[system].rhs_hat is None:
-        control = StepControl(t_end=1.0, dt=dt)
-        assert _count_transforms(
-            monkeypatch, lambda: step(state, PARAMS, control, system)
-        ) == STEP_BUDGET[(system, shape)]
-
-
-@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
-def test_transform_budget_of_a_public_fi_step(shape, monkeypatch):
-    state = _system_state("fi_incompressible", BUDGET_GRIDS[shape])
-    control = StepControl(t_end=1.0, dt=1e-3)
-    assert _count_transforms(
-        monkeypatch, lambda: step(state, PARAMS, control, "fi_incompressible")
-    ) == FI_PUBLIC_STEP[shape]
-
-
-@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
-def test_transform_budget_of_a_public_second_order_step(shape, monkeypatch):
-    state = _system_state("second_order", BUDGET_GRIDS[shape])
-    control = StepControl(t_end=1.0, dt=1e-3)
-    assert _count_transforms(
-        monkeypatch, lambda: step(state, PARAMS, control, "second_order")
-    ) == SECOND_ORDER_PUBLIC_STEP[shape]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +213,7 @@ def _oracle(system, state, params=PARAMS, form="maxwell"):
     of the whole momentum removes."""
     v, E = state.v, state.E
     dE = curl_curl(v) * params.eta - _bracket(v, E, form) - E * params.kappa
-    if system == "fi":
+    if system == "fi_incompressible":
         projected = leray_project(E * (-1.0 / params.mu) + _momentum(v, form))
         return {"dv": projected.solenoidal, "dE": dE,
                 "pressure": projected.potential * params.mu}
@@ -286,8 +244,9 @@ EQUIVALENCE_GRIDS = {
 def test_core_matches_composed_operators(system, grid_name):
     # the fi RHS rejects a divergent v; the compressible ones get one, so
     # that every div v term is exercised
-    state = _state(EQUIVALENCE_GRIDS[grid_name], seed=7, solenoidal=system == "fi")
-    rates = _rhs(system, state)
+    state = _state(EQUIVALENCE_GRIDS[grid_name], seed=7,
+                   solenoidal=system == "fi_incompressible")
+    rates = rhs(state, PARAMS, system)
     for name, expected in _oracle(system, state).items():
         scale = norm_linf(expected)
         assert scale > 0.0, name
@@ -299,7 +258,7 @@ def test_core_matches_composed_operators(system, grid_name):
 def test_upper_convected_vector_matches_composed_operators(grid_name):
     state = _state(EQUIVALENCE_GRIDS[grid_name], seed=11, solenoidal=False)
     expected = _bracket(state.v, state.E)
-    got = upper_convected_vector(state.E, state.v, None)
+    got = upper_convected_vector(state.E, state.v)
     assert norm_linf(got - expected) < 1e-12 * norm_linf(expected)
 
 
@@ -309,7 +268,7 @@ def test_linear_navier_matches_composed_operators(shape):
     u = state.u
     expected = (grad(div(u)) * (PARAMS.lam + 2.0 * PARAMS.eta)
                 - curl_curl(u) * PARAMS.eta) * (1.0 / PARAMS.mu)
-    rates = rhs_linear_navier(state, PARAMS)
+    rates = rhs(state, PARAMS, "linear_navier")
     assert rates.du is state.v
     assert norm_linf(rates.dv - expected) < 1e-12 * norm_linf(expected)
 
@@ -317,11 +276,11 @@ def test_linear_navier_matches_composed_operators(shape):
 @pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
 def test_second_order_matches_composed_operators(shape):
     fi_state = _state(BUDGET_GRIDS[shape], seed=17)
-    v, v_t = fi_state.v, rhs_fi_incompressible(fi_state, PARAMS).dv
+    v, v_t = fi_state.v, rhs(fi_state, PARAMS, "fi_incompressible").dv
     raw = (laplacian(v) * (PARAMS.eta / PARAMS.mu)
            - vector_advection(v, v_t) * 2.0
            - double_advection(v, v) * (1.0 / PARAMS.mu))
-    rates = rhs_second_order(SecondOrderState(time=0.0, v=v, v_t=v_t), PARAMS)
+    rates = rhs(SecondOrderState(time=0.0, v=v, v_t=v_t), PARAMS, "second_order")
     for got, expected in ((rates.dv, v_t), (rates.dv_t, leray_project(raw).solenoidal)):
         assert norm_linf(got - expected) < 1e-12 * norm_linf(expected)
 
@@ -335,14 +294,14 @@ def _digest(rates):
             if value is not None]
 
 
-@pytest.mark.parametrize("system", ("fi", "compressible_solid"))
+@pytest.mark.parametrize("system", ("fi_incompressible", "compressible_solid"))
 @pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
 def test_rhs_bitwise_equal_across_thread_counts(system, shape, monkeypatch):
     state = _state(BUDGET_GRIDS[shape], seed=3)
     monkeypatch.setenv("METACONT_THREADS", "1")
-    one = _digest(_rhs(system, state))
+    one = _digest(rhs(state, PARAMS, system))
     monkeypatch.setenv("METACONT_THREADS", "2")
-    two = _digest(_rhs(system, state))
+    two = _digest(rhs(state, PARAMS, system))
     assert one == two
 
 
@@ -364,11 +323,11 @@ def test_fi_integrate_bitwise_equal_across_thread_counts(shape, monkeypatch):
 
 # the function each system's stepper calls once per RK stage
 STAGE_RHS = {"fi_incompressible": "_rhs_fi_hat",
-             "compressible_liquid": "rhs_compressible",
-             "compressible_solid": "rhs_compressible",
+             "compressible_liquid": "_rhs_compressible",
+             "compressible_solid": "_rhs_compressible",
              "second_order": "_rhs_second_order_hat",
-             "linear_navier": "rhs_linear_navier",
-             "classical_maxwell": "rhs_classical_maxwell"}
+             "linear_navier": "_rhs_linear_navier",
+             "classical_maxwell": "_rhs_classical_maxwell"}
 
 
 def _count_evaluations(monkeypatch, name):

@@ -12,7 +12,7 @@ import pytest
 
 import c2c_reference as c2c
 from metacont.diffops import curl, curl_curl, div, grad, laplacian, leray_project
-from metacont.dynamics import FluidState, MediumParams, rhs_fi_incompressible
+from metacont.dynamics import FluidState, MediumParams, rhs
 from metacont.fields import (
     ScalarField,
     dealias_field,
@@ -82,11 +82,11 @@ def test_leray_projection_matches_c2c(grid):
     assert _rel(got.potential.values, potential) <= 1e-12
 
 
-def test_rhs_fi_incompressible_matches_c2c(grid):
+def test_fi_rhs_matches_c2c(grid):
     v = band_limited_vector(grid, seed=4, fraction=FRACTION, amplitude=0.1,
                             solenoidal=True)
     E = band_limited_vector(grid, seed=5, fraction=FRACTION, amplitude=0.1)
-    rates = rhs_fi_incompressible(FluidState(time=0.0, v=v, E=E), PARAMS)
+    rates = rhs(FluidState(time=0.0, v=v, E=E), PARAMS, "fi_incompressible")
     dv, dE, pressure = c2c.rhs_fi_incompressible(grid, v.values, E.values, PARAMS)
     assert _rel(rates.dv.values, dv) <= 1e-12
     assert _rel(rates.dE.values, dE) <= 1e-12

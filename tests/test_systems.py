@@ -19,10 +19,12 @@ from metacont.dynamics import (
     StepSizeError,
     auto_step_size,
     integrate,
-    step,
+    rhs,
 )
 from metacont.fields import ScalarField, VectorField, make_grid
 from metacont.scenarios import SCENARIO_KINDS, ScenarioSpec, generate
+
+from test_rhs_core import _system_state
 
 GRID = make_grid((16, 16, 1), (2 * np.pi, 2 * np.pi, 2 * np.pi))
 PARAMS = MediumParams(lam=2.0, kappa=0.1)
@@ -59,7 +61,7 @@ def test_system_steps_from_every_declared_scenario(system):
     for kind in sorted(record.scenarios):
         spec = ScenarioSpec(kind, amplitude=1e-3, **SCENARIOS[kind])
         state = record.initial(generate(spec, GRID, PARAMS), PARAMS)
-        out = step(state, PARAMS, StepControl(t_end=1.0, dt=0.01), system)
+        out = integrate(state, PARAMS, StepControl(t_end=0.01, dt=0.01), system)
         assert type(out) is type(state)
         assert out.time == pytest.approx(0.01)
         for name in record.fields:
@@ -79,9 +81,30 @@ def test_unknown_system_name_raises_value_error():
     state = generate(spec, GRID, PARAMS)
     control = StepControl(t_end=1.0, dt=0.01)
     with pytest.raises(ValueError, match="unknown system"):
-        step(state, PARAMS, control, "navier_stokes")
+        integrate(state, PARAMS, control, "navier_stokes")
     with pytest.raises(ValueError, match="unknown system"):
         auto_step_size(state, PARAMS, control, "navier_stokes")
+    with pytest.raises(ValueError, match="unknown system"):
+        rhs(state, PARAMS, "navier_stokes")
+
+
+ENTRY_POINTS = {
+    "rhs": lambda state, system: rhs(state, PARAMS, system),
+    "integrate": lambda state, system: integrate(
+        state, PARAMS, StepControl(t_end=0.01, dt=0.01), system),
+    "auto_step_size": lambda state, system: auto_step_size(
+        state, PARAMS, StepControl(t_end=0.01), system),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("system, field", [
+    (system, field) for system in SYSTEMS for field in SYSTEMS[system].fields])
+def test_a_state_without_an_advanced_field_is_rejected(system, field, entry):
+    state = dataclasses.replace(_system_state(system, GRID), **{field: None})
+    with pytest.raises(ValueError,
+                       match=f"^{system} advances {field}, which the state lacks$"):
+        ENTRY_POINTS[entry](state, system)
 
 
 @pytest.mark.parametrize("system", list(SYSTEMS))
@@ -93,18 +116,21 @@ def test_blowup_raises_with_the_last_finite_state(system):
         "standing_shear_wave"])
     record = SYSTEMS[system]
     state = record.initial(generate(spec, GRID, params), params)
-    control = StepControl(t_end=1e9, dt=1e3)
+    control = StepControl(t_end=1e5, dt=1e3)    # at most 100 steps
     if record.diffusivity is not None:
         # such a dt is far beyond the diffusive limit, so no stage runs
         with pytest.raises(StepSizeError, match="D\\*k2_max\\*dt"):
-            step(state, params, control, system)
+            integrate(state, params, control, system)
         return
+    observed = []
     with pytest.raises(IntegrationError) as info, \
             np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(100):
-            state = step(state, params, control, system)
+        integrate(state, params, control, system,
+                  lambda i, s, rates: observed.append(s))
+    # the state the failed step started from: the last observed one, or the
+    # one before it if the last one's RHS was not finite
     last = info.value.state
-    assert last is state
+    assert any(last is s for s in observed[-2:])
     for name in record.fields:
         assert np.isfinite(getattr(last, name).values).all(), name
 
@@ -185,10 +211,11 @@ def test_fixed_dt_is_held_to_the_stiff_limits(system, params, term, h_max,
     if density is not None:
         state = density(state)
     inside = StepControl(t_end=1.0, dt=h_max * (1.0 - 1e-9))
-    assert step(state, params, inside, system).time == inside.dt
+    assert integrate(state, params, dataclasses.replace(inside, t_end=inside.dt),
+                     system).time == inside.dt
     # beyond the limit: rejected before the first RK stage evaluates the RHS
     calls = []
-    for name in ("rhs_compressible", "_rhs_fi_hat"):
+    for name in ("_rhs_compressible", "_rhs_fi_hat"):
         monkeypatch.setattr(dynamics, name, lambda *a: calls.append(a))
     beyond = StepControl(t_end=1.0, dt=h_max * (1.0 + 1e-9))
     with pytest.raises(StepSizeError, match=term):
@@ -284,7 +311,8 @@ def test_density_error_in_a_stage_raises_integration_error():
     state = FluidState(time=0.0, v=state.v, E=state.E,
                        mu_field=ScalarField(GRID, mu))
     with pytest.raises(IntegrationError) as info:
-        step(state, params, StepControl(t_end=1.0, dt=0.01), "compressible_liquid")
+        integrate(state, params, StepControl(t_end=1.0, dt=0.01),
+                  "compressible_liquid")
     assert info.value.state is state
     assert info.value.rates is None
     assert isinstance(info.value.__cause__, DensityError)
@@ -296,11 +324,7 @@ def test_solenoidality_error_in_a_stage_raises_integration_error():
     v[0] = np.sin(GRID.coordinates()[0])      # div v = cos x
     state = FluidState(time=0.0, v=VectorField(GRID, v),
                        E=VectorField.zeros(GRID))
-    for run in (lambda: step(state, params, StepControl(t_end=1.0, dt=0.01),
-                             "fi_incompressible"),
-                lambda: integrate(state, params, StepControl(t_end=0.1, dt=0.01),
-                                  "fi_incompressible")):
-        with pytest.raises(IntegrationError) as info:
-            run()
-        assert info.value.state is state
-        assert isinstance(info.value.__cause__, SolenoidalityError)
+    with pytest.raises(IntegrationError) as info:
+        integrate(state, params, StepControl(t_end=0.1, dt=0.01), "fi_incompressible")
+    assert info.value.state is state
+    assert isinstance(info.value.__cause__, SolenoidalityError)
