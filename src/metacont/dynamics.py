@@ -60,15 +60,17 @@ the density in physical space at every stage, and the linear ones are built
 from the `diffops` operators.  `rhs` and `integrate` take and return
 physical states whatever the layout.
 
-`integrate` evaluates the RHS once per accepted state: the evaluation is
+A state is accepted once its RHS is evaluated: `integrate` evaluates it
+once per accepted state, the final one included, and that evaluation is
 the next step's first stage and is what the observer sees.  The physical
 rates, and fi's pressure, are formed only when the observer asks for them.
 
 Finiteness.  Operators do not scan their results.  The stepper scans the
-rates of every RK stage and each accepted state in the stage layout, and a
-physical state it forms from coefficients.  A non-finite value, like a
-DensityError or SolenoidalityError raised in a stage, aborts with an
-IntegrationError carrying the last accepted state.
+rates of every RK stage and each accepted state in the stage layout, not
+the physical state of coefficients: its RHS's products carry an overflow
+into the scanned rates.  A non-finite value, like a DensityError or
+SolenoidalityError raised in a stage, aborts with an IntegrationError
+carrying the last accepted state.
 The systems are hyperbolic; kappa of order 1 adds mild attenuation, and the
 liquid's dilational stress a diffusion that stiffens where the density falls.
 A step beyond the explicit stability range of either at its start state (the
@@ -159,8 +161,8 @@ class StepSizeError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A step failed; carries the last accepted state for diagnostics and,
-    when the RHS was evaluated there, `rates()` of that state."""
+    """A step failed; carries the last accepted state for diagnostics and
+    `rates()` of that state, None only when the initial state failed."""
 
     def __init__(self, message: str, state=None, rates=None):
         super().__init__(message)
@@ -729,75 +731,32 @@ class _Spectral(_Physical):
     def encode(self, state) -> list[np.ndarray]:
         return [fftn_array(self.grid, np.stack(super().encode(state)))]
 
-    def decode(self, y, like, time: float):
-        # finite coefficients near the float limit can still overflow
-        physical = ifftn_array(self.grid, y[0])
-        _check_finite([physical])
-        return super().decode(physical, like, time)
-
     def evaluate(self, y, like, time: float, params, state=None):
         physical = None if state is None else np.stack(super().encode(state))
         k, physical, rates = self.record.rhs_hat(self.grid, y[0], params, physical)
         if state is None:
-            state = super().decode(physical, like, time)
+            state = self.decode(physical, like, time)
         return [k], state, rates
 
 
+@dataclass(frozen=True)
 class _Sample:
-    """One accepted state on a stepper's path: its stage values y and, once
-    evaluated, its stage rates k (the first RK stage of the step from it).
-    The physical state and the rates are formed on request.
+    """One accepted state on a stepper's path: its stage values y, its
+    physical state, and its stage rates k (the first RK stage of the step
+    from it) with the system's physical RHS result on request."""
 
-    A sample that fails to evaluate or to decode to a finite physical state
-    was not a good state after all: the error carries `previous`, the
-    sample it was stepped from (None for a start state, which then carries
-    itself)."""
-
-    def __init__(self, stepper: "_Stepper", y: list, time: float, state=None,
-                 previous: "_Sample | None" = None, h: float | None = None):
-        self.stepper, self.y, self.time = stepper, y, time
-        self.previous, self.h = previous, h
-        self._state = state
-        self._k = None
-        self._rates = None
-
-    def _failed(self, exc: Exception) -> "IntegrationError":
-        good = self if self.previous is None else self.previous
-        return self.stepper.failure(good, self.h, exc)
-
-    @property
-    def state(self):
-        if self._state is None:
-            st = self.stepper
-            try:
-                self._state = st.layout.decode(self.y, st.like, self.time)
-            except _STAGE_ERRORS as exc:
-                raise self._failed(exc) from exc
-        return self._state
-
-    @property
-    def k(self) -> list:
-        if self._k is None:
-            st = self.stepper
-            try:
-                k, state, rates = st.layout.evaluate(
-                    self.y, st.like, self.time, st.params, self._state)
-                _check_finite(k)
-            except _STAGE_ERRORS as exc:
-                raise self._failed(exc) from exc
-            self._k, self._state, self._rates = k, state, rates
-            self.previous = None   # keep no chain of earlier samples alive
-        return self._k
-
-    def rates(self):
-        """The system's physical RHS result at this state."""
-        self.k
-        return self._rates()
+    y: list
+    time: float
+    state: object
+    k: list
+    rates: Callable
 
 
 class _Stepper:
     """RK4 for one system and one parameter set; `like` is a state of the
-    system that supplies the attributes the integrator does not advance."""
+    system that supplies the attributes the integrator does not advance.
+    A state it returns is evaluated; one whose evaluation fails is never
+    returned, and the error carries the state it was stepped from."""
 
     def __init__(self, system: str, params: MediumParams, like):
         self.system, self.params, self.like = system, params, like
@@ -805,39 +764,48 @@ class _Stepper:
         grid = getattr(like, record.fields[0]).grid
         self.layout = (_Physical if record.rhs_hat is None else _Spectral)(record, grid)
 
-    def start(self, state) -> _Sample:
-        return _Sample(self, self.layout.encode(state), state.time, state)
+    def _evaluate(self, y, time: float, state=None):
+        k, state, rates = self.layout.evaluate(y, self.like, time, self.params, state)
+        _check_finite(k)
+        return k, state, rates
 
-    def advance(self, sample: _Sample, h: float) -> _Sample:
-        """The accepted state one RK4 step of size h after `sample`, h held to
-        `_stiff_limits` at its state before any stage."""
+    def start(self, state) -> _Sample:
+        y = self.layout.encode(state)
+        try:
+            k, _, rates = self._evaluate(y, state.time, state)
+        except _STAGE_ERRORS as exc:
+            raise self.failure(state, None, None, exc) from exc
+        return _Sample(y, state.time, state, k, rates)
+
+    def check(self, state, h: float) -> None:
+        """Raise StepSizeError unless a step of size h from `state` keeps
+        inside `_stiff_limits` there."""
         if not h > 0:
             raise StepSizeError(f"step size must be positive, got {h}")
-        limits = _stiff_limits(self.record, self.params, sample.state)
-        for term, (rate, limit) in limits.items():
+        for term, (rate, limit) in _stiff_limits(self.record, self.params, state).items():
             # not rate * h > limit: cfl <= 1 times the limit never trips it
             if rate > 0.0 and h > limit / rate:
                 raise StepSizeError(
                     f"{term} = {rate * h:.3g} exceeds the explicit stability "
-                    f"range ({limit}); reduce dt"
-                )
-        layout, y0 = self.layout, sample.y
-        k1 = sample.k
+                    f"range ({limit}); reduce dt")
 
-        def rates_at(y):
-            k = layout.evaluate(y, self.like, sample.time, self.params)[0]
-            _check_finite(k)
-            return k
+    def advance(self, sample: _Sample, h: float) -> _Sample:
+        """The evaluated state one RK4 step of size h after `sample`, h
+        checked at its state before any stage; the end state's evaluation
+        is the next step's first stage."""
+        self.check(sample.state, h)
+        y0, k1 = sample.y, sample.k
 
         def plus_y0(arrays):
             for out, y in zip(arrays, y0):
                 out += y
             return arrays
 
+        time = sample.time + h
         try:
-            k2 = rates_at(plus_y0([k * (h / 2.0) for k in k1]))
-            k3 = rates_at(plus_y0([k * (h / 2.0) for k in k2]))
-            k4 = rates_at(plus_y0([k * h for k in k3]))
+            k2 = self._evaluate(plus_y0([k * (h / 2.0) for k in k1]), sample.time)[0]
+            k3 = self._evaluate(plus_y0([k * (h / 2.0) for k in k2]), sample.time)[0]
+            k4 = self._evaluate(plus_y0([k * h for k in k3]), sample.time)[0]
             # y + (a + (b + c) * 2 + d) * (h / 6), in that operation order
             new = [b + c for b, c in zip(k2, k3)]
             for out, a, d in zip(new, k1, k4):
@@ -845,20 +813,20 @@ class _Stepper:
                 out += a
                 out += d
                 out *= h / 6.0
+            del k2, k3, k4    # freed before the end state's evaluation peaks
             new = plus_y0(new)
             _check_finite(new)
+            k, state, rates = self._evaluate(new, time)
         except _STAGE_ERRORS as exc:
-            raise self.failure(sample, h, exc) from exc
-        return _Sample(self, new, sample.time + h, previous=sample, h=h)
+            raise self.failure(sample.state, sample.rates, h, exc) from exc
+        return _Sample(new, time, state, k, rates)
 
-    def failure(self, sample: _Sample, h, exc: Exception) -> "IntegrationError":
+    def failure(self, state, rates, h, exc: Exception) -> "IntegrationError":
         step = "" if h is None else f" with dt={h:.3e}"
         return IntegrationError(
-            f"step from t={sample.time:.6g}{step} failed in system "
+            f"step from t={state.time:.6g}{step} failed in system "
             f"{self.system!r}: {type(exc).__name__}: {exc}",
-            state=sample.state,
-            rates=None if sample._rates is None else sample.rates,
-        )
+            state=state, rates=rates)
 
 
 def _check_finite(arrays) -> None:
@@ -888,19 +856,22 @@ def integrate(state, params: MediumParams, control: StepControl, system: str,
     value is the sample clock: `observer(tick, state, rates)` is called with
     the initial state (tick 0), at every multiple of it and at t_end.
     `rates()` returns the system's physical RHS result at that state.  The
-    RHS is evaluated once per accepted state: that evaluation is the next
-    step's first stage, and the final state is evaluated only if the
-    observer calls `rates()`.  A failed step raises an IntegrationError
-    carrying the last accepted state and, when it was evaluated, its `rates`.
+    RHS is evaluated once per accepted state, the final one included: a
+    state is accepted only once its RHS is finite, and that evaluation is
+    the next step's first stage.  A first step beyond a stiff limit raises
+    StepSizeError before any evaluation.  A failed evaluation raises an
+    IntegrationError carrying the last accepted state and its `rates`.
     """
     stepper = _Stepper(system, params, state)
-    sample = stepper.start(state)
     auto = control.dt == "auto"
     h = auto_step_size(state, params, control, system) if auto else float(control.dt)
     at_limit = dataclasses.replace(control, cfl=1.0)
     n, per_tick = 0, 1       # ticks observed, steps of size h per tick
     t_end = control.t_end
     eps = 1e-12 * abs(t_end)
+    if state.time < t_end - eps:
+        stepper.check(state, min(h, t_end - state.time))
+    sample = stepper.start(state)
     while True:
         if observer is not None:
             observer(n, sample.state, sample.rates)

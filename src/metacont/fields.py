@@ -27,8 +27,9 @@ constructors (`ScalarField(grid, values)`, its vector and tensor kin, and
 `FieldError`, as the snapshot reader does.  Operator results are adopted as
 they are, without a copy or a scan.  The time stepper in `dynamics` scans
 instead: the rates of every RK stage and each accepted state, in the layout
-the stages hold (physical values, or the half-spectrum coefficients of fi
-and second_order), and a physical state it forms from coefficients.
+the stages hold (physical values, or the coefficients of fi and
+second_order, whose physical state is not scanned: its RHS's products carry
+an overflow into the scanned rates).
 
 Spectral layout.  Every field is real, so the forward transform is the
 real-to-complex `scipy.fft.rfftn` over the active axes and the inverse is

@@ -11,6 +11,7 @@ from metacont.fields import (
     ScalarField,
     TensorField,
     VectorField,
+    ifftn_array,
     make_grid,
     norm_l2,
     norm_linf,
@@ -555,36 +556,103 @@ class TestStepAndIntegrate:
         params = MediumParams(lam=1.0, kappa=0.3)
         control = StepControl(t_end=0.03, dt=0.01)
         accepted = integrate(state, params, StepControl(t_end=0.01, dt=0.01), system)
-        record = SYSTEMS[system]
-        calls = itertools.count(1)
-
-        def rhs_hat(g, hats, p, physical):
-            k, physical, rates = record.rhs_hat(g, hats, p, physical)
-            if next(calls) == 6:
-                k = k.copy()
-                k[1, 0, 1, 2, 0] = bad
-            return k, physical, rates
-
-        def rhs(s, p):
-            rates = record.rhs(s, p)
-            if next(calls) == 6:
-                dv = rates.dv.values.copy()
-                dv[0, 1, 2, 3] = bad
-                rates = dataclasses.replace(rates, dv=VectorField._wrap(grid, dv))
-            return rates
-
-        planted = (dict(rhs_hat=rhs_hat) if record.rhs_hat is not None
-                   else dict(rhs=rhs))
-        monkeypatch.setitem(SYSTEMS, system, dataclasses.replace(record, **planted))
+        calls = _plant_rate(monkeypatch, system, grid, 6, bad)
         with pytest.raises(IntegrationError) as info:
             integrate(state, params, control, system)
         assert isinstance(info.value.__cause__, FieldError)
         assert next(calls) == 7
-        carried = info.value.state
-        assert carried.time == accepted.time
-        for name in record.fields:
-            assert (getattr(carried, name).values.tobytes()
-                    == getattr(accepted, name).values.tobytes()), name
+        _assert_carries(info.value, accepted, system)
+
+    @pytest.mark.parametrize("system, dims", [("fi_incompressible", (16, 16, 1)),
+                                              ("second_order", (16, 16, 1)),
+                                              ("compressible_solid", (8, 8, 8))])
+    def test_a_final_state_with_non_finite_rates_is_not_returned(
+            self, monkeypatch, system, dims):
+        # a state is accepted only once its RHS is evaluated and finite, the
+        # final one too, with no observer to ask for its rates: a NaN planted
+        # only in call 4n + 1, the evaluation at t_end, aborts the run with
+        # the state one step before t_end and its rates
+        grid = make_grid(dims, (2 * np.pi, 3.0, 4.0))
+        params = MediumParams(lam=1.0, kappa=0.3)
+        state = SYSTEMS[system].initial(_stepper_state(grid), params)
+        n = 3
+        accepted = integrate(state, params, StepControl(t_end=0.02, dt=0.01), system)
+        calls = _plant_rate(monkeypatch, system, grid, 4 * n + 1, np.nan)
+        with pytest.raises(IntegrationError) as info:
+            integrate(state, params, StepControl(t_end=n * 0.01, dt=0.01), system)
+        assert isinstance(info.value.__cause__, FieldError)
+        assert next(calls) == 4 * n + 2
+        _assert_carries(info.value, accepted, system)
+        assert np.isfinite(info.value.rates().dv.values).all()
+
+    @pytest.mark.parametrize("system", ("fi_incompressible", "second_order"))
+    def test_an_end_state_that_overflows_in_physical_space_is_not_accepted(
+            self, monkeypatch, system):
+        # fi's and second_order's stages hold coefficients; the physical
+        # state is not scanned, but its RHS's products carry an overflow into
+        # the scanned rates.  Finite coefficients 1e308 at the modes +-1 of
+        # x in the y component of the second field (E, v_t; solenoidal, and
+        # entering the rates' linear terms finite) are planted in the end
+        # state of the second step, whose inverse transform overflows
+        grid = make_grid((16, 16, 1), (2 * np.pi,) * 3)
+        params = MediumParams(kappa=0.3)
+        state = SYSTEMS[system].initial(_stepper_state(grid), params)
+        accepted = integrate(state, params, StepControl(t_end=0.01, dt=0.01), system)
+        record = SYSTEMS[system]
+        calls = itertools.count(1)
+        overflowed = []
+
+        def rhs_hat(g, hats, p, physical):
+            if next(calls) == 9:
+                hats = hats.copy()
+                hats[1, 1, [1, -1], 0, 0] = 1e308
+                assert np.isfinite(hats).all()
+                overflowed.append(np.isinf(ifftn_array(g, hats)).any())
+            return record.rhs_hat(g, hats, p, physical)
+
+        monkeypatch.setitem(SYSTEMS, system, dataclasses.replace(record, rhs_hat=rhs_hat))
+        with pytest.raises(IntegrationError) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            integrate(state, params, StepControl(t_end=0.03, dt=0.01), system)
+        assert overflowed == [True]
+        assert isinstance(info.value.__cause__, FieldError)
+        _assert_carries(info.value, accepted, system)
+
+
+def _plant_rate(monkeypatch, system, grid, call, bad):
+    """Make the call-th RHS evaluation of `system` return a stage rate
+    holding `bad`; returns the evaluation counter."""
+    record = SYSTEMS[system]
+    calls = itertools.count(1)
+
+    def rhs_hat(g, hats, p, physical):
+        k, physical, rates = record.rhs_hat(g, hats, p, physical)
+        if next(calls) == call:
+            k = k.copy()
+            k[1, 0, 1, 2, 0] = bad
+        return k, physical, rates
+
+    def rhs(s, p):
+        rates = record.rhs(s, p)
+        if next(calls) == call:
+            dv = rates.dv.values.copy()
+            dv[0, 1, 2, 3] = bad
+            rates = dataclasses.replace(rates, dv=VectorField._wrap(grid, dv))
+        return rates
+
+    planted = (dict(rhs_hat=rhs_hat) if record.rhs_hat is not None
+               else dict(rhs=rhs))
+    monkeypatch.setitem(SYSTEMS, system, dataclasses.replace(record, **planted))
+    return calls
+
+
+def _assert_carries(error, accepted, system):
+    """`error` carries the state `accepted`, bit for bit."""
+    carried = error.state
+    assert carried.time == accepted.time
+    for name in SYSTEMS[system].fields:
+        assert (getattr(carried, name).values.tobytes()
+                == getattr(accepted, name).values.tobytes()), name
 
 
 class TestTemporalConvergence:

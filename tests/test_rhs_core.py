@@ -357,9 +357,9 @@ def test_integrate_evaluates_the_rhs_four_times_per_step(system, observed,
 
     integrate(state, PARAMS, control, system,
               None if observed == "none" else observer)
-    # the evaluation at each accepted state is the next step's first stage;
-    # the final state is evaluated only when its rates are asked for
-    assert len(calls) == 4 * n + (observed in ("every", "final"))
+    # every accepted state, the final one included, is evaluated once, and
+    # that evaluation is the next step's first stage
+    assert len(calls) == 4 * n + 1
 
 
 def test_pressure_at_step_n_is_the_rhs_pressure_of_state_n(tmp_path, monkeypatch):
