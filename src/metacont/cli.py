@@ -584,24 +584,26 @@ def _config_with(doc: dict, axis: str, value: float) -> dict:
 
 def _maxwell_twin(config: RunConfig, row: dict):
     """The observer of an fi run of `config` that steps the classical twin of
-    the run's initial state alongside it, one step per tick of the run's
-    sample clock (its own steps under a fixed dt), and keeps in
-    row["maxwell_distance"] the sup over ticks of the (E, mu curl v)
-    distance between the two."""
+    the run's initial state alongside it on one classical stepper, one step
+    per tick of the run's sample clock (its own steps under a fixed dt), and
+    keeps in row["maxwell_distance"] the sup over ticks of the distance
+    between the twin and the classical view (E, mu curl v) of the fi state."""
     params = config.params
+    classical = SYSTEMS["classical_maxwell"]
     twin = None
 
     def observer(i, fi_state, rates):
         nonlocal twin
+        view = classical.initial(fi_state, params)
         if i == 0:
-            twin = SYSTEMS["classical_maxwell"].initial(fi_state, params)
+            twin = dynamics._Stepper("classical_maxwell", params, view)
+            twin.start(view)
             row["maxwell_distance"] = 0.0
         else:
-            twin = integrate(twin, params, StepControl(
-                t_end=fi_state.time, dt=fi_state.time - twin.time), "classical_maxwell")
+            twin.advance(fi_state.time - twin.time)
             row["maxwell_distance"] = max(row["maxwell_distance"], float(np.sqrt(
-                norm_l2(fi_state.E - twin.E) ** 2
-                + norm_l2(curl(fi_state.v) * params.mu - twin.B) ** 2)))
+                norm_l2(view.E - twin.state.E) ** 2
+                + norm_l2(view.B - twin.state.B) ** 2)))
 
     return observer
 

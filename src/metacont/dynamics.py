@@ -44,8 +44,9 @@ kinds it accepts.  `rhs`, `integrate` and the runner read only the record,
 so adding a system means adding one record.
 
 State layout.  Time stepping is one four-stage explicit Runge-Kutta scheme
-for every system; its stage inputs and update are formed in place in new
-arrays, bitwise y + k h/2 and y + (k1 + (k2 + k3) 2 + k4) h/6 in that order.
+for every system, on the stage values that the stepper encodes from a
+state; its stage inputs and update are formed in place in new arrays,
+bitwise y + k h/2 and y + (k1 + (k2 + k3) 2 + k4) h/6 in that order.
 The RK stages of fi and second_order, the systems held to div v = 0, hold
 the half-spectrum coefficients (`GridSpec.spectral_shape`) of [v, E] and
 [v, v_t]; their RHS (`_rhs_fi_hat`, `_rhs_second_order_hat`) return rate
@@ -60,10 +61,12 @@ the density in physical space at every stage, and the linear ones are built
 from the `diffops` operators.  `rhs` and `integrate` take and return
 physical states whatever the layout.
 
-A state is accepted once its RHS is evaluated: `integrate` evaluates it
-once per accepted state, the final one included, and that evaluation is
-the next step's first stage and is what the observer sees.  The physical
-rates, and fi's pressure, are formed only when the observer asks for them.
+A trajectory is one `_Stepper`, which holds the path's head: the last
+accepted state, its stage values and its stage rates.  A state is accepted
+once its RHS is evaluated and finite, the final one included; that
+evaluation is the next step's first stage and is what the observer sees.
+A failed step leaves the head where it was.  The physical rates, and fi's
+pressure, are formed only when the observer asks for them.
 
 Finiteness.  Operators do not scan their results.  The stepper scans the
 rates of every RK stage and each accepted state in the stage layout, not
@@ -161,8 +164,9 @@ class StepSizeError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A step failed; carries the last accepted state for diagnostics and
-    `rates()` of that state, None only when the initial state failed."""
+    """A step failed; carries the stepper's head, the last accepted state,
+    and `rates()` of that state, or the initial state and rates None when
+    its own evaluation failed."""
 
     def __init__(self, message: str, state=None, rates=None):
         super().__init__(message)
@@ -698,84 +702,72 @@ def auto_step_size(state, params: MediumParams, control: StepControl,
 _STAGE_ERRORS = (FieldError, FloatingPointError, DensityError, SolenoidalityError)
 
 
-class _Physical:
-    """RK stages that hold the physical values of the advanced fields."""
-
-    def __init__(self, record: System, grid):
-        self.record, self.grid = record, grid
-
-    def encode(self, state) -> list[np.ndarray]:
-        return [getattr(state, name).values for name in self.record.fields]
-
-    def decode(self, y, like, time: float):
-        """The state at `time` with field values y; `like` supplies the other
-        attributes and the field types."""
-        fields = {name: type(getattr(like, name))._wrap(self.grid, values)
-                  for name, values in zip(self.record.fields, y)}
-        return dataclasses.replace(like, time=time, **fields)
-
-    def evaluate(self, y, like, time: float, params, state=None):
-        """(stage rates k, physical state, rates on request) at y; `state` is
-        the physical state of y when the caller already has it."""
-        if state is None:
-            state = self.decode(y, like, time)
-        rates = self.record.rhs(state, params)
-        k = [getattr(rates, name).values for name in self.record.rates]
-        return k, state, lambda: rates
-
-
-class _Spectral(_Physical):
-    """RK stages that hold one array: the stacked half-spectrum coefficients
-    of the advanced fields, which the record's `rhs_hat` evaluates."""
-
-    def encode(self, state) -> list[np.ndarray]:
-        return [fftn_array(self.grid, np.stack(super().encode(state)))]
-
-    def evaluate(self, y, like, time: float, params, state=None):
-        physical = None if state is None else np.stack(super().encode(state))
-        k, physical, rates = self.record.rhs_hat(self.grid, y[0], params, physical)
-        if state is None:
-            state = self.decode(physical, like, time)
-        return [k], state, rates
-
-
-@dataclass(frozen=True)
-class _Sample:
-    """One accepted state on a stepper's path: its stage values y, its
-    physical state, and its stage rates k (the first RK stage of the step
-    from it) with the system's physical RHS result on request."""
-
-    y: list
-    time: float
-    state: object
-    k: list
-    rates: Callable
-
-
 class _Stepper:
-    """RK4 for one system and one parameter set; `like` is a state of the
-    system that supplies the attributes the integrator does not advance.
-    A state it returns is evaluated; one whose evaluation fails is never
-    returned, and the error carries the state it was stepped from."""
+    """One RK4 path of one system and one parameter set; `like` is a state of
+    the system that supplies the attributes the integrator does not advance.
+
+    The stepper holds the path's head, the last accepted state: `state`, its
+    `time`, its stage values `y`, its stage rates `k` (the first RK stage of
+    the step from it) and `rates()`, the system's physical RHS result there.
+    The stage values are the physical values of the advanced fields, or
+    their stacked half-spectrum coefficients when the record has `rhs_hat`.
+    `start` accepts the first state and `advance` moves the head one step;
+    a state is accepted only once its RHS is evaluated and finite.  A
+    failed evaluation raises an IntegrationError carrying the head, which
+    stays where it was.
+    """
 
     def __init__(self, system: str, params: MediumParams, like):
         self.system, self.params, self.like = system, params, like
-        self.record = record = _record(system, like)
-        grid = getattr(like, record.fields[0]).grid
-        self.layout = (_Physical if record.rhs_hat is None else _Spectral)(record, grid)
+        self.record = _record(system, like)
+        self.grid = getattr(like, self.record.fields[0]).grid
+        self.y = self.k = self.state = self.rates = self.time = None
 
-    def _evaluate(self, y, time: float, state=None):
-        k, state, rates = self.layout.evaluate(y, self.like, time, self.params, state)
+    def _values(self, state) -> list[np.ndarray]:
+        return [getattr(state, name).values for name in self.record.fields]
+
+    def encode(self, state) -> list[np.ndarray]:
+        """The stage values of a physical state."""
+        if self.record.rhs_hat is None:
+            return self._values(state)
+        return [fftn_array(self.grid, np.stack(self._values(state)))]
+
+    def _decode(self, values, time: float):
+        """The state at `time` with physical field values `values`."""
+        fields = {name: type(getattr(self.like, name))._wrap(self.grid, a)
+                  for name, a in zip(self.record.fields, values)}
+        return dataclasses.replace(self.like, time=time, **fields)
+
+    def evaluate(self, y, time: float, state=None):
+        """(stage rates k, physical state, rates on request) at stage values
+        y; `state` is the physical state of y when the caller already has it."""
+        record = self.record
+        if record.rhs_hat is None:
+            if state is None:
+                state = self._decode(y, time)
+            rates = record.rhs(state, self.params)
+            k = [getattr(rates, name).values for name in record.rates]
+            return k, state, lambda: rates
+        physical = None if state is None else np.stack(self._values(state))
+        k, physical, rates = record.rhs_hat(self.grid, y[0], self.params, physical)
+        if state is None:
+            state = self._decode(physical, time)
+        return [k], state, rates
+
+    def _stage(self, y, time: float, state=None):
+        """`evaluate`, once its stage rates are scanned finite."""
+        k, state, rates = self.evaluate(y, time, state)
         _check_finite(k)
         return k, state, rates
 
-    def start(self, state) -> _Sample:
-        y = self.layout.encode(state)
+    def start(self, state) -> None:
+        """Accept `state` as the head."""
+        y = self.encode(state)
         try:
-            k, _, rates = self._evaluate(y, state.time, state)
+            k, _, rates = self._stage(y, state.time, state)
         except _STAGE_ERRORS as exc:
             raise self.failure(state, None, None, exc) from exc
-        return _Sample(y, state.time, state, k, rates)
+        self.y, self.time, self.state, self.k, self.rates = y, state.time, state, k, rates
 
     def check(self, state, h: float) -> None:
         """Raise StepSizeError unless a step of size h from `state` keeps
@@ -789,37 +781,36 @@ class _Stepper:
                     f"{term} = {rate * h:.3g} exceeds the explicit stability "
                     f"range ({limit}); reduce dt")
 
-    def advance(self, sample: _Sample, h: float) -> _Sample:
-        """The evaluated state one RK4 step of size h after `sample`, h
-        checked at its state before any stage; the end state's evaluation
-        is the next step's first stage."""
-        self.check(sample.state, h)
-        y0, k1 = sample.y, sample.k
+    def advance(self, h: float) -> None:
+        """Move the head one RK4 step of size h, h checked at the head before
+        any stage; the new head's evaluation is the next step's first stage,
+        and the previous head is released only once the new one is accepted."""
+        self.check(self.state, h)
 
-        def plus_y0(arrays):
-            for out, y in zip(arrays, y0):
+        def plus_y(arrays):
+            for out, y in zip(arrays, self.y):
                 out += y
             return arrays
 
-        time = sample.time + h
+        time = self.time + h
         try:
-            k2 = self._evaluate(plus_y0([k * (h / 2.0) for k in k1]), sample.time)[0]
-            k3 = self._evaluate(plus_y0([k * (h / 2.0) for k in k2]), sample.time)[0]
-            k4 = self._evaluate(plus_y0([k * h for k in k3]), sample.time)[0]
+            k2 = self._stage(plus_y([k * (h / 2.0) for k in self.k]), self.time)[0]
+            k3 = self._stage(plus_y([k * (h / 2.0) for k in k2]), self.time)[0]
+            k4 = self._stage(plus_y([k * h for k in k3]), self.time)[0]
             # y + (a + (b + c) * 2 + d) * (h / 6), in that operation order
             new = [b + c for b, c in zip(k2, k3)]
-            for out, a, d in zip(new, k1, k4):
+            for out, a, d in zip(new, self.k, k4):
                 out *= 2.0
                 out += a
                 out += d
                 out *= h / 6.0
             del k2, k3, k4    # freed before the end state's evaluation peaks
-            new = plus_y0(new)
+            new = plus_y(new)
             _check_finite(new)
-            k, state, rates = self._evaluate(new, time)
+            k, state, rates = self._stage(new, time)
         except _STAGE_ERRORS as exc:
-            raise self.failure(sample.state, sample.rates, h, exc) from exc
-        return _Sample(new, time, state, k, rates)
+            raise self.failure(self.state, self.rates, h, exc) from exc
+        self.y, self.time, self.state, self.k, self.rates = new, time, state, k, rates
 
     def failure(self, state, rates, h, exc: Exception) -> "IntegrationError":
         step = "" if h is None else f" with dt={h:.3e}"
@@ -840,10 +831,10 @@ def _check_finite(arrays) -> None:
 def rhs(state, params: MediumParams, system: str):
     """The system's physical RHS result at a physical state (`FiRates`,
     `CompressibleRates`, ...): the first RK stage that `integrate` evaluates
-    there, through the same stage layout.  A system that steps on
+    there, through a stepper of the system.  A system that steps on
     coefficients transforms the state in once and its rates out once."""
-    layout = _Stepper(system, params, state).layout
-    return layout.evaluate(layout.encode(state), state, state.time, params, state)[2]()
+    stepper = _Stepper(system, params, state)
+    return stepper.evaluate(stepper.encode(state), state.time, state)[2]()
 
 
 def integrate(state, params: MediumParams, control: StepControl, system: str,
@@ -856,11 +847,11 @@ def integrate(state, params: MediumParams, control: StepControl, system: str,
     value is the sample clock: `observer(tick, state, rates)` is called with
     the initial state (tick 0), at every multiple of it and at t_end.
     `rates()` returns the system's physical RHS result at that state.  The
-    RHS is evaluated once per accepted state, the final one included: a
-    state is accepted only once its RHS is finite, and that evaluation is
-    the next step's first stage.  A first step beyond a stiff limit raises
-    StepSizeError before any evaluation.  A failed evaluation raises an
-    IntegrationError carrying the last accepted state and its `rates`.
+    run is one `_Stepper` path, and the observer sees its head: the RHS is
+    evaluated once per accepted state, the final one included, and that
+    evaluation is the next step's first stage.  A first step beyond a stiff
+    limit raises StepSizeError before any evaluation.  A failed evaluation
+    raises an IntegrationError carrying the head and its `rates`.
     """
     stepper = _Stepper(system, params, state)
     auto = control.dt == "auto"
@@ -871,16 +862,16 @@ def integrate(state, params: MediumParams, control: StepControl, system: str,
     eps = 1e-12 * abs(t_end)
     if state.time < t_end - eps:
         stepper.check(state, min(h, t_end - state.time))
-    sample = stepper.start(state)
+    stepper.start(state)
     while True:
         if observer is not None:
-            observer(n, sample.state, sample.rates)
-        if not sample.time < t_end - eps:
-            return sample.state
+            observer(n, stepper.state, stepper.rates)
+        if not stepper.time < t_end - eps:
+            return stepper.state
         taken = 0
-        while taken < per_tick and sample.time < t_end - eps:
-            while auto and auto_step_size(sample.state, params, at_limit, system) < h:
+        while taken < per_tick and stepper.time < t_end - eps:
+            while auto and auto_step_size(stepper.state, params, at_limit, system) < h:
                 h, per_tick, taken = h / 2.0, per_tick * 2, taken * 2
-            sample = stepper.advance(sample, min(h, t_end - sample.time))
+            stepper.advance(min(h, t_end - stepper.time))
             taken += 1
         n += 1

@@ -420,13 +420,12 @@ def _with_params(change):
 
 
 def _leaky(op):
-    """A stepper whose every accepted sample's stage values grow by one part
+    """A stepper whose every accepted head's stage values grow by one part
     in 1e9."""
-    def leaky(stepper, sample, h):
-        new = op(stepper, sample, h)
-        for y in new.y:
+    def leaky(stepper, h):
+        op(stepper, h)
+        for y in stepper.y:
             y *= 1.0 + 1e-9
-        return new
     return leaky
 
 
@@ -602,6 +601,30 @@ class TestSweep:
                 for a, b in zip(fi[1:], classical[1:]))
             assert expected > 0.0
             assert row["maxwell_distance"] == expected
+
+    def test_the_classical_twin_takes_four_evaluations_per_tick(self, monkeypatch,
+                                                                tmp_path):
+        # one classical stepper continues across the run's 10 ticks: one
+        # evaluation of the initial state, then the 4 of each RK4 step
+        doc = {
+            "grid": {"dims": [16, 16, 1]},
+            "params": {"mu": 1.0, "eta": 1.0},
+            "system": "fi_incompressible",
+            "scenario": {"kind": "random_solenoidal", "amplitude": 0.1, "seed": 11},
+            "control": {"t_end": 0.2, "dt": 0.02},
+        }
+        calls = itertools.count()
+        classical = dynamics._rhs_classical_maxwell
+
+        def counted(state, params):
+            next(calls)
+            return classical(state, params)
+
+        monkeypatch.setattr(dynamics, "_rhs_classical_maxwell", counted)
+        row = cli._sweep_one(doc, "amplitude", 0.1, tmp_path / "run")
+        assert row["status"] == "ok" and row["maxwell_distance"] > 0.0
+        assert next(calls) == 4 * 10 + 1
+
 
 class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
     """The real process pool, recording the worker count of each pool made."""

@@ -521,15 +521,17 @@ class TestStepAndIntegrate:
         params = MediumParams(lam=1.0, kappa=0.3)
         state = SYSTEMS[system].initial(_stepper_state(grid), params)
         stepper = _Stepper(system, params, state)
-        sample = stepper.start(state)
+        stepper.start(state)
         h = 0.01
-        y0, k1 = [y.copy() for y in sample.y], [k.copy() for k in sample.k]
-        new = stepper.advance(sample, h).y
-        for got, want in zip(sample.y + sample.k, y0 + k1):
+        source = stepper.y + stepper.k
+        y0, k1 = [y.copy() for y in stepper.y], [k.copy() for k in stepper.k]
+        stepper.advance(h)
+        new = stepper.y
+        for got, want in zip(source, y0 + k1):
             assert got.tobytes() == want.tobytes()
 
         def rates_at(y):
-            return stepper.layout.evaluate(y, state, 0.0, params)[0]
+            return stepper.evaluate(y, 0.0)[0]
 
         k2 = rates_at(ref.rk4_stage(y0, k1, h / 2.0))
         k3 = rates_at(ref.rk4_stage(y0, k2, h / 2.0))
@@ -584,6 +586,31 @@ class TestStepAndIntegrate:
         assert next(calls) == 4 * n + 2
         _assert_carries(info.value, accepted, system)
         assert np.isfinite(info.value.rates().dv.values).all()
+
+    @pytest.mark.parametrize("call", (6, 9))
+    @pytest.mark.parametrize("system, dims", [("fi_incompressible", (16, 16, 1)),
+                                              ("compressible_solid", (8, 8, 8))])
+    def test_a_failed_step_leaves_the_head_in_place(self, monkeypatch, system, dims,
+                                                    call):
+        # a NaN planted in step 2, in its second stage (call 6) or in the
+        # evaluation of its end state (call 9), leaves the step-1 head
+        grid = make_grid(dims, (2 * np.pi, 3.0, 4.0))
+        params = MediumParams(lam=1.0, kappa=0.3)
+        state = _stepper_state(grid)
+        _plant_rate(monkeypatch, system, grid, call, np.nan)
+        stepper = _Stepper(system, params, state)
+        stepper.start(state)
+        stepper.advance(0.01)
+        time, head, rates = stepper.time, stepper.state, stepper.rates()
+        y, k = [a.tobytes() for a in stepper.y], [a.tobytes() for a in stepper.k]
+        with pytest.raises(IntegrationError) as info:
+            stepper.advance(0.01)
+        assert isinstance(info.value.__cause__, FieldError)
+        assert stepper.time == time == 0.01
+        assert stepper.state is head and stepper.rates() is rates
+        assert [a.tobytes() for a in stepper.y] == y
+        assert [a.tobytes() for a in stepper.k] == k
+        assert info.value.state is head and info.value.rates() is rates
 
     @pytest.mark.parametrize("system", ("fi_incompressible", "second_order"))
     def test_an_end_state_that_overflows_in_physical_space_is_not_accepted(

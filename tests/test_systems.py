@@ -273,9 +273,9 @@ def test_a_halved_step_keeps_the_sample_clock(monkeypatch):
     taken = []
     advance = dynamics._Stepper.advance
 
-    def recorded(self, sample, h):
+    def recorded(self, h):
         taken.append(h)
-        return advance(self, sample, h)
+        return advance(self, h)
 
     monkeypatch.setattr(dynamics._Stepper, "advance", recorded)
     times = []
