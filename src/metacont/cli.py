@@ -225,8 +225,6 @@ def run(config: RunConfig, observer=None):
     snap_root = out / "snapshots"
     record = SYSTEMS[config.system]
 
-    state0 = record.initial(
-        generate(config.scenario, config.grid, config.params), config.params)
     oracle = wave_oracle(config.scenario, config.grid, config.params,
                          config.system)
     times, series = [], []
@@ -261,8 +259,10 @@ def run(config: RunConfig, observer=None):
             observer(i, state, rates)
 
     try:
-        final_state = integrate(state0, config.params, config.control,
-                                config.system, observer=observe)
+        # no reference here keeps the initial state past the first step
+        final_state = integrate(record.initial(generate(
+            config.scenario, config.grid, config.params), config.params),
+            config.params, config.control, config.system, observer=observe)
         # the final state is always reported and snapshotted
         if last["index"] not in reported_at:
             report(last["index"], final_state, last["rates"])

@@ -47,6 +47,8 @@ State layout.  Time stepping is one four-stage explicit Runge-Kutta scheme
 for every system, on the stage values that the stepper encodes from a
 state; its stage inputs and update are formed in place in new arrays,
 bitwise y + k h/2 and y + (k1 + (k2 + k3) 2 + k4) h/6 in that order.
+No array outlives its last read: each stage holds y, k1 and two registers
+at most, and no trajectory holds its initial state past its first step.
 The RK stages of fi and second_order, the systems held to div v = 0, hold
 the half-spectrum coefficients (`GridSpec.spectral_shape`) of [v, E] and
 [v, v_t]; their RHS (`_rhs_fi_hat`, `_rhs_second_order_hat`) return rate
@@ -538,10 +540,12 @@ def _rhs_compressible(state: FluidState, params: MediumParams,
     inv_mu = 1.0 / mu_f.values
     momentum = _cross_arrays(va, ifftn_array(g, _curl_hat(_k_vector(g), hats[0])))
     momentum -= ea * inv_mu
-    momentum[axes] += ifftn_array(g, _ik(g)[axes] * dilational_hat) * inv_mu
-    dv_hat = fftn_array(g, momentum) * _dealias_factor(g) - _ik(g) * _head_hat(g, va)
+    active = slice(None) if len(axes) == 3 else axes
+    momentum[active] += ifftn_array(g, _ik(g)[active] * dilational_hat) * inv_mu
+    del dilational_hat, inv_mu
+    dv = fftn_array(g, momentum) * _dealias_factor(g) - _ik(g) * _head_hat(g, va)
     del momentum
-    dv = ifftn_array(g, dv_hat)
+    dv = ifftn_array(g, dv)
     # the bracket, its rate coefficients, the rate: each frees the one before
     dE = _bracket_hat(g, va, ea, ifftn_array(g, _div_hat(g, hats[1])))
     dE = _stress_rate_hat(g, hats, _curl_hat(_k_vector(g), hats[0]), dE, params)
@@ -705,6 +709,8 @@ _STAGE_ERRORS = (FieldError, FloatingPointError, DensityError, SolenoidalityErro
 class _Stepper:
     """One RK4 path of one system and one parameter set; `like` is a state of
     the system that supplies the attributes the integrator does not advance.
+    The stepper keeps those and the field classes, not `like`'s arrays, so
+    it holds no reference to its initial state after its first step.
 
     The stepper holds the path's head, the last accepted state: `state`, its
     `time`, its stage values `y`, its stage rates `k` (the first RK stage of
@@ -718,9 +724,11 @@ class _Stepper:
     """
 
     def __init__(self, system: str, params: MediumParams, like):
-        self.system, self.params, self.like = system, params, like
+        self.system, self.params = system, params
         self.record = _record(system, like)
         self.grid = getattr(like, self.record.fields[0]).grid
+        self.classes = [type(getattr(like, name)) for name in self.record.fields]
+        self.like = dataclasses.replace(like, **dict.fromkeys(self.record.fields))
         self.y = self.k = self.state = self.rates = self.time = None
 
     def _values(self, state) -> list[np.ndarray]:
@@ -734,8 +742,8 @@ class _Stepper:
 
     def _decode(self, values, time: float):
         """The state at `time` with physical field values `values`."""
-        fields = {name: type(getattr(self.like, name))._wrap(self.grid, a)
-                  for name, a in zip(self.record.fields, values)}
+        fields = {name: cls._wrap(self.grid, a)
+                  for name, cls, a in zip(self.record.fields, self.classes, values)}
         return dataclasses.replace(self.like, time=time, **fields)
 
     def evaluate(self, y, time: float, state=None):
@@ -784,7 +792,10 @@ class _Stepper:
     def advance(self, h: float) -> None:
         """Move the head one RK4 step of size h, h checked at the head before
         any stage; the new head's evaluation is the next step's first stage,
-        and the previous head is released only once the new one is accepted."""
+        and the previous head is released only once the new one is accepted.
+        Beside y and k1 a stage holds its input and at most one register:
+        k2 at stage 3, k2 + k3 at stage 4, formed fresh before it (a rate is
+        read-only, and a physical du is its stage input's v)."""
         self.check(self.state, h)
 
         def plus_y(arrays):
@@ -796,15 +807,17 @@ class _Stepper:
         try:
             k2 = self._stage(plus_y([k * (h / 2.0) for k in self.k]), self.time)[0]
             k3 = self._stage(plus_y([k * (h / 2.0) for k in k2]), self.time)[0]
-            k4 = self._stage(plus_y([k * h for k in k3]), self.time)[0]
+            y4 = plus_y([k * h for k in k3])
             # y + (a + (b + c) * 2 + d) * (h / 6), in that operation order
             new = [b + c for b, c in zip(k2, k3)]
+            del k2, k3    # freed before stage 4 is evaluated
+            k4 = self._stage(y4, self.time)[0]
             for out, a, d in zip(new, self.k, k4):
                 out *= 2.0
                 out += a
                 out += d
                 out *= h / 6.0
-            del k2, k3, k4    # freed before the end state's evaluation peaks
+            del y4, k4    # freed before the end state's evaluation peaks
             new = plus_y(new)
             _check_finite(new)
             k, state, rates = self._stage(new, time)
@@ -851,7 +864,8 @@ def integrate(state, params: MediumParams, control: StepControl, system: str,
     evaluated once per accepted state, the final one included, and that
     evaluation is the next step's first stage.  A first step beyond a stiff
     limit raises StepSizeError before any evaluation.  A failed evaluation
-    raises an IntegrationError carrying the head and its `rates`.
+    raises an IntegrationError carrying the head and its `rates`.  The run
+    holds no reference to `state` after its first accepted step.
     """
     stepper = _Stepper(system, params, state)
     auto = control.dt == "auto"
@@ -863,6 +877,7 @@ def integrate(state, params: MediumParams, control: StepControl, system: str,
     if state.time < t_end - eps:
         stepper.check(state, min(h, t_end - state.time))
     stepper.start(state)
+    del state    # the head holds it only until the first step is accepted
     while True:
         if observer is not None:
             observer(n, stepper.state, stepper.rates)

@@ -1,6 +1,8 @@
 """Shared builders for test fields (seeded noise, band-limited fields, waves)
 and a check of written artifacts."""
 
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,3 +81,17 @@ def assert_plain_numbers(out_dir) -> None:
     assert paths, f"no text artifact under {out_dir}"
     for path in paths:
         assert "np." not in path.read_text(), path
+
+
+def traced_peak_units(grid: GridSpec, call) -> float:
+    """The tracemalloc peak of `call()` above what was allocated before it,
+    in units of one real component on `grid` (8 bytes a point).  `call` runs
+    once untraced first, so that the per-grid caches it fills do not count."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * math.prod(grid.shape))
