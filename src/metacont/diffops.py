@@ -27,6 +27,7 @@ from .fields import (
     _cross_arrays,
     _k_squared,
     _k_vector,
+    _plane,
     _transform_axes,
     cross,
     dealias_array,
@@ -56,9 +57,9 @@ __all__ = [
 
 
 @lru_cache(maxsize=128)
-def _ik(g) -> np.ndarray:
-    """i k_x, i k_y, i k_z stacked like `_k_vector`, read-only."""
-    ik = 1j * _k_vector(g)
+def _ik(g, plane: bool = False) -> np.ndarray:
+    """i k_x, i k_y, i k_z stacked like `_k_vector` (its `plane` pair), read-only."""
+    ik = 1j * (_k_vector(g, plane=True) if plane else _k_vector(g))
     ik.setflags(write=False)
     return ik
 
@@ -193,10 +194,14 @@ _SYM_I, _SYM_J = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
 _SYM_OFF = (np.array(_SYM_I) != np.array(_SYM_J)).reshape(6, 1, 1, 1)
 
 
+@lru_cache(maxsize=128)
 def _second_derivative_symbols(g) -> np.ndarray:
-    """The symbols -k_i k_j of d_i d_j for the six pairs."""
+    """The symbols -k_i k_j of d_i d_j for the six pairs, as complex128 (see
+    the `fields` docstring), read-only."""
     k = _k_vector(g).real
-    return -(k[_SYM_I] * k[_SYM_J])
+    symbols = (-(k[_SYM_I] * k[_SYM_J])).astype(np.complex128)
+    symbols.setflags(write=False)
+    return symbols
 
 
 def hessian_contract(v: VectorField, sigma: TensorField) -> VectorField:
@@ -254,11 +259,13 @@ def _guarded_k_squared(g) -> np.ndarray:
 
 def _leray_hat(g, hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral Leray projection of stacked coefficients: (solenoidal
-    coefficients, potential coefficients)."""
-    phi_hat = _div_hat(g, hats)
+    coefficients, potential coefficients).  hats is a vector's three
+    components or a planar vector's in-plane pair (see `fields`)."""
+    planar = len(hats) == 2
+    phi_hat = _div_hat(g, dict(zip(_plane(g), hats)) if planar else hats)
     np.negative(phi_hat, out=phi_hat)
     phi_hat /= _guarded_k_squared(g)
-    sol_hat = _ik(g) * phi_hat
+    sol_hat = (_ik(g, plane=True) if planar else _ik(g)) * phi_hat
     return np.subtract(hats, sol_hat, out=sol_hat), phi_hat
 
 

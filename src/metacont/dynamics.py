@@ -57,6 +57,13 @@ projected, never states: solenoidal rates keep div v at round-off.  A fi
 stage forms the coefficients of curl v once, for the Lamb product and for
 eta curl(curl v) = eta ik x curl v, inverse-transforms [v, E], curl v and
 [div v, div E] in three calls and forward-transforms only the three products.
+A fi state in one plane of a 2D grid (`fields._plane`, v_n = E_n = 0) stays
+there, the transverse-electric polarization: with d_n = 0, curl v and v x E
+lie along n, and v x curl v, ik x (anything along n), the Leray projection
+and kappa E in the plane.  Its stages hold [v_a, v_b, E_a, E_b] alone and
+transform 12 components, not 20 (`_rhs_fi_plane_hat`), in the full path's
+order: states and physical rates carry its bits, rate coefficients all but
+the sign of a zero.
 The other systems have no constraint and keep physical stages: the
 compressible ones because their 1/mu_field factor and positivity check need
 the density in physical space at every stage, and the linear ones are built
@@ -117,6 +124,7 @@ from .fields import (
     _dealias_factor,
     _k_squared,
     _k_vector,
+    _plane,
     _transform_axes,
     dealias_array,
     fftn_array,
@@ -368,8 +376,10 @@ def _bracket_hat(g, va, ea, div_e):
 def _stress_rate_hat(g, hats, omega_hat, bracket_hat,
                      params: MediumParams) -> np.ndarray:
     """Coefficients of E_t = eta curl(curl v) - bracket - kappa E, with
-    curl(curl v) read as ik x omega_hat from omega_hat = ik x v_hat."""
-    out = _curl_hat(_k_vector(g), omega_hat)
+    curl(curl v) read as ik x omega_hat from omega_hat = ik x v_hat; on a
+    planar state's in-plane hats, omega_hat is the normal component."""
+    k = _k_vector(g, plane=True) if len(hats[1]) == 2 else _k_vector(g)
+    out = _curl_hat(k, omega_hat)
     out *= params.eta
     out -= bracket_hat
     out -= params.kappa * hats[1]
@@ -380,13 +390,26 @@ def _divergences(g, hats, checked: tuple[str, ...]) -> np.ndarray:
     """The grid values of the divergence of every field in the stacked
     coefficients hats, from one inverse transform; the fields named in
     `checked` (the leading ones, in order) must be solenoidal on input."""
-    divs = ifftn_array(g, _div_hat(g, hats.swapaxes(0, 1)))
+    return _checked(ifftn_array(g, _div_hat(g, hats.swapaxes(0, 1))), checked)
+
+
+def _checked(divs, checked: tuple[str, ...]) -> np.ndarray:
+    """divs, once those of the fields in `checked` are within DIV_INPUT_TOL."""
     for name, d in zip(checked, divs):
         linf = float(np.max(np.abs(d)))
         if linf > DIV_INPUT_TOL:
             raise SolenoidalityError(
                 f"div {name} = {linf:.3e} exceeds {DIV_INPUT_TOL:.0e} on input")
     return divs
+
+
+def _embed(g, values: np.ndarray) -> np.ndarray:
+    """3-component stacks of the in-plane pairs `values`, zero along n."""
+    if values.shape[1] == 3:
+        return values
+    out = np.zeros(values.shape[:1] + (3,) + values.shape[2:])
+    out[:, list(_plane(g)[:2])] = values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +495,49 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     bracket_hat = _bracket_hat(g, va, ea, div_e)
     rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, omega_hat, bracket_hat,
                                                     params)])
+    return rates_hat, physical, _fi_rates(g, rates_hat, phi_hat, va, params)
 
+
+def _rhs_fi_plane_hat(g, hats, params: MediumParams, physical=None):
+    """`_rhs_fi_hat` on the in-plane coefficients [[v_a, v_b], [E_a, E_b]] of
+    a planar state (see the module docstring), in its operation order: one
+    inverse transform of [v, E] (unless `physical` gives them), curl v and
+    [div v, div E], one forward one of the five products; `rates()` is 3D."""
+    omega_hat = _curl_hat(_k_vector(g, plane=True), hats[0])
+    inverse = [omega_hat[None], _div_hat(g, dict(zip(_plane(g), hats.swapaxes(0, 1))))]
+    if physical is None:
+        inverse.insert(0, hats.reshape((4,) + hats.shape[2:]))
+    values = ifftn_array(g, np.concatenate(inverse))
+    omega, div_e = values[-3], _checked(values[-2:], ("v",))[1]
+    physical = values[:4].reshape((2, 2) + g.shape) if physical is None else physical
+    va, ea = physical
+    products = fftn_array(g, np.concatenate(
+        [_cross_arrays(va, omega), va * div_e, _cross_arrays(va, ea)[None]]))
+    lamb_hat = products[:2]
+    lamb_hat *= _dealias_factor(g)
+    lamb_hat -= hats[1] / params.mu
+    dv_hat, phi_hat = _leray_hat(g, lamb_hat)
+    bracket_hat = products[2:4]
+    bracket_hat -= _curl_hat(_k_vector(g, plane=True), products[4])
+    bracket_hat *= _dealias_factor(g)
+    rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, omega_hat, bracket_hat,
+                                                    params)])
+    return rates_hat, physical, _fi_rates(g, rates_hat, phi_hat, va, params)
+
+
+def _fi_rates(g, rates_hat, phi_hat, va, params: MediumParams):
+    """The function that forms fi's physical `FiRates` once, on request,
+    from its rate and potential coefficients and the physical v."""
     @functools.cache
     def rates() -> FiRates:
-        dv, dE = ifftn_array(g, rates_hat)
+        dv, dE = _embed(g, ifftn_array(g, rates_hat))
         return FiRates(
             dv=VectorField._wrap(g, dv),
             dE=VectorField._wrap(g, dE),
             pressure=ScalarField._wrap(
                 g, ifftn_array(g, (phi_hat - _head_hat(g, va)) * params.mu)),
         )
-
-    return rates_hat, physical, rates
+    return rates
 
 
 def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
@@ -582,6 +636,7 @@ class System:
     rhs_hat      or the RHS on the fields' stacked half-spectrum coefficients
                  (the signature of `_rhs_fi_hat`), velocity rates projected:
                  the RK stages then hold coefficients
+    rhs_plane_hat  or `rhs_hat` on a planar state's in-plane coefficients
     observed     rate attributes a run writes beside the fields (fi's pressure)
     cfl_speed    the MediumParams attribute that is the fastest signal speed
     diffusivity  None, or (params, mu) -> the diffusivity D at density mu of an
@@ -596,6 +651,7 @@ class System:
     scenarios: frozenset[str]
     rhs: Callable | None = None
     rhs_hat: Callable | None = None
+    rhs_plane_hat: Callable | None = None
     observed: tuple[str, ...] = ()
     cfl_speed: str = "c"
     diffusivity: Callable | None = None
@@ -618,6 +674,7 @@ SYSTEMS: dict[str, System] = {
     "fi_incompressible": System(
         fields=("v", "E"), rates=("dv", "dE"),
         rhs_hat=lambda g, hats, p, physical: _rhs_fi_hat(g, hats, p, physical),
+        rhs_plane_hat=lambda g, hats, p, phys: _rhs_fi_plane_hat(g, hats, p, phys),
         observed=("pressure",), scenarios=_STRESSED,
         uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "second_order": System(
@@ -716,7 +773,10 @@ class _Stepper:
     `time`, its stage values `y`, its stage rates `k` (the first RK stage of
     the step from it) and `rates()`, the system's physical RHS result there.
     The stage values are the physical values of the advanced fields, or
-    their stacked half-spectrum coefficients when the record has `rhs_hat`.
+    their stacked half-spectrum coefficients when the record has `rhs_hat`:
+    the in-plane ones alone (`rhs_plane_hat`) when `like` lies in the
+    `plane` (a, b, n) of a 2D grid, which fi keeps (see the module
+    docstring).  States and `rates()` have three components all the same.
     `start` accepts the first state and `advance` moves the head one step;
     a state is accepted only once its RHS is evaluated and finite.  A
     failed evaluation raises an IntegrationError carrying the head, which
@@ -729,10 +789,14 @@ class _Stepper:
         self.grid = getattr(like, self.record.fields[0]).grid
         self.classes = [type(getattr(like, name)) for name in self.record.fields]
         self.like = dataclasses.replace(like, **dict.fromkeys(self.record.fields))
-        self.y = self.k = self.state = self.rates = self.time = None
+        self.y = self.k = self.state = self.rates = self.time = self.plane = None
+        plane = self.record.rhs_plane_hat and _plane(self.grid)
+        if plane and not any(a[plane[2]].any() for a in self._values(like)):
+            self.plane = plane
 
     def _values(self, state) -> list[np.ndarray]:
-        return [getattr(state, name).values for name in self.record.fields]
+        values = [getattr(state, name).values for name in self.record.fields]
+        return values if self.plane is None else [a[list(self.plane[:2])] for a in values]
 
     def encode(self, state) -> list[np.ndarray]:
         """The stage values of a physical state."""
@@ -757,9 +821,10 @@ class _Stepper:
             k = [getattr(rates, name).values for name in record.rates]
             return k, state, lambda: rates
         physical = None if state is None else np.stack(self._values(state))
-        k, physical, rates = record.rhs_hat(self.grid, y[0], self.params, physical)
+        rhs_hat = record.rhs_hat if self.plane is None else record.rhs_plane_hat
+        k, physical, rates = rhs_hat(self.grid, y[0], self.params, physical)
         if state is None:
-            state = self._decode(physical, time)
+            state = self._decode(_embed(self.grid, physical), time)
         return [k], state, rates
 
     def _stage(self, y, time: float, state=None):

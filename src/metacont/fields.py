@@ -11,6 +11,9 @@ into arrays they allocated themselves, never into an argument.
 
 A dimension of size 1 is inactive: derivatives along it vanish and it is
 exempt from the even-and-at-least-4 rule.  2D runs are 3D grids with nz=1.
+A grid with one inactive axis n is planar, (a, b, n) in cyclic order
+(`_plane`): `_cross_arrays`, the curl and the Leray projection take a vector
+in its plane as [x_a, x_b] and one along n as x_n, in the full operation order.
 
 Stacked layout.  Every field is one read-only float64 array `values` whose
 leading axes index the components and whose three trailing axes are the
@@ -217,6 +220,13 @@ def _transform_axes(grid: GridSpec) -> tuple[int, ...]:
     return tuple(i for i, a in enumerate(grid.active) if a)
 
 
+@lru_cache(maxsize=128)
+def _plane(grid: GridSpec) -> tuple[int, int, int] | None:
+    """(a, b, n) in cyclic order if n is the one inactive axis, else None."""
+    n = [i for i, a in enumerate(grid.active) if not a]
+    return ((n[0] + 1) % 3, (n[0] + 2) % 3, n[0]) if len(n) == 1 else None
+
+
 def _halved_axis(grid: GridSpec) -> int | None:
     """The axis that keeps only modes 0..n/2: the last active one."""
     axes = _transform_axes(grid)
@@ -263,10 +273,12 @@ def _k_squared(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _k_vector(grid: GridSpec) -> np.ndarray:
+def _k_vector(grid: GridSpec, plane: bool = False) -> np.ndarray:
     """The wavenumbers k_x, k_y, k_z stacked as complex128 (see the module
-    docstring): shape (3,) + spectral_shape; a real user reads `.real`."""
+    docstring): shape (3,) + spectral_shape; a real user reads `.real`.
+    With `plane`, the in-plane pair [k_a, k_b] of a planar grid."""
     k = np.stack(np.broadcast_arrays(*angular_wavenumbers(grid)), dtype=np.complex128)
+    k = k[list(_plane(grid)[:2])] if plane else k
     k.setflags(write=False)
     return k
 
@@ -456,7 +468,12 @@ _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # component j -> (j + 1) % 3, (j + 2) % 3
 
 def _cross_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the leading axis of two stacked triples, formed
-    per component in one new array (indexing whole stacks would copy four)."""
+    per component in one new array (indexing whole stacks would copy four);
+    of planar forms (see the module docstring), a is an in-plane pair."""
+    if len(a) == 2:
+        if np.ndim(b) == np.ndim(a):
+            return a[0] * b[1] - a[1] * b[0]
+        return np.stack([a[1] * b, -(a[0] * b)])
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     term = np.empty_like(out[0])
     for j, (n, f) in enumerate(zip(_NEXT, _AFTER)):

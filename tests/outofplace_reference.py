@@ -12,7 +12,7 @@ cached complex copies; the results must still carry the same bits.
 
 import numpy as np
 
-from metacont.diffops import _guarded_k_squared, _ik
+from metacont.diffops import _SYM_I, _SYM_J, _guarded_k_squared, _ik
 from metacont.fields import (
     _k_vector,
     _transform_axes,
@@ -30,6 +30,11 @@ def cross_arrays(a, b):
 
 def real_k(g):
     return _k_vector(g).real
+
+
+def second_derivative_symbols(g):
+    k = real_k(g)
+    return -(k[_SYM_I] * k[_SYM_J])
 
 
 def div_hat(g, hats):

@@ -2,7 +2,8 @@
 over many grids and box shapes.
 
 Grids have random even active dims in [4, 24], in three layouts (3D, nz = 1,
-inactive middle axis), and random anisotropic box lengths.  Inputs are
+inactive middle axis), and random anisotropic box lengths; planar grids have
+one inactive axis in any of the three orientations.  Inputs are
 band-limited noise, unit-peak but for the fluid states of the RHS check, so
 the discrete identities hold to round-off.  The runs are derandomized: the
 same examples are drawn every time.
@@ -11,6 +12,7 @@ same examples are drawn every time.
 import dataclasses
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -30,11 +32,16 @@ from metacont.diffops import (
     vector_advection,
 )
 from metacont.dynamics import (
+    SYSTEMS as SYSTEM_TABLE,
     FluidState,
     MediumParams,
+    StepControl,
     _head_hat,
     _rhs_fi_hat,
+    _rhs_fi_plane_hat,
+    _Stepper,
     _stress_rate_hat,
+    integrate,
     rhs,
     upper_convected_vector,
 )
@@ -44,6 +51,7 @@ from metacont.fields import (
     _cross_arrays,
     _dealias_factor,
     _k_vector,
+    _plane,
     _transform_axes,
     dealias_mask,
     fftn_array,
@@ -357,6 +365,15 @@ def _bitwise(got, expected) -> bool:
             and got.tobytes() == expected.tobytes())
 
 
+def _bitwise_but_zero_signs(got, expected) -> bool:
+    """Equal bits wherever either value is nonzero (complex ones per part)."""
+    if got.dtype != expected.dtype or got.shape != expected.shape:
+        return False
+    got, expected = (np.ascontiguousarray(a).view(np.float64) for a in (got, expected))
+    return bool(np.all((got.view(np.uint64) == expected.view(np.uint64))
+                       | ((got == 0.0) & (expected == 0.0))))
+
+
 def _writeable_copies(args):
     """Each array argument (or dict of arrays) as a fresh writeable copy:
     numpy then lets a helper write into it, and the byte comparison after
@@ -452,6 +469,59 @@ def test_rhs_coefficient_algebra_equals_out_of_place_form_bitwise(
         expected = ref.compressible_rates(state, params, rheology)
         for got, want in zip((rates.dv, rates.dE, rates.dmu), expected):
             assert _bitwise(got.values, want), rheology
+
+
+@st.composite
+def planar_grids(draw):
+    """2D grids with the inactive axis drawn among the three, anisotropic
+    boxes, and active dims that include multiples of 3."""
+    dims = [draw(st.one_of(_even, st.sampled_from((6, 12, 18, 24)))) for _ in range(3)]
+    dims[draw(st.sampled_from((0, 1, 2)))] = 1
+    return make_grid(dims, [draw(_length) for _ in range(3)])
+
+
+@SETTINGS
+@given(planar_grids(), seeds, st.floats(0.0, 2.0), st.floats(0.5, 3.0),
+       st.floats(0.5, 3.0))
+def test_planar_stage_and_steps_equal_the_full_path_bitwise(grid, seed, kappa, mu, eta):
+    # v and E in the plane: the in-plane stage's rate coefficients carry the
+    # full path's bits but for the sign of a zero (the full path subtracts
+    # products with its normal components, signed zeros, that the stage
+    # does not form); its physical rates and pressure and three integrate
+    # steps carry them all, and the normal components of the rates are zeros
+    params = MediumParams(mu=mu, eta=eta, kappa=kappa)
+    a, b, n = _plane(grid)
+    state = _fluid_state(grid, seed, solenoidal=True)
+    v, E = state.v.values.copy(), state.E.values.copy()
+    v[n] = E[n] = 0.0
+    state = FluidState(time=0.0, v=VectorField(grid, v), E=VectorField(grid, E))
+    assert _Stepper("fi_incompressible", params, state).plane == (a, b, n)
+    # the planar forms of the cross product in `_cross_arrays`' operand
+    # order: pair x pair is the normal component, pair x normal the pair
+    normal = np.zeros_like(v)
+    normal[n] = ifftn_array(grid, _curl_hat(_k_vector(grid), fftn_array(grid, v))[n])
+    assert _bitwise(_cross_arrays(v[[a, b]], E[[a, b]]), _cross_arrays(v, E)[n])
+    assert _bitwise_but_zero_signs(_cross_arrays(v[[a, b]], normal[n]),
+                                   _cross_arrays(v, normal)[[a, b]])
+    hats = fftn_array(grid, np.stack([v, E]))
+    pair_hats = fftn_array(grid, np.stack([v[[a, b]], E[[a, b]]]))
+    assert _bitwise(pair_hats, hats[:, [a, b]])
+    full, _, full_rates = _rhs_fi_hat(grid, hats, params)
+    pair, _, pair_rates = _rhs_fi_plane_hat(grid, pair_hats, params)
+    assert _bitwise_but_zero_signs(pair, full[:, [a, b]])
+    for name in ("dv", "dE"):
+        got = getattr(pair_rates(), name).values
+        assert _bitwise(got[[a, b]], getattr(full_rates(), name).values[[a, b]]), name
+        assert not got[n].any(), name
+    assert _bitwise(pair_rates().pressure.values, full_rates().pressure.values)
+    control = StepControl(t_end=0.015, dt=0.005)
+    planar = integrate(state, params, control, "fi_incompressible")
+    full_path = dataclasses.replace(SYSTEM_TABLE["fi_incompressible"], rhs_plane_hat=None)
+    with mock.patch.dict(SYSTEM_TABLE, fi_incompressible=full_path):
+        expected = integrate(state, params, control, "fi_incompressible")
+    assert planar.time == expected.time
+    assert _bitwise(planar.v.values, expected.v.values)
+    assert _bitwise(planar.E.values, expected.E.values)
 
 
 _times = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -3,14 +3,18 @@
 Pins its transform budget per RHS call and per accepted step of every
 system, checks it against the composed diffops expressions it replaced,
 checks that the FFT worker count does not change a single bit of its output,
-and checks that `integrate` evaluates the RHS once per accepted state.
+and checks that `integrate` evaluates the RHS once per accepted state.  A fi
+state in one plane of a 2D grid ("planar_fi") steps on its in-plane
+coefficients alone (`_rhs_fi_plane_hat`); every other state on the full ones.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from metacont import dynamics
+from metacont import diffops, dynamics
 from metacont.cli import RunConfig, run
 
 from metacont.diffops import (
@@ -31,7 +35,9 @@ from metacont.dynamics import (
     MediumParams,
     SecondOrderState,
     StepControl,
+    _Stepper,
     _rhs_fi_hat,
+    _rhs_fi_plane_hat,
     integrate,
     rhs,
     upper_convected_tensor,
@@ -39,8 +45,10 @@ from metacont.dynamics import (
 )
 from metacont.fields import (
     ScalarField,
+    VectorField,
     cross,
     dealias_field,
+    _plane,
     dot,
     fftn_array,
     make_grid,
@@ -49,20 +57,40 @@ from metacont.fields import (
 )
 from metacont.scenarios import ScenarioSpec, generate
 
+import outofplace_reference as ref
 from helpers import band_limited_scalar, band_limited_vector
 
 PARAMS = MediumParams(mu=1.3, eta=0.8, lam=2.5, kappa=0.4, nu=0.3)
 SYSTEMS = ("fi_incompressible", "compressible_solid", "compressible_liquid")
 
 
-def _state(grid, seed=0, solenoidal=True):
+def _state(grid, seed=0, solenoidal=True, planar=False):
+    """Band-limited fields; with `planar`, v and E lie in the plane of the
+    grid's one inactive axis (v stays solenoidal: that axis has no derivative)."""
     v = band_limited_vector(grid, seed, fraction=1 / 6, amplitude=0.1,
                             solenoidal=solenoidal)
     E = band_limited_vector(grid, seed + 1, fraction=1 / 6, amplitude=0.1)
     u = band_limited_vector(grid, seed + 2, fraction=1 / 6, amplitude=0.01)
     mu = band_limited_scalar(grid, seed + 3, fraction=1 / 6, amplitude=0.2)
     mu_field = ScalarField(grid, 1.0 + mu.values)
+    if planar:
+        v, E = (_in_plane(f) for f in (v, E))
     return FluidState(time=0.0, v=v, E=E, mu_field=mu_field, u=u)
+
+
+def _in_plane(f):
+    """f with its component along the grid's one inactive axis zeroed."""
+    values = f.values.copy()
+    values[_plane(f.grid)[2]] = 0.0
+    return type(f)(f.grid, values)
+
+
+def _cases(table):
+    """Parametrize (system, shape) over the keys of a budget table, with
+    the ids `shape-system`."""
+    keys = sorted(table)
+    return pytest.mark.parametrize("system, shape", keys,
+                                   ids=[f"{shape}-{system}" for system, shape in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +101,13 @@ def _state(grid, seed=0, solenoidal=True):
 # n); the count depends only on which axes are active, so 16^3 stands in for
 # every 3D grid.  A system's name stands for its physical RHS, `rhs` (for fi:
 # v and E transformed in, the rates and pressure out); "fi_hat" is the
-# coefficient RHS that one RK stage of fi evaluates.
+# coefficient RHS that one RK stage of fi evaluates.  "planar_fi" is fi's
+# `rhs` at a planar state and "fi_plane_hat" the stage it evaluates there:
+# 7 components in (3 when the physical state is given) and 5 out.
 BUDGET = {
     ("fi_incompressible", "2d"): 28, ("fi_incompressible", "3d"): 28,
     ("fi_hat", "2d"): 20, ("fi_hat", "3d"): 20,
+    ("planar_fi", "2d"): 18, ("fi_plane_hat", "2d"): 12,
     ("compressible_solid", "2d"): 33, ("compressible_solid", "3d"): 36,
     ("compressible_liquid", "2d"): 31, ("compressible_liquid", "3d"): 33,
     ("second_order", "2d"): 50, ("second_order", "3d"): 62,
@@ -91,6 +122,7 @@ BUDGET = {
 # component transforms per accepted step of `integrate`
 STEP_BUDGET = {
     ("fi_incompressible", "2d"): 80, ("fi_incompressible", "3d"): 80,
+    ("planar_fi", "2d"): 48,
     ("compressible_liquid", "2d"): 124, ("compressible_liquid", "3d"): 132,
     ("compressible_solid", "2d"): 132, ("compressible_solid", "3d"): 144,
     ("second_order", "2d"): 176, ("second_order", "3d"): 224,
@@ -133,19 +165,22 @@ def _count_transforms(monkeypatch, fn) -> int:
     return sum(n for _, n in calls)
 
 
-@pytest.mark.parametrize("system", SYSTEMS + (
-    "second_order", "fi_hat", "upper_convected_vector", "linear_navier", "grad",
-    "grad_vector", "upper_convected_tensor"))
-@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+@_cases(BUDGET)
 def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
     g = BUDGET_GRIDS[shape]
-    state = _state(g)
+    state = _state(g, planar=system in ("planar_fi", "fi_plane_hat"))
     if system == "second_order":
         state = SecondOrderState(time=0.0, v=state.v,
                                  v_t=rhs(state, PARAMS, "fi_incompressible").dv)
     if system == "fi_hat":
         hats = fftn_array(g, np.stack([state.v.values, state.E.values]))
         call = lambda: _rhs_fi_hat(g, hats, PARAMS)  # noqa: E731
+    elif system == "fi_plane_hat":
+        pair = list(_plane(g)[:2])
+        hats = fftn_array(g, np.stack([state.v.values[pair], state.E.values[pair]]))
+        call = lambda: _rhs_fi_plane_hat(g, hats, PARAMS)  # noqa: E731
+    elif system == "planar_fi":
+        call = lambda: rhs(state, PARAMS, "fi_incompressible")  # noqa: E731
     elif system == "upper_convected_vector":
         call = lambda: upper_convected_vector(state.E, state.v)  # noqa: E731
     elif system == "grad":
@@ -161,23 +196,46 @@ def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
 
 
 def _system_state(system, grid):
+    if system == "planar_fi":
+        return _state(grid, seed=5, planar=True)
     kind = "compression_pulse" if system == "linear_navier" else "random_solenoidal"
     spec = ScenarioSpec(kind, amplitude=1e-2, seed=5)
     return SYSTEM_TABLE[system].initial(generate(spec, grid, PARAMS), PARAMS)
 
 
-@pytest.mark.parametrize("system", sorted(SYSTEM_TABLE))
-@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
-def test_transform_budget_per_step(system, shape, monkeypatch):
-    state = _system_state(system, BUDGET_GRIDS[shape])
-    dt = STABLE_DT
-
+def _step_transforms(monkeypatch, state, system):
+    """Component transforms of one accepted step of `integrate`."""
     def steps(n):
-        control = StepControl(t_end=n * dt, dt=dt)
+        control = StepControl(t_end=n * STABLE_DT, dt=STABLE_DT)
         return _count_transforms(
             monkeypatch, lambda: integrate(state, PARAMS, control, system))
 
-    assert steps(3) - steps(2) == STEP_BUDGET[(system, shape)]
+    return steps(3) - steps(2)
+
+
+@_cases(STEP_BUDGET)
+def test_transform_budget_per_step(system, shape, monkeypatch):
+    state = _system_state(system, BUDGET_GRIDS[shape])
+    name = "fi_incompressible" if system == "planar_fi" else system
+    assert _step_transforms(monkeypatch, state, name) == STEP_BUDGET[(system, shape)]
+
+
+@pytest.mark.parametrize("case", ("v_off_plane", "E_off_plane", "3d", "1d"))
+def test_a_state_off_the_plane_steps_on_all_components(case, monkeypatch):
+    # one value of 1e-300 off the plane, or a grid with no inactive axis or
+    # with two, and fi steps on all three components at 80 per step
+    if case.endswith("off_plane"):
+        g = BUDGET_GRIDS["2d"]
+        state = _state(g, seed=5, planar=True)
+        name = case[0]
+        values = getattr(state, name).values.copy()
+        values[_plane(g)[2], 3, 5, 0] = 1e-300
+        state = dataclasses.replace(state, **{name: VectorField(g, values)})
+    else:
+        g = BUDGET_GRIDS["3d"] if case == "3d" else make_grid((32, 1, 1), (3.0, 1.0, 1.0))
+        state = _state(g, seed=5)
+    assert _Stepper("fi_incompressible", PARAMS, state).plane is None
+    assert _step_transforms(monkeypatch, state, "fi_incompressible") == 80
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +294,32 @@ EQUIVALENCE_GRIDS = {
     "anisotropic": make_grid((16, 8, 12), (2 * np.pi, 3.0, 5.5)),
     "nz1": make_grid((32, 24, 1), (4.0, 2 * np.pi, 1.0)),
     "inactive_middle": make_grid((16, 1, 8), (3.0, 1.0, 2 * np.pi)),
+    "inactive_x": make_grid((1, 12, 20), (1.0, 5.0, 2 * np.pi)),
 }
+PLANAR_GRIDS = ("inactive_middle", "inactive_x", "nz1")
+CORE_CASES = ([(grid, system) for grid in sorted(EQUIVALENCE_GRIDS) for system in SYSTEMS]
+              + [(grid, "planar_fi") for grid in PLANAR_GRIDS])
 
 
-@pytest.mark.parametrize("system", SYSTEMS)
-@pytest.mark.parametrize("grid_name", sorted(EQUIVALENCE_GRIDS))
+@pytest.mark.parametrize("grid_name, system", CORE_CASES,
+                         ids=[f"{grid}-{system}" for grid, system in CORE_CASES])
 def test_core_matches_composed_operators(system, grid_name):
     # the fi RHS rejects a divergent v; the compressible ones get one, so
     # that every div v term is exercised
+    planar = system == "planar_fi"
+    system = "fi_incompressible" if planar else system
     state = _state(EQUIVALENCE_GRIDS[grid_name], seed=7,
-                   solenoidal=system == "fi_incompressible")
+                   solenoidal=system == "fi_incompressible", planar=planar)
+    assert (_Stepper(system, PARAMS, state).plane is not None) == planar
     rates = rhs(state, PARAMS, system)
     for name, expected in _oracle(system, state).items():
         scale = norm_linf(expected)
         assert scale > 0.0, name
         rel = norm_linf(getattr(rates, name) - expected) / scale
         assert rel < 1e-12, (name, rel)
+    if planar:
+        n = _plane(state.v.grid)[2]
+        assert not rates.dv.values[n].any() and not rates.dE.values[n].any()
 
 
 @pytest.mark.parametrize("grid_name", sorted(EQUIVALENCE_GRIDS))
@@ -285,6 +353,27 @@ def test_second_order_matches_composed_operators(shape):
         assert norm_linf(got - expected) < 1e-12 * norm_linf(expected)
 
 
+@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+def test_cached_second_derivative_symbols_keep_second_order_bitwise(shape, monkeypatch):
+    # the six symbols are cached once per grid as read-only complex128; the
+    # real ones, which numpy cast to complex on every call, gave the same bits
+    g = BUDGET_GRIDS[shape]
+    symbols = diffops._second_derivative_symbols(g)
+    assert symbols.dtype == np.complex128 and not symbols.flags.writeable
+    assert diffops._second_derivative_symbols(g) is symbols
+    state = _system_state("second_order", g)
+    control = StepControl(t_end=2 * STABLE_DT, dt=STABLE_DT)
+
+    def final():
+        out = integrate(state, PARAMS, control, "second_order")
+        return out.v.values.tobytes(), out.v_t.values.tobytes()
+
+    cached = final()
+    monkeypatch.setattr(diffops, "_second_derivative_symbols",
+                        ref.second_derivative_symbols)
+    assert final() == cached
+
+
 # ---------------------------------------------------------------------------
 # thread-count determinism
 # ---------------------------------------------------------------------------
@@ -294,10 +383,15 @@ def _digest(rates):
             if value is not None]
 
 
-@pytest.mark.parametrize("system", ("fi_incompressible", "compressible_solid"))
-@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+THREAD_CASES = [(system, shape) for system in ("fi_incompressible", "compressible_solid")
+                for shape in sorted(BUDGET_GRIDS)] + [("planar_fi", "2d")]
+
+
+@pytest.mark.parametrize("system, shape", THREAD_CASES,
+                         ids=[f"{shape}-{system}" for system, shape in THREAD_CASES])
 def test_rhs_bitwise_equal_across_thread_counts(system, shape, monkeypatch):
-    state = _state(BUDGET_GRIDS[shape], seed=3)
+    state = _state(BUDGET_GRIDS[shape], seed=3, planar=system == "planar_fi")
+    system = "fi_incompressible" if system == "planar_fi" else system
     monkeypatch.setenv("METACONT_THREADS", "1")
     one = _digest(rhs(state, PARAMS, system))
     monkeypatch.setenv("METACONT_THREADS", "2")
@@ -305,9 +399,10 @@ def test_rhs_bitwise_equal_across_thread_counts(system, shape, monkeypatch):
     assert one == two
 
 
-@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS))
+@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS) + ["2d_planar"])
 def test_fi_integrate_bitwise_equal_across_thread_counts(shape, monkeypatch):
-    state = _system_state("fi_incompressible", BUDGET_GRIDS[shape])
+    state = _system_state("planar_fi" if shape == "2d_planar" else "fi_incompressible",
+                          BUDGET_GRIDS[shape[:2]])
     control = StepControl(t_end=0.05, dt=0.01)
     digests = []
     for threads in ("1", "2"):
