@@ -3,11 +3,10 @@
 Everything in this package operates on double-precision fields sampled on a
 uniform grid over the periodic box [0,Lx) x [0,Ly) x [0,Lz).  Fields are
 immutable once constructed; all operations are pure functions returning new
-fields and are deterministic for a fixed grid regardless of the FFT worker
-count (set via the METACONT_THREADS environment variable).  The private
-array helpers behind them (`_cross_arrays`, the `diffops` and `dynamics`
-spectral helpers) may scale, accumulate and subtract in place, but only
-into arrays they allocated themselves, never into an argument.
+fields and are bitwise deterministic for a fixed grid.  The private array
+helpers behind them (`_cross_arrays`, the `diffops` and `dynamics` spectral
+helpers) may scale, accumulate and subtract in place, but only into arrays
+they allocated themselves, never into an argument.
 
 A dimension of size 1 is inactive: derivatives along it vanish and it is
 exempt from the even-and-at-least-4 rule.  2D runs are 3D grids with nz=1.
@@ -34,16 +33,23 @@ the stages hold (physical values, or the coefficients of fi and
 second_order, whose physical state is not scanned: its RHS's products carry
 an overflow into the scanned rates).
 
-Spectral layout.  Every field is real, so the forward transform is the
-real-to-complex `scipy.fft.rfftn` over the active axes and the inverse is
-`irfftn`.  The last active axis keeps only its modes 0..n/2 (n//2 + 1
-coefficients); the other active axes keep all n modes in FFT order.  The
-missing modes are the complex conjugates of the stored ones, c(-m) =
-conj(c(m)).  `GridSpec.spectral_shape` is the coefficient shape, and
-`_mode_indices`, `angular_wavenumbers`, `dealias_mask`, `fftn_array`,
-`ifftn_array`, `spectral_norm_l2` and `mode_coefficient` all describe this
-one layout; no other module knows which axis is halved.  A grid without an
-active axis is its own (complex) coefficient array.
+Spectral layout.  Every field is real, so the forward transform is
+real-to-complex over the active axes and the inverse is complex-to-real.
+The last active axis keeps only its modes 0..n/2 (n//2 + 1 coefficients);
+the other active axes keep all n modes in FFT order.  The missing modes are
+the complex conjugates of the stored ones, c(-m) = conj(c(m)).
+`GridSpec.spectral_shape` is the coefficient shape, and `_mode_indices`,
+`angular_wavenumbers`, `dealias_mask`, `fftn_array`, `ifftn_array`,
+`spectral_norm_l2` and `mode_coefficient` all describe this one layout; no
+other module knows which axis is halved.  A grid without an active axis is
+its own (complex) coefficient array.  The engine is numpy's pocketfft, the
+code `scipy.fft` wraps, without scipy's import (which would double the
+package's).  One-axis calls in pocketfft's n-d order and scaling give the
+bits of `scipy.fft.rfftn` / `irfftn`: `rfft` along the halved axis, then
+`fft` in place along the others in ascending order (numpy's `rfftn` reverses
+it, which rounds differently in 3D); the inverse likewise, with `ifft` and
+`irfft` unscaled and one scale by 1/N at the end (a 1/n per pass rounds
+differently for any n that is not a power of 2).
 
 Nyquist convention.  The Nyquist mode |m| = n/2 of an active axis has no
 sign, so `angular_wavenumbers` gives it k = 0 on every active axis: every
@@ -74,7 +80,6 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "GridError",
@@ -109,20 +114,6 @@ class GridError(ValueError):
 
 class FieldError(ValueError):
     """Invalid field construction or incompatible field operands."""
-
-
-def _fft_workers() -> int:
-    """FFT worker count from METACONT_THREADS (default 1, deterministic), parsed
-    once per value; any value but a positive integer raises ValueError."""
-    return _parse_workers(os.environ.get("METACONT_THREADS", "1"))
-
-
-@lru_cache(maxsize=16)
-def _parse_workers(value: str) -> int:
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise ValueError(
-            f"METACONT_THREADS must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _is_integer(x) -> bool:
@@ -316,7 +307,10 @@ def fftn_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     axes = _stack_axes(grid, values)
     if not axes:
         return values.astype(np.complex128)
-    return scipy.fft.rfftn(values, axes=axes, workers=_fft_workers())
+    out = np.fft.rfft(values, axis=axes[-1])
+    for axis in axes[:-1]:
+        np.fft.fft(out, axis=axis, out=out)
+    return out
 
 
 def ifftn_array(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -325,8 +319,14 @@ def ifftn_array(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     axes = _stack_axes(grid, coeffs)
     if not axes:
         return coeffs.real.copy()
-    s = [grid.dims[i] for i in _transform_axes(grid)]
-    return scipy.fft.irfftn(coeffs, s=s, axes=axes, workers=_fft_workers())
+    n = grid.dims[_halved_axis(grid)]
+    if len(axes) == 1:
+        return np.fft.irfft(coeffs, n, axis=axes[0])
+    work = np.fft.ifft(coeffs, axis=axes[0], norm="forward")
+    for axis in axes[1:-1]:
+        np.fft.ifft(work, axis=axis, norm="forward", out=work)
+    out = np.fft.irfft(work, n, axis=axes[-1], norm="forward")
+    return np.multiply(out, 1.0 / grid.num_points, out=out)
 
 
 def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -690,16 +690,6 @@ class TestSweepInput:
         assert not summary["partial"]
         assert pool.created == [2]
 
-    def test_workers_inherit_the_thread_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("METACONT_THREADS", "0")
-        summary = sweep(shear_config(tmp_path / "o", t_end=0.04), "kappa",
-                        [0.1, 0.2], tmp_path / "s")
-        assert summary["partial"]
-        for row in summary["rows"]:
-            assert row["status"] == "failed"
-            assert row["error"] == (
-                "METACONT_THREADS must be a positive integer, got '0'")
-
     def test_failed_run_in_a_worker_keeps_its_own_message(self, tmp_path):
         # an IntegrationError carries the last state and a closure, which do
         # not pickle; the row must still hold the run's own message
@@ -865,6 +855,17 @@ class TestMainEntryPoint:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "run" in proc.stdout and "verify" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # the transforms run on numpy.fft; scipy would double the import time
+        root = str(Path(metacont.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, metacont, metacont.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 def _reexports(module: str) -> list[str]:

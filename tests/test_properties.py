@@ -15,6 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from metacont.diffops import (
@@ -128,6 +129,32 @@ def test_transform_round_trip_and_parseval(grid, seed):
     assert np.max(np.abs(ifftn_array(grid, coeffs) - f.values)) <= 1e-13 * norm_linf(f)
     phys = norm_l2(f)
     assert abs(spectral_norm_l2(grid, coeffs) - phys) <= 1e-12 * phys
+
+
+# even dims with the factors 3, 5 and 7 as well as powers of two
+_fft_dims = st.sampled_from((4, 6, 8, 10, 12, 14, 20, 28, 30))
+
+
+@st.composite
+def transform_grids(draw):
+    """Grids with 1, 2 or 3 active axes, an inactive one in any position."""
+    active = draw(st.sampled_from([a for a in np.ndindex(2, 2, 2) if any(a)]))
+    return make_grid([draw(_fft_dims) if a else 1 for a in active], (1.0, 1.0, 1.0))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(transform_grids(), seeds, st.sampled_from(((), (3,), (2, 3))))
+def test_transforms_equal_scipy_bitwise(grid, seed, lead):
+    # numpy's per-axis passes give the bits of pocketfft's n-d transforms
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(lead + grid.shape)
+    active = _transform_axes(grid)
+    axes = [len(lead) + i for i in active]
+    expected = scipy.fft.rfftn(values, axes=axes)
+    assert fftn_array(grid, values).tobytes() == expected.tobytes()
+    coeffs = expected + 1j * rng.standard_normal(expected.shape)
+    back = scipy.fft.irfftn(coeffs, s=[grid.dims[i] for i in active], axes=axes)
+    assert ifftn_array(grid, coeffs).tobytes() == back.tobytes()
 
 
 def _components(f) -> list[ScalarField]:
