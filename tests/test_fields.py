@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from metacont.fields import (
     SNAPSHOT_LAYOUT,
@@ -185,6 +186,32 @@ class TestSpectral:
         assert back.dtype == np.float64
         assert back.flags.c_contiguous
         assert back.flags.owndata
+
+    @pytest.mark.parametrize("dims", [(32, 32, 32), (12, 10, 14), (6, 10, 12)])
+    def test_forward_passes_run_in_ascending_axis_order(self, dims):
+        # pocketfft's n-d order, which scipy.fft.rfftn keeps; numpy's rfftn
+        # runs the complex passes last axis first and rounds differently
+        grid = make_grid(dims, (TWO_PI, TWO_PI, TWO_PI))
+        values = np.random.default_rng(5).standard_normal((3,) + dims)
+        expected = scipy.fft.rfftn(values, axes=(1, 2, 3))
+        assert fftn_array(grid, values).tobytes() == expected.tobytes()
+        assert np.fft.rfftn(values, axes=(1, 2, 3)).tobytes() != expected.tobytes()
+
+    @pytest.mark.parametrize("dims", [(6, 10, 1), (30, 1, 28), (1, 12, 10),
+                                      (12, 10, 14)])
+    def test_inverse_scales_once_by_the_point_count(self, dims):
+        # a 1/n on every pass, as numpy's irfftn does, rounds differently
+        # wherever an active dim is not a power of two
+        grid = make_grid(dims, (TWO_PI, TWO_PI, TWO_PI))
+        rng = np.random.default_rng(5)
+        axes = [1 + i for i, n in enumerate(dims) if n > 1]
+        coeffs = scipy.fft.rfftn(rng.standard_normal((3,) + dims), axes=axes)
+        coeffs += 1j * rng.standard_normal(coeffs.shape)
+        s = [dims[a - 1] for a in axes]
+        expected = scipy.fft.irfftn(coeffs, s=s, axes=axes)
+        assert ifftn_array(grid, coeffs).tobytes() == expected.tobytes()
+        per_pass = np.fft.irfftn(coeffs, s=s, axes=axes)
+        assert per_pass.tobytes() != expected.tobytes()
 
     def test_parseval(self):
         f = band_limited_scalar(GRID_64, seed=7, fraction=0.5)

@@ -5,6 +5,8 @@ system, checks it against the composed diffops expressions it replaced,
 and checks that `integrate` evaluates the RHS once per accepted state.  A fi
 state in one plane of a 2D grid ("planar_fi") steps on its in-plane
 coefficients alone (`_rhs_fi_plane_hat`); every other state on the full ones.
+The transforms run on numpy.fft's one-axis calls; with scipy.fft's n-d calls
+in their place, every rate and step must carry the same bits.
 """
 
 import dataclasses
@@ -49,6 +51,7 @@ from metacont.fields import (
     cross,
     dealias_field,
     _plane,
+    _transform_axes,
     dot,
     fftn_array,
     make_grid,
@@ -412,6 +415,64 @@ def test_cached_second_derivative_symbols_keep_second_order_bitwise(shape, monke
     monkeypatch.setattr(diffops, "_second_derivative_symbols",
                         ref.second_derivative_symbols)
     assert final() == cached
+
+
+# ---------------------------------------------------------------------------
+# the transform engine
+# ---------------------------------------------------------------------------
+
+def _scipy_fftn_array(grid, values):
+    axes = [values.ndim - 3 + i for i in _transform_axes(grid)]
+    return scipy.fft.rfftn(values, axes=axes) if axes else values.astype(np.complex128)
+
+
+def _scipy_ifftn_array(grid, coeffs):
+    active = _transform_axes(grid)
+    if not active:
+        return coeffs.real.copy()
+    return scipy.fft.irfftn(coeffs, s=[grid.dims[i] for i in active],
+                            axes=[coeffs.ndim - 3 + i for i in active])
+
+
+def _use_scipy_engine(monkeypatch):
+    """Route the stepping path's transforms through scipy.fft's n-d calls."""
+    for module in ("fields", "diffops", "dynamics"):
+        monkeypatch.setattr(f"metacont.{module}.fftn_array", _scipy_fftn_array)
+        monkeypatch.setattr(f"metacont.{module}.ifftn_array", _scipy_ifftn_array)
+
+
+def _digest(rates):
+    return [value.values.tobytes() for value in vars(rates).values()
+            if value is not None]
+
+
+ENGINE_CASES = [(system, shape) for system in ("fi_incompressible", "compressible_solid")
+                for shape in sorted(BUDGET_GRIDS)] + [("planar_fi", "2d")]
+
+
+@pytest.mark.parametrize("system, shape", ENGINE_CASES,
+                         ids=[f"{shape}-{system}" for system, shape in ENGINE_CASES])
+def test_rhs_bitwise_equal_under_scipy_transforms(system, shape, monkeypatch):
+    state = _state(BUDGET_GRIDS[shape], seed=3, planar=system == "planar_fi")
+    system = "fi_incompressible" if system == "planar_fi" else system
+    numpy_bits = _digest(rhs(state, PARAMS, system))
+    _use_scipy_engine(monkeypatch)
+    assert _digest(rhs(state, PARAMS, system)) == numpy_bits
+
+
+@pytest.mark.parametrize("shape", sorted(BUDGET_GRIDS) + ["2d_planar"])
+def test_fi_integrate_bitwise_equal_under_scipy_transforms(shape, monkeypatch):
+    state = _system_state("planar_fi" if shape == "2d_planar" else "fi_incompressible",
+                          BUDGET_GRIDS[shape[:2]])
+    control = StepControl(t_end=0.05, dt=0.01)
+
+    def final():
+        out = integrate(state, PARAMS, control, "fi_incompressible")
+        return out.v.values.tobytes(), out.E.values.tobytes()
+
+    numpy_bits = final()
+    _use_scipy_engine(monkeypatch)
+    assert final() == numpy_bits
 
 
 # ---------------------------------------------------------------------------
