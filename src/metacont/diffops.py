@@ -69,13 +69,18 @@ def _broadcast_shape(*shapes) -> tuple[int, ...]:
     return np.broadcast_shapes(*shapes)
 
 
-def _div_hat(g, hats) -> np.ndarray:
-    """sum_i (i k_i) hats[i] over the active axes i, from +0: the divergence
-    of stacked coefficients over their leading axis (of a tensor stack too).
-    Only the hats[i] of active axes are read, so hats may be a dict of those."""
+def _div_hat(g, hats, out=None) -> np.ndarray:
+    """sum_i (i k_i) hats[i] over the active axes i, from +0, into `out` if
+    given: the divergence of stacked coefficients over their leading axis
+    (of a tensor stack too).  Only the hats[i] of active axes are read, so
+    hats may be a dict of those; with no active axis, the divergence of a
+    stack is zero with the shape of one of its entries, hats.shape[1:]."""
     ik, axes = _ik(g), _transform_axes(g)
-    shape = _broadcast_shape(g.spectral_shape, *(np.shape(hats[i]) for i in axes))
-    out = np.zeros(shape, dtype=np.complex128)
+    if out is None:
+        shapes = [np.shape(hats[i]) for i in axes] or [np.shape(hats)[1:]]
+        out = np.zeros(_broadcast_shape(g.spectral_shape, *shapes), dtype=np.complex128)
+    else:
+        out.fill(0.0)
     term = np.empty_like(out)
     for i in axes:
         out += np.multiply(ik[i], hats[i], out=term)
@@ -111,9 +116,10 @@ def div(v: VectorField) -> ScalarField:
     return ScalarField._wrap(v.grid, _divergence(v.grid, v.values))
 
 
-def _curl_hat(k, hats) -> np.ndarray:
-    """ik x h for stacked wavenumbers k and coefficients h of a vector field."""
-    out = _cross_arrays(k, hats)
+def _curl_hat(k, hats, out=None) -> np.ndarray:
+    """ik x h for stacked wavenumbers k and coefficients h of a vector field,
+    into `out` if given."""
+    out = _cross_arrays(k, hats, out)
     out *= 1j
     return out
 
@@ -257,15 +263,16 @@ def _guarded_k_squared(g) -> np.ndarray:
     return guarded
 
 
-def _leray_hat(g, hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leray_hat(g, hats: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Spectral Leray projection of stacked coefficients: (solenoidal
-    coefficients, potential coefficients).  hats is a vector's three
-    components or a planar vector's in-plane pair (see `fields`)."""
+    coefficients, into `out` if given, and potential coefficients).  hats
+    is a vector's three components or a planar vector's in-plane pair (see
+    `fields`)."""
     planar = len(hats) == 2
     phi_hat = _div_hat(g, dict(zip(_plane(g), hats)) if planar else hats)
     np.negative(phi_hat, out=phi_hat)
     phi_hat /= _guarded_k_squared(g)
-    sol_hat = (_ik(g, plane=True) if planar else _ik(g)) * phi_hat
+    sol_hat = np.multiply(_ik(g, plane=True) if planar else _ik(g), phi_hat, out=out)
     return np.subtract(hats, sol_hat, out=sol_hat), phi_hat
 
 

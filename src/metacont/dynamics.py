@@ -63,7 +63,9 @@ lie along n, and v x curl v, ik x (anything along n), the Leray projection
 and kappa E in the plane.  Its stages hold [v_a, v_b, E_a, E_b] alone and
 transform 12 components, not 20 (`_rhs_fi_plane_hat`), in the full path's
 order: states and physical rates carry its bits, rate coefficients all but
-the sign of a zero.
+the sign of a zero.  Such a stage writes its terms into three arrays it
+allocates, the 7-component inverse input, the 5 products and the 2 x 2
+rates, and frees each after its last read.
 The other systems have no constraint and keep physical stages: the
 compressible ones because their 1/mu_field factor and positivity check need
 the density in physical space at every stage, and the linear ones are built
@@ -75,7 +77,10 @@ accepted state, its stage values and its stage rates.  A state is accepted
 once its RHS is evaluated and finite, the final one included; that
 evaluation is the next step's first stage and is what the observer sees.
 A failed step leaves the head where it was.  The physical rates, and fi's
-pressure, are formed only when the observer asks for them.
+pressure, are formed only when the observer asks for them.  A step's inner
+stages 2-4 are evaluated for their rates alone: on coefficients, they decode
+no physical state and form no rates, so a step decodes one state, the one it
+accepts.
 
 Finiteness.  Operators do not scan their results.  The stepper scans the
 rates of every RK stage and each accepted state in the stage layout, not
@@ -373,13 +378,14 @@ def _bracket_hat(g, va, ea, div_e):
     return bracket_hat
 
 
-def _stress_rate_hat(g, hats, omega_hat, bracket_hat,
-                     params: MediumParams) -> np.ndarray:
-    """Coefficients of E_t = eta curl(curl v) - bracket - kappa E, with
-    curl(curl v) read as ik x omega_hat from omega_hat = ik x v_hat; on a
-    planar state's in-plane hats, omega_hat is the normal component."""
+def _stress_rate_hat(g, hats, omega_hat, bracket_hat, params: MediumParams,
+                     out=None) -> np.ndarray:
+    """Coefficients of E_t = eta curl(curl v) - bracket - kappa E, into `out`
+    if given, with curl(curl v) read as ik x omega_hat from omega_hat =
+    ik x v_hat; on a planar state's in-plane hats, omega_hat is the normal
+    component."""
     k = _k_vector(g, plane=True) if len(hats[1]) == 2 else _k_vector(g)
-    out = _curl_hat(k, omega_hat)
+    out = _curl_hat(k, omega_hat, out)
     out *= params.eta
     out -= bracket_hat
     out -= params.kappa * hats[1]
@@ -462,7 +468,7 @@ def _rhs_linear_navier(state: FluidState, params: MediumParams) -> NavierRates:
     return NavierRates(du=state.v, dv=dv)
 
 
-def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
+def _rhs_fi_hat(g, hats, params: MediumParams, physical=None, observed=True):
     """Frame-indifferent incompressible elastic fluid, on the stacked
     half-spectrum coefficients hats = [v_hat, E_hat].
 
@@ -480,8 +486,8 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     Returns the stacked rate coefficients [dv_hat, dE_hat], the stacked
     physical [v, E] that the products used (inverse-transformed unless
     `physical` gives them) and a function that forms the physical `FiRates`
-    once, on request.  The quadratic terms are the only ones that leave
-    spectral space.
+    once, on request, or None unless `observed`.  The quadratic terms are
+    the only ones that leave spectral space.
     """
     if physical is None:
         physical = ifftn_array(g, hats)
@@ -495,34 +501,53 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     bracket_hat = _bracket_hat(g, va, ea, div_e)
     rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, omega_hat, bracket_hat,
                                                     params)])
-    return rates_hat, physical, _fi_rates(g, rates_hat, phi_hat, va, params)
+    rates = _fi_rates(g, rates_hat, phi_hat, va, params) if observed else None
+    return rates_hat, physical, rates
 
 
-def _rhs_fi_plane_hat(g, hats, params: MediumParams, physical=None):
+def _rhs_fi_plane_hat(g, hats, params: MediumParams, physical=None, observed=True):
     """`_rhs_fi_hat` on the in-plane coefficients [[v_a, v_b], [E_a, E_b]] of
     a planar state (see the module docstring), in its operation order: one
     inverse transform of [v, E] (unless `physical` gives them), curl v and
-    [div v, div E], one forward one of the five products; `rates()` is 3D."""
-    omega_hat = _curl_hat(_k_vector(g, plane=True), hats[0])
-    inverse = [omega_hat[None], _div_hat(g, dict(zip(_plane(g), hats.swapaxes(0, 1))))]
+    [div v, div E], one forward one of the five products; `rates()` is 3D.
+    Its terms are written into three arrays it allocates, each freed after
+    its last read: the inverse input, the products and the rate stack."""
+    k, shape = _k_vector(g, plane=True), hats.shape[2:]
+    a, b, _ = _plane(g)
+    omega_hat = _curl_hat(k, hats[0])
+    # [v_a, v_b, E_a, E_b] unless given, omega_n, div v, div E
+    inverse = np.empty((7 if physical is None else 3,) + shape, np.complex128)
     if physical is None:
-        inverse.insert(0, hats.reshape((4,) + hats.shape[2:]))
-    values = ifftn_array(g, np.concatenate(inverse))
+        inverse[:4] = hats.reshape((4,) + shape)
+    inverse[-3] = omega_hat
+    _div_hat(g, {a: hats[:, 0], b: hats[:, 1]}, out=inverse[-2:])
+    values = ifftn_array(g, inverse)
+    del inverse
     omega, div_e = values[-3], _checked(values[-2:], ("v",))[1]
     physical = values[:4].reshape((2, 2) + g.shape) if physical is None else physical
     va, ea = physical
-    products = fftn_array(g, np.concatenate(
-        [_cross_arrays(va, omega), va * div_e, _cross_arrays(va, ea)[None]]))
-    lamb_hat = products[:2]
+    # [v x omega (in plane), v div E, (v x E)_n]
+    products = np.empty((5,) + g.shape)
+    _cross_arrays(va, omega, products[:2])
+    np.multiply(va, div_e, out=products[2:4])
+    _cross_arrays(va, ea, products[4])
+    products_hat = fftn_array(g, products)
+    del products
+    # [dv_hat, dE_hat]; dE_hat's slot holds E/mu and ik x P[v x E] until
+    # the stress rate is written into it
+    rates_hat = np.empty(hats.shape, np.complex128)
+    lamb_hat = products_hat[:2]
     lamb_hat *= _dealias_factor(g)
-    lamb_hat -= hats[1] / params.mu
-    dv_hat, phi_hat = _leray_hat(g, lamb_hat)
-    bracket_hat = products[2:4]
-    bracket_hat -= _curl_hat(_k_vector(g, plane=True), products[4])
+    lamb_hat -= np.divide(hats[1], params.mu, out=rates_hat[1])
+    phi_hat = _leray_hat(g, lamb_hat, rates_hat[0])[1]
+    bracket_hat = products_hat[2:4]
+    bracket_hat -= _curl_hat(k, products_hat[4], rates_hat[1])
     bracket_hat *= _dealias_factor(g)
-    rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, omega_hat, bracket_hat,
-                                                    params)])
-    return rates_hat, physical, _fi_rates(g, rates_hat, phi_hat, va, params)
+    # an assignment to itself, unless `_stress_rate_hat` is rebound to a
+    # function that returns a new array
+    rates_hat[1] = _stress_rate_hat(g, hats, omega_hat, bracket_hat, params, rates_hat[1])
+    rates = _fi_rates(g, rates_hat, phi_hat, va, params) if observed else None
+    return rates_hat, physical, rates
 
 
 def _fi_rates(g, rates_hat, phi_hat, va, params: MediumParams):
@@ -540,7 +565,8 @@ def _fi_rates(g, rates_hat, phi_hat, va, params: MediumParams):
     return rates
 
 
-def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
+def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None,
+                          observed=True):
     """Stress-eliminated second-order form, on the stacked coefficients
     hats = [v_hat, v_t_hat].
 
@@ -560,7 +586,7 @@ def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
     rates_hat = np.stack([_leray_hat(g, hats[1])[0], _leray_hat(g, raw_hat)[0]])
     rates = functools.cache(lambda: SecondOrderRates(
         *(VectorField._wrap(g, a) for a in ifftn_array(g, rates_hat))))
-    return rates_hat, physical, rates
+    return rates_hat, physical, rates if observed else None
 
 
 def _rhs_compressible(state: FluidState, params: MediumParams,
@@ -634,8 +660,8 @@ class System:
     scenarios    the scenario kinds whose initial state the system accepts
     rhs          (state, params) -> rates, evaluated on physical RK stages
     rhs_hat      or the RHS on the fields' stacked half-spectrum coefficients
-                 (the signature of `_rhs_fi_hat`), velocity rates projected:
-                 the RK stages then hold coefficients
+                 (the signature of `_rhs_fi_hat`, `observed` optional),
+                 velocity rates projected: the RK stages then hold coefficients
     rhs_plane_hat  or `rhs_hat` on a planar state's in-plane coefficients
     observed     rate attributes a run writes beside the fields (fi's pressure)
     cfl_speed    the MediumParams attribute that is the fastest signal speed
@@ -673,13 +699,13 @@ SYSTEMS: dict[str, System] = {
         scenarios=_WAVES | {"compression_pulse"}, cfl_speed="c_s"),
     "fi_incompressible": System(
         fields=("v", "E"), rates=("dv", "dE"),
-        rhs_hat=lambda g, hats, p, physical: _rhs_fi_hat(g, hats, p, physical),
-        rhs_plane_hat=lambda g, hats, p, phys: _rhs_fi_plane_hat(g, hats, p, phys),
+        rhs_hat=lambda g, hats, p, *args: _rhs_fi_hat(g, hats, p, *args),
+        rhs_plane_hat=lambda g, hats, p, *args: _rhs_fi_plane_hat(g, hats, p, *args),
         observed=("pressure",), scenarios=_STRESSED,
         uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "second_order": System(
         fields=("v", "v_t"), rates=("dv", "dv_t"), scenarios=_SOLENOIDAL,
-        rhs_hat=lambda g, hats, p, physical: _rhs_second_order_hat(g, hats, p, physical),
+        rhs_hat=lambda g, hats, p, *args: _rhs_second_order_hat(g, hats, p, *args),
         # v_t starts as the fi velocity rate of the scenario state
         initial=lambda s, p: SecondOrderState(
             time=s.time, v=s.v, v_t=rhs(s, p, "fi_incompressible").dv)),
@@ -778,9 +804,11 @@ class _Stepper:
     `plane` (a, b, n) of a 2D grid, which fi keeps (see the module
     docstring).  States and `rates()` have three components all the same.
     `start` accepts the first state and `advance` moves the head one step;
-    a state is accepted only once its RHS is evaluated and finite.  A
-    failed evaluation raises an IntegrationError carrying the head, which
-    stays where it was.
+    a state is accepted only once its RHS is evaluated and finite.
+    `evaluate` returns the physical state at any stage values; `advance`
+    evaluates its inner stages for their rates alone (`_inner_stage`) and
+    decodes only the state it accepts.  A failed evaluation raises an
+    IntegrationError carrying the head, which stays where it was.
     """
 
     def __init__(self, system: str, params: MediumParams, like):
@@ -793,6 +821,8 @@ class _Stepper:
         plane = self.record.rhs_plane_hat and _plane(self.grid)
         if plane and not any(a[plane[2]].any() for a in self._values(like)):
             self.plane = plane
+        record = self.record
+        self.rhs_hat = record.rhs_hat if self.plane is None else record.rhs_plane_hat
 
     def _values(self, state) -> list[np.ndarray]:
         values = [getattr(state, name).values for name in self.record.fields]
@@ -821,8 +851,7 @@ class _Stepper:
             k = [getattr(rates, name).values for name in record.rates]
             return k, state, lambda: rates
         physical = None if state is None else np.stack(self._values(state))
-        rhs_hat = record.rhs_hat if self.plane is None else record.rhs_plane_hat
-        k, physical, rates = rhs_hat(self.grid, y[0], self.params, physical)
+        k, physical, rates = self.rhs_hat(self.grid, y[0], self.params, physical)
         if state is None:
             state = self._decode(_embed(self.grid, physical), time)
         return [k], state, rates
@@ -832,6 +861,16 @@ class _Stepper:
         k, state, rates = self.evaluate(y, time, state)
         _check_finite(k)
         return k, state, rates
+
+    def _inner_stage(self, y, time: float) -> list[np.ndarray]:
+        """The stage rates at y, scanned finite, of an RK stage whose state
+        and physical rates nothing reads: on coefficients, no state is
+        decoded and no `rates()` formed."""
+        if self.record.rhs_hat is None:
+            return self._stage(y, time)[0]
+        k = [self.rhs_hat(self.grid, y[0], self.params, None, False)[0]]
+        _check_finite(k)
+        return k
 
     def start(self, state) -> None:
         """Accept `state` as the head."""
@@ -870,13 +909,13 @@ class _Stepper:
 
         time = self.time + h
         try:
-            k2 = self._stage(plus_y([k * (h / 2.0) for k in self.k]), self.time)[0]
-            k3 = self._stage(plus_y([k * (h / 2.0) for k in k2]), self.time)[0]
+            k2 = self._inner_stage(plus_y([k * (h / 2.0) for k in self.k]), self.time)
+            k3 = self._inner_stage(plus_y([k * (h / 2.0) for k in k2]), self.time)
             y4 = plus_y([k * h for k in k3])
             # y + (a + (b + c) * 2 + d) * (h / 6), in that operation order
             new = [b + c for b, c in zip(k2, k3)]
             del k2, k3    # freed before stage 4 is evaluated
-            k4 = self._stage(y4, self.time)[0]
+            k4 = self._inner_stage(y4, self.time)
             for out, a, d in zip(new, self.k, k4):
                 out *= 2.0
                 out += a

@@ -6,7 +6,8 @@ immutable once constructed; all operations are pure functions returning new
 fields and are bitwise deterministic for a fixed grid.  The private array
 helpers behind them (`_cross_arrays`, the `diffops` and `dynamics` spectral
 helpers) may scale, accumulate and subtract in place, but only into arrays
-they allocated themselves, never into an argument.
+they allocated themselves or into the `out` array a caller hands them,
+never into an input.
 
 A dimension of size 1 is inactive: derivatives along it vanish and it is
 exempt from the even-and-at-least-4 rule.  2D runs are 3D grids with nz=1.
@@ -41,7 +42,9 @@ the complex conjugates of the stored ones, c(-m) = conj(c(m)).
 `GridSpec.spectral_shape` is the coefficient shape, and `_mode_indices`,
 `angular_wavenumbers`, `dealias_mask`, `fftn_array`, `ifftn_array`,
 `spectral_norm_l2` and `mode_coefficient` all describe this one layout; no
-other module knows which axis is halved.  A grid without an active axis is
+other module knows which axis is halved.  `fftn_array` and `ifftn_array`
+count what they transform, in `transformed_components` and
+`transformed_bytes`.  A grid without an active axis is
 its own (complex) coefficient array.  The engine is numpy's pocketfft, the
 code `scipy.fft` wraps, without scipy's import (which would double the
 package's).  One-axis calls in pocketfft's n-d order and scaling give the
@@ -301,6 +304,19 @@ def _stack_axes(grid: GridSpec, values: np.ndarray) -> tuple[int, ...]:
     return tuple(lead + i for i in _transform_axes(grid))
 
 
+# component transforms run since import (a call on a stack counts each
+# component) and their input plus output bytes; read them as attributes of
+# this module, e.g. the difference across a call
+transformed_components = 0
+transformed_bytes = 0
+
+
+def _count(given: np.ndarray, out: np.ndarray) -> None:
+    global transformed_components, transformed_bytes
+    transformed_components += math.prod(given.shape[:-3])
+    transformed_bytes += given.nbytes + out.nbytes
+
+
 def fftn_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Forward real-to-complex DFT over the trailing grid axes of an array of
     any leading shape (unnormalized), in the half-spectrum layout."""
@@ -310,6 +326,7 @@ def fftn_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     out = np.fft.rfft(values, axis=axes[-1])
     for axis in axes[:-1]:
         np.fft.fft(out, axis=axis, out=out)
+    _count(values, out)
     return out
 
 
@@ -321,12 +338,15 @@ def ifftn_array(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.real.copy()
     n = grid.dims[_halved_axis(grid)]
     if len(axes) == 1:
-        return np.fft.irfft(coeffs, n, axis=axes[0])
-    work = np.fft.ifft(coeffs, axis=axes[0], norm="forward")
-    for axis in axes[1:-1]:
-        np.fft.ifft(work, axis=axis, norm="forward", out=work)
-    out = np.fft.irfft(work, n, axis=axes[-1], norm="forward")
-    return np.multiply(out, 1.0 / grid.num_points, out=out)
+        out = np.fft.irfft(coeffs, n, axis=axes[0])
+    else:
+        work = np.fft.ifft(coeffs, axis=axes[0], norm="forward")
+        for axis in axes[1:-1]:
+            np.fft.ifft(work, axis=axis, norm="forward", out=work)
+        out = np.fft.irfft(work, n, axis=axes[-1], norm="forward")
+        np.multiply(out, 1.0 / grid.num_points, out=out)
+    _count(coeffs, out)
+    return out
 
 
 def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -466,15 +486,24 @@ def dot(v: VectorField, w: VectorField) -> ScalarField:
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]   # component j -> (j + 1) % 3, (j + 2) % 3
 
 
-def _cross_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross_arrays(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Cross product over the leading axis of two stacked triples, formed
-    per component in one new array (indexing whole stacks would copy four);
-    of planar forms (see the module docstring), a is an in-plane pair."""
+    per component in one array, `out` or a new one (indexing whole stacks
+    would copy four); of planar forms (see the module docstring), a is an
+    in-plane pair."""
+    if len(a) == 2 and np.ndim(b) == np.ndim(a):
+        out = np.multiply(a[0], b[1], out=out)
+        out -= a[1] * b[0]
+        return out
+    if out is None:
+        # a planar pair times a field along n: b broadcasts against each of a
+        lead = () if np.ndim(b) == np.ndim(a) else (1,)
+        out = np.empty(np.broadcast_shapes(a.shape, lead + np.shape(b)),
+                       np.result_type(a, b))
     if len(a) == 2:
-        if np.ndim(b) == np.ndim(a):
-            return a[0] * b[1] - a[1] * b[0]
-        return np.stack([a[1] * b, -(a[0] * b)])
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+        np.multiply(a[1], b, out=out[0])
+        np.negative(np.multiply(a[0], b, out=out[1]), out=out[1])
+        return out
     term = np.empty_like(out[0])
     for j, (n, f) in enumerate(zip(_NEXT, _AFTER)):
         np.multiply(a[n], b[f], out=out[j])

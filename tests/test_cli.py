@@ -319,6 +319,30 @@ class TestRun:
         # no stress vector state: no law reports for this system
         assert summary["law_residual_max_normalized_linf"] == {}
 
+    @pytest.mark.parametrize("system, kind", [
+        (system, kind) for system, record in sorted(dynamics.SYSTEMS.items())
+        for kind in sorted(record.scenarios & {"gaussian_vortex", "random_solenoidal",
+                                               "uniform_E_decay", "compression_pulse"})])
+    def test_a_one_point_grid_runs_to_finite_artifacts(self, tmp_path, system, kind):
+        # no axis is active, so every derivative is zero and a divergence
+        # keeps the leading shape of the stack it reads
+        out = tmp_path / "out"
+        doc = {"grid": {"dims": [1, 1, 1]}, "system": system,
+               "scenario": {"kind": kind, "amplitude": 0.01},
+               "control": {"t_end": 0.06, "dt": 0.02},
+               "outputs": {"snapshot_every": 1, "report_every": 1, "out_dir": str(out)}}
+        summary, _ = run(RunConfig.from_dict(doc))
+        assert summary["final_time"] == pytest.approx(0.06)
+        snapshots = sorted(out.rglob("*.f64"))
+        assert snapshots
+        for path in snapshots:
+            assert np.isfinite(np.fromfile(path, "<f8")).all(), path
+        for path in out.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_non_finite)
+        for path in out.rglob("*.ndjson"):
+            for line in path.read_text().splitlines():
+                json.loads(line, parse_constant=_non_finite)
+
     def test_blowup_writes_a_finite_diagnostic_snapshot(self, tmp_path):
         doc = shear_config(tmp_path / "out", t_end=1e5, amplitude=1.0, dt=1e3)
         with pytest.raises(IntegrationError), \
@@ -390,6 +414,10 @@ class TestVerify:
             with pytest.raises(SystemExit) as info:
                 main(["verify", *options])
             assert info.value.code == 2
+
+
+def _non_finite(name):
+    raise AssertionError(f"an artifact holds {name}")
 
 
 def _stretch_x(v, factor=1.001):

@@ -5,8 +5,10 @@ system, checks it against the composed diffops expressions it replaced,
 and checks that `integrate` evaluates the RHS once per accepted state.  A fi
 state in one plane of a 2D grid ("planar_fi") steps on its in-plane
 coefficients alone (`_rhs_fi_plane_hat`); every other state on the full ones.
-The transforms run on numpy.fft's one-axis calls; with scipy.fft's n-d calls
-in their place, every rate and step must carry the same bits.
+The budgets read the package's transform counter, which must count what
+numpy.fft's one-axis entry points see.  The transforms run on those calls;
+with scipy.fft's n-d calls in their place, every rate and step must carry
+the same bits.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from metacont import diffops, dynamics
+from metacont import diffops, dynamics, fields
 from metacont.cli import RunConfig, run
 
 from metacont.diffops import (
@@ -208,8 +210,15 @@ def _count_transforms(monkeypatch, fn) -> int:
     return count
 
 
-@_cases(BUDGET)
-def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
+def _counted(fn) -> int:
+    """Component transforms of fn() by the package's own counter."""
+    before = fields.transformed_components
+    fn()
+    return fields.transformed_components - before
+
+
+def _budget_call(system, shape):
+    """The call whose component transforms BUDGET[(system, shape)] pins."""
     g = BUDGET_GRIDS[shape]
     state = _state(g, planar=system in ("planar_fi", "fi_plane_hat"))
     if system == "second_order":
@@ -235,7 +244,12 @@ def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
         call = lambda: upper_convected_tensor(sigma, state.v)  # noqa: E731
     else:
         call = lambda: rhs(state, PARAMS, system)  # noqa: E731
-    assert _count_transforms(monkeypatch, call) == BUDGET[(system, shape)]
+    return call
+
+
+@_cases(BUDGET)
+def test_transform_budget_per_rhs_call(system, shape):
+    assert _counted(_budget_call(system, shape)) == BUDGET[(system, shape)]
 
 
 def _system_state(system, grid):
@@ -246,21 +260,42 @@ def _system_state(system, grid):
     return SYSTEM_TABLE[system].initial(generate(spec, grid, PARAMS), PARAMS)
 
 
-def _step_transforms(monkeypatch, state, system):
-    """Component transforms of one accepted step of `integrate`."""
-    def steps(n):
-        control = StepControl(t_end=n * STABLE_DT, dt=STABLE_DT)
-        return _count_transforms(
-            monkeypatch, lambda: integrate(state, PARAMS, control, system))
+def _steps(state, system, n):
+    """A call of `integrate` that takes n steps."""
+    control = StepControl(t_end=n * STABLE_DT, dt=STABLE_DT)
+    return lambda: integrate(state, PARAMS, control, system)
 
-    return steps(3) - steps(2)
+
+def _step_transforms(count, state, system):
+    """Component transforms of one accepted step of `integrate`, by `count`."""
+    return count(_steps(state, system, 3)) - count(_steps(state, system, 2))
 
 
 @_cases(STEP_BUDGET)
-def test_transform_budget_per_step(system, shape, monkeypatch):
+def test_transform_budget_per_step(system, shape):
     state = _system_state(system, BUDGET_GRIDS[shape])
     name = "fi_incompressible" if system == "planar_fi" else system
-    assert _step_transforms(monkeypatch, state, name) == STEP_BUDGET[(system, shape)]
+    assert _step_transforms(_counted, state, name) == STEP_BUDGET[(system, shape)]
+
+
+GUARD_CASES = ([("rhs", *key) for key in sorted(BUDGET)]
+               + [("step", *key) for key in sorted(STEP_BUDGET)])
+
+
+@pytest.mark.parametrize("kind, system, shape", GUARD_CASES, ids=[
+    f"{kind}-{shape}-{system}" for kind, system, shape in GUARD_CASES])
+def test_the_counter_counts_what_the_entry_points_see(kind, system, shape, monkeypatch):
+    # every budget call, and three steps of every step budget, counted by
+    # the package and by numpy.fft's entry points, which must see no other
+    # transform
+    if kind == "rhs":
+        call = _budget_call(system, shape)
+    else:
+        name = "fi_incompressible" if system == "planar_fi" else system
+        call = _steps(_system_state(system, BUDGET_GRIDS[shape]), name, 3)
+    before = fields.transformed_components
+    seen = _count_transforms(monkeypatch, call)
+    assert fields.transformed_components - before == seen > 0
 
 
 @pytest.mark.parametrize("case", ("v_off_plane", "E_off_plane", "3d", "1d"))
@@ -278,7 +313,8 @@ def test_a_state_off_the_plane_steps_on_all_components(case, monkeypatch):
         g = BUDGET_GRIDS["3d"] if case == "3d" else make_grid((32, 1, 1), (3.0, 1.0, 1.0))
         state = _state(g, seed=5)
     assert _Stepper("fi_incompressible", PARAMS, state).plane is None
-    assert _step_transforms(monkeypatch, state, "fi_incompressible") == 80
+    count = lambda fn: _count_transforms(monkeypatch, fn)  # noqa: E731
+    assert _step_transforms(count, state, "fi_incompressible") == 80
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +554,32 @@ def test_integrate_evaluates_the_rhs_four_times_per_step(system, observed,
     # every accepted state, the final one included, is evaluated once, and
     # that evaluation is the next step's first stage
     assert len(calls) == 4 * n + 1
+
+
+@pytest.mark.parametrize("system", ("planar_fi", "fi_incompressible"))
+def test_one_advance_decodes_one_state(system, monkeypatch):
+    # stages 2-4 are evaluated for their rates alone: only the accepted end
+    # state is decoded, and `evaluate` still returns the state of any stage
+    state = _system_state(system, BUDGET_GRIDS["2d"])
+    stepper = _Stepper("fi_incompressible", PARAMS, state)
+    assert (stepper.plane is not None) == (system == "planar_fi")
+    stepper.start(state)
+    decoded = []
+    decode = _Stepper._decode
+
+    def counted(self, values, time):
+        decoded.append(time)
+        return decode(self, values, time)
+
+    monkeypatch.setattr(_Stepper, "_decode", counted)
+    stepper.advance(STABLE_DT)
+    assert decoded == [stepper.time]
+    accepted = stepper.state
+    again = stepper.evaluate(stepper.y, stepper.time)[1]
+    assert decoded == [stepper.time] * 2
+    for name in ("v", "E"):
+        got, want = getattr(again, name).values, getattr(accepted, name).values
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_pressure_at_step_n_is_the_rhs_pressure_of_state_n(tmp_path, monkeypatch):
