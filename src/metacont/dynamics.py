@@ -468,7 +468,7 @@ def _rhs_linear_navier(state: FluidState, params: MediumParams) -> NavierRates:
     return NavierRates(du=state.v, dv=dv)
 
 
-def _rhs_fi_hat(g, hats, params: MediumParams, physical=None, observed=True):
+def _rhs_fi_hat(g, hats, params: MediumParams, physical=None):
     """Frame-indifferent incompressible elastic fluid, on the stacked
     half-spectrum coefficients hats = [v_hat, E_hat].
 
@@ -486,8 +486,8 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None, observed=True):
     Returns the stacked rate coefficients [dv_hat, dE_hat], the stacked
     physical [v, E] that the products used (inverse-transformed unless
     `physical` gives them) and a function that forms the physical `FiRates`
-    once, on request, or None unless `observed`.  The quadratic terms are
-    the only ones that leave spectral space.
+    once, on request.  The quadratic terms are the only ones that leave
+    spectral space.
     """
     if physical is None:
         physical = ifftn_array(g, hats)
@@ -501,11 +501,10 @@ def _rhs_fi_hat(g, hats, params: MediumParams, physical=None, observed=True):
     bracket_hat = _bracket_hat(g, va, ea, div_e)
     rates_hat = np.stack([dv_hat, _stress_rate_hat(g, hats, omega_hat, bracket_hat,
                                                     params)])
-    rates = _fi_rates(g, rates_hat, phi_hat, va, params) if observed else None
-    return rates_hat, physical, rates
+    return rates_hat, physical, _fi_rates(g, rates_hat, phi_hat, va, params)
 
 
-def _rhs_fi_plane_hat(g, hats, params: MediumParams, physical=None, observed=True):
+def _rhs_fi_plane_hat(g, hats, params: MediumParams, physical=None):
     """`_rhs_fi_hat` on the in-plane coefficients [[v_a, v_b], [E_a, E_b]] of
     a planar state (see the module docstring), in its operation order: one
     inverse transform of [v, E] (unless `physical` gives them), curl v and
@@ -546,8 +545,7 @@ def _rhs_fi_plane_hat(g, hats, params: MediumParams, physical=None, observed=Tru
     # an assignment to itself, unless `_stress_rate_hat` is rebound to a
     # function that returns a new array
     rates_hat[1] = _stress_rate_hat(g, hats, omega_hat, bracket_hat, params, rates_hat[1])
-    rates = _fi_rates(g, rates_hat, phi_hat, va, params) if observed else None
-    return rates_hat, physical, rates
+    return rates_hat, physical, _fi_rates(g, rates_hat, phi_hat, va, params)
 
 
 def _fi_rates(g, rates_hat, phi_hat, va, params: MediumParams):
@@ -565,8 +563,7 @@ def _fi_rates(g, rates_hat, phi_hat, va, params: MediumParams):
     return rates
 
 
-def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None,
-                          observed=True):
+def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
     """Stress-eliminated second-order form, on the stacked coefficients
     hats = [v_hat, v_t_hat].
 
@@ -586,7 +583,7 @@ def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None,
     rates_hat = np.stack([_leray_hat(g, hats[1])[0], _leray_hat(g, raw_hat)[0]])
     rates = functools.cache(lambda: SecondOrderRates(
         *(VectorField._wrap(g, a) for a in ifftn_array(g, rates_hat))))
-    return rates_hat, physical, rates if observed else None
+    return rates_hat, physical, rates
 
 
 def _rhs_compressible(state: FluidState, params: MediumParams,
@@ -660,8 +657,8 @@ class System:
     scenarios    the scenario kinds whose initial state the system accepts
     rhs          (state, params) -> rates, evaluated on physical RK stages
     rhs_hat      or the RHS on the fields' stacked half-spectrum coefficients
-                 (the signature of `_rhs_fi_hat`, `observed` optional),
-                 velocity rates projected: the RK stages then hold coefficients
+                 (the signature of `_rhs_fi_hat`), velocity rates projected:
+                 the RK stages then hold coefficients
     rhs_plane_hat  or `rhs_hat` on a planar state's in-plane coefficients
     observed     rate attributes a run writes beside the fields (fi's pressure)
     cfl_speed    the MediumParams attribute that is the fastest signal speed
@@ -699,13 +696,13 @@ SYSTEMS: dict[str, System] = {
         scenarios=_WAVES | {"compression_pulse"}, cfl_speed="c_s"),
     "fi_incompressible": System(
         fields=("v", "E"), rates=("dv", "dE"),
-        rhs_hat=lambda g, hats, p, *args: _rhs_fi_hat(g, hats, p, *args),
-        rhs_plane_hat=lambda g, hats, p, *args: _rhs_fi_plane_hat(g, hats, p, *args),
+        rhs_hat=lambda g, hats, p, physical: _rhs_fi_hat(g, hats, p, physical),
+        rhs_plane_hat=lambda g, hats, p, phys: _rhs_fi_plane_hat(g, hats, p, phys),
         observed=("pressure",), scenarios=_STRESSED,
         uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "second_order": System(
         fields=("v", "v_t"), rates=("dv", "dv_t"), scenarios=_SOLENOIDAL,
-        rhs_hat=lambda g, hats, p, *args: _rhs_second_order_hat(g, hats, p, *args),
+        rhs_hat=lambda g, hats, p, physical: _rhs_second_order_hat(g, hats, p, physical),
         # v_t starts as the fi velocity rate of the scenario state
         initial=lambda s, p: SecondOrderState(
             time=s.time, v=s.v, v_t=rhs(s, p, "fi_incompressible").dv)),
@@ -868,7 +865,7 @@ class _Stepper:
         decoded and no `rates()` formed."""
         if self.record.rhs_hat is None:
             return self._stage(y, time)[0]
-        k = [self.rhs_hat(self.grid, y[0], self.params, None, False)[0]]
+        k = [self.rhs_hat(self.grid, y[0], self.params, None)[0]]
         _check_finite(k)
         return k
 

@@ -42,9 +42,7 @@ the complex conjugates of the stored ones, c(-m) = conj(c(m)).
 `GridSpec.spectral_shape` is the coefficient shape, and `_mode_indices`,
 `angular_wavenumbers`, `dealias_mask`, `fftn_array`, `ifftn_array`,
 `spectral_norm_l2` and `mode_coefficient` all describe this one layout; no
-other module knows which axis is halved.  `fftn_array` and `ifftn_array`
-count what they transform, in `transformed_components` and
-`transformed_bytes`.  A grid without an active axis is
+other module knows which axis is halved.  A grid without an active axis is
 its own (complex) coefficient array.  The engine is numpy's pocketfft, the
 code `scipy.fft` wraps, without scipy's import (which would double the
 package's).  One-axis calls in pocketfft's n-d order and scaling give the
@@ -304,19 +302,6 @@ def _stack_axes(grid: GridSpec, values: np.ndarray) -> tuple[int, ...]:
     return tuple(lead + i for i in _transform_axes(grid))
 
 
-# component transforms run since import (a call on a stack counts each
-# component) and their input plus output bytes; read them as attributes of
-# this module, e.g. the difference across a call
-transformed_components = 0
-transformed_bytes = 0
-
-
-def _count(given: np.ndarray, out: np.ndarray) -> None:
-    global transformed_components, transformed_bytes
-    transformed_components += math.prod(given.shape[:-3])
-    transformed_bytes += given.nbytes + out.nbytes
-
-
 def fftn_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Forward real-to-complex DFT over the trailing grid axes of an array of
     any leading shape (unnormalized), in the half-spectrum layout."""
@@ -326,7 +311,6 @@ def fftn_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     out = np.fft.rfft(values, axis=axes[-1])
     for axis in axes[:-1]:
         np.fft.fft(out, axis=axis, out=out)
-    _count(values, out)
     return out
 
 
@@ -338,15 +322,12 @@ def ifftn_array(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.real.copy()
     n = grid.dims[_halved_axis(grid)]
     if len(axes) == 1:
-        out = np.fft.irfft(coeffs, n, axis=axes[0])
-    else:
-        work = np.fft.ifft(coeffs, axis=axes[0], norm="forward")
-        for axis in axes[1:-1]:
-            np.fft.ifft(work, axis=axis, norm="forward", out=work)
-        out = np.fft.irfft(work, n, axis=axes[-1], norm="forward")
-        np.multiply(out, 1.0 / grid.num_points, out=out)
-    _count(coeffs, out)
-    return out
+        return np.fft.irfft(coeffs, n, axis=axes[0])
+    work = np.fft.ifft(coeffs, axis=axes[0], norm="forward")
+    for axis in axes[1:-1]:
+        np.fft.ifft(work, axis=axis, norm="forward", out=work)
+    out = np.fft.irfft(work, n, axis=axes[-1], norm="forward")
+    return np.multiply(out, 1.0 / grid.num_points, out=out)
 
 
 def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -691,13 +691,13 @@ class TestStepAndIntegrate:
         calls = itertools.count(1)
         overflowed = []
 
-        def rhs_hat(g, hats, p, *args):
+        def rhs_hat(g, hats, p, physical):
             if next(calls) == 9:
                 hats = hats.copy()
                 hats[1, 1, [1, -1], 0, 0] = 1e308
                 assert np.isfinite(hats).all()
                 overflowed.append(np.isinf(ifftn_array(g, hats)).any())
-            return record.rhs_hat(g, hats, p, *args)
+            return record.rhs_hat(g, hats, p, physical)
 
         monkeypatch.setitem(SYSTEMS, system, dataclasses.replace(record, rhs_hat=rhs_hat))
         with pytest.raises(IntegrationError) as info, \
@@ -714,8 +714,8 @@ def _plant_rate(monkeypatch, system, grid, call, bad):
     record = SYSTEMS[system]
     calls = itertools.count(1)
 
-    def rhs_hat(g, hats, p, *args):
-        k, physical, rates = record.rhs_hat(g, hats, p, *args)
+    def rhs_hat(g, hats, p, physical):
+        k, physical, rates = record.rhs_hat(g, hats, p, physical)
         if next(calls) == call:
             k = k.copy()
             k[1, 0, 1, 2, 0] = bad

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from metacont import fields
 from metacont.fields import (
     SNAPSHOT_LAYOUT,
     FieldError,
@@ -213,21 +212,6 @@ class TestSpectral:
         assert ifftn_array(grid, coeffs).tobytes() == expected.tobytes()
         per_pass = np.fft.irfftn(coeffs, s=s, axes=axes)
         assert per_pass.tobytes() != expected.tobytes()
-
-    @pytest.mark.parametrize("dims", [(8, 6, 1), (4, 6, 8), (1, 8, 1), (1, 1, 1)])
-    def test_transform_counter_adds_components_and_bytes(self, dims):
-        # a stack counts each component, and the bytes are its input plus
-        # its output; on a grid with no active axis nothing is transformed
-        grid = make_grid(dims, (TWO_PI, TWO_PI, TWO_PI))
-        values = np.random.default_rng(4).standard_normal((2, 3) + dims)
-        before = fields.transformed_components, fields.transformed_bytes
-        coeffs = fftn_array(grid, values)
-        back = ifftn_array(grid, coeffs)
-        added = (fields.transformed_components - before[0],
-                 fields.transformed_bytes - before[1])
-        active = any(n > 1 for n in dims)
-        assert added == ((12, 2 * (values.nbytes + coeffs.nbytes)) if active else (0, 0))
-        assert back.nbytes == values.nbytes
 
     def test_parseval(self):
         f = band_limited_scalar(GRID_64, seed=7, fraction=0.5)

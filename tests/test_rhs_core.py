@@ -5,10 +5,8 @@ system, checks it against the composed diffops expressions it replaced,
 and checks that `integrate` evaluates the RHS once per accepted state.  A fi
 state in one plane of a 2D grid ("planar_fi") steps on its in-plane
 coefficients alone (`_rhs_fi_plane_hat`); every other state on the full ones.
-The budgets read the package's transform counter, which must count what
-numpy.fft's one-axis entry points see.  The transforms run on those calls;
-with scipy.fft's n-d calls in their place, every rate and step must carry
-the same bits.
+The transforms run on numpy.fft's one-axis calls; with scipy.fft's n-d calls
+in their place, every rate and step must carry the same bits.
 """
 
 import dataclasses
@@ -18,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from metacont import diffops, dynamics, fields
+from metacont import diffops, dynamics
 from metacont.cli import RunConfig, run
 
 from metacont.diffops import (
@@ -210,15 +208,8 @@ def _count_transforms(monkeypatch, fn) -> int:
     return count
 
 
-def _counted(fn) -> int:
-    """Component transforms of fn() by the package's own counter."""
-    before = fields.transformed_components
-    fn()
-    return fields.transformed_components - before
-
-
-def _budget_call(system, shape):
-    """The call whose component transforms BUDGET[(system, shape)] pins."""
+@_cases(BUDGET)
+def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
     g = BUDGET_GRIDS[shape]
     state = _state(g, planar=system in ("planar_fi", "fi_plane_hat"))
     if system == "second_order":
@@ -244,12 +235,7 @@ def _budget_call(system, shape):
         call = lambda: upper_convected_tensor(sigma, state.v)  # noqa: E731
     else:
         call = lambda: rhs(state, PARAMS, system)  # noqa: E731
-    return call
-
-
-@_cases(BUDGET)
-def test_transform_budget_per_rhs_call(system, shape):
-    assert _counted(_budget_call(system, shape)) == BUDGET[(system, shape)]
+    assert _count_transforms(monkeypatch, call) == BUDGET[(system, shape)]
 
 
 def _system_state(system, grid):
@@ -260,42 +246,21 @@ def _system_state(system, grid):
     return SYSTEM_TABLE[system].initial(generate(spec, grid, PARAMS), PARAMS)
 
 
-def _steps(state, system, n):
-    """A call of `integrate` that takes n steps."""
-    control = StepControl(t_end=n * STABLE_DT, dt=STABLE_DT)
-    return lambda: integrate(state, PARAMS, control, system)
+def _step_transforms(monkeypatch, state, system):
+    """Component transforms of one accepted step of `integrate`."""
+    def steps(n):
+        control = StepControl(t_end=n * STABLE_DT, dt=STABLE_DT)
+        return _count_transforms(
+            monkeypatch, lambda: integrate(state, PARAMS, control, system))
 
-
-def _step_transforms(count, state, system):
-    """Component transforms of one accepted step of `integrate`, by `count`."""
-    return count(_steps(state, system, 3)) - count(_steps(state, system, 2))
+    return steps(3) - steps(2)
 
 
 @_cases(STEP_BUDGET)
-def test_transform_budget_per_step(system, shape):
+def test_transform_budget_per_step(system, shape, monkeypatch):
     state = _system_state(system, BUDGET_GRIDS[shape])
     name = "fi_incompressible" if system == "planar_fi" else system
-    assert _step_transforms(_counted, state, name) == STEP_BUDGET[(system, shape)]
-
-
-GUARD_CASES = ([("rhs", *key) for key in sorted(BUDGET)]
-               + [("step", *key) for key in sorted(STEP_BUDGET)])
-
-
-@pytest.mark.parametrize("kind, system, shape", GUARD_CASES, ids=[
-    f"{kind}-{shape}-{system}" for kind, system, shape in GUARD_CASES])
-def test_the_counter_counts_what_the_entry_points_see(kind, system, shape, monkeypatch):
-    # every budget call, and three steps of every step budget, counted by
-    # the package and by numpy.fft's entry points, which must see no other
-    # transform
-    if kind == "rhs":
-        call = _budget_call(system, shape)
-    else:
-        name = "fi_incompressible" if system == "planar_fi" else system
-        call = _steps(_system_state(system, BUDGET_GRIDS[shape]), name, 3)
-    before = fields.transformed_components
-    seen = _count_transforms(monkeypatch, call)
-    assert fields.transformed_components - before == seen > 0
+    assert _step_transforms(monkeypatch, state, name) == STEP_BUDGET[(system, shape)]
 
 
 @pytest.mark.parametrize("case", ("v_off_plane", "E_off_plane", "3d", "1d"))
@@ -313,8 +278,7 @@ def test_a_state_off_the_plane_steps_on_all_components(case, monkeypatch):
         g = BUDGET_GRIDS["3d"] if case == "3d" else make_grid((32, 1, 1), (3.0, 1.0, 1.0))
         state = _state(g, seed=5)
     assert _Stepper("fi_incompressible", PARAMS, state).plane is None
-    count = lambda fn: _count_transforms(monkeypatch, fn)  # noqa: E731
-    assert _step_transforms(count, state, "fi_incompressible") == 80
+    assert _step_transforms(monkeypatch, state, "fi_incompressible") == 80
 
 
 # ---------------------------------------------------------------------------
