@@ -165,14 +165,14 @@ def divergence_tensor(t: TensorField) -> VectorField:
     return VectorField._wrap(t.grid, _divergence(t.grid, t.values))
 
 
-def _contract(g, weights, symbols, values: np.ndarray) -> np.ndarray:
+def _contract(g, weights, symbols, hat: np.ndarray) -> np.ndarray:
     """sum_p weights[p] * D_p values, where symbols[p] is the spectral symbol
-    of the derivative D_p.  One derivative of the whole stack is alive at a
-    time, so the peak memory stays that of a few stacks.  A symbol that is
-    identically zero (a derivative along an inactive axis) adds an exact
-    zero, so it is skipped instead of transformed."""
-    hat = fftn_array(g, values)
-    out = np.zeros(np.shape(values))
+    of the derivative D_p and hat the coefficients of the stack values.  One
+    derivative of the whole stack is alive at a time, so the peak memory
+    stays that of a few stacks.  A symbol that is identically zero (a
+    derivative along an inactive axis) adds an exact zero, so it is skipped
+    instead of transformed."""
+    out = np.zeros(hat.shape[:-3] + g.shape)
     for w, sym in zip(weights, symbols):
         if sym.any():
             out += w * ifftn_array(g, sym * hat)
@@ -183,7 +183,7 @@ def advect_scalar(v: VectorField, f: ScalarField) -> ScalarField:
     """(v . grad) f with the product dealiased."""
     _check_same_grid(v, f)
     g = f.grid
-    out = _contract(g, v.values, _ik(g), f.values)
+    out = _contract(g, v.values, _ik(g), fftn_array(g, f.values))
     return ScalarField._wrap(g, dealias_array(g, out))
 
 
@@ -191,7 +191,7 @@ def vector_advection(v: VectorField, w: VectorField) -> VectorField:
     """(v . grad) w: contraction of v with the spectral gradient of w, dealiased."""
     _check_same_grid(v, w)
     g = v.grid
-    out = _contract(g, v.values, _ik(g), w.values)
+    out = _contract(g, v.values, _ik(g), fftn_array(g, w.values))
     return VectorField._wrap(g, dealias_array(g, out))
 
 
@@ -218,7 +218,8 @@ def hessian_contract(v: VectorField, sigma: TensorField) -> VectorField:
     s = sigma.values
     weights = np.where(_SYM_OFF, s[_SYM_I, _SYM_J] + s[_SYM_J, _SYM_I],
                        s[_SYM_I, _SYM_J])
-    out = _contract(g, weights, _second_derivative_symbols(g), v.values)
+    out = _contract(g, weights, _second_derivative_symbols(g),
+                    fftn_array(g, v.values))
     return VectorField._wrap(g, dealias_array(g, out))
 
 
@@ -228,7 +229,8 @@ def double_advection(v: VectorField, w: VectorField) -> VectorField:
     g = v.grid
     va = v.values
     weights = np.where(_SYM_OFF, 2.0, 1.0) * (va[_SYM_I] * va[_SYM_J])
-    out = _contract(g, weights, _second_derivative_symbols(g), w.values)
+    out = _contract(g, weights, _second_derivative_symbols(g),
+                    fftn_array(g, w.values))
     return VectorField._wrap(g, dealias_array(g, out))
 
 

@@ -333,7 +333,7 @@ def upper_convected_tensor(sigma: TensorField, v: VectorField) -> TensorField:
     s = sigma.values
     gv = grad_vector(v).values
     divv = gv[0, 0] + gv[1, 1] + gv[2, 2]
-    conv = _contract(g, v.values, _ik(g), s)
+    conv = _contract(g, v.values, _ik(g), fftn_array(g, s))
     lower = np.sum(s[:, :, None] * gv[None], axis=1)      # sum_k s_ik gv_kj
     upper = np.sum(gv[:, :, None] * s[:, None], axis=0)   # sum_k gv_ki s_kj
     return TensorField._wrap(g, dealias_array(g, conv - lower - upper + s * divv))

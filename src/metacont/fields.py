@@ -128,7 +128,10 @@ def _is_integer(x) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid: point counts (nx,ny,nz) and box lengths (Lx,Ly,Lz)."""
+    """Uniform periodic grid: point counts (nx,ny,nz) and box lengths (Lx,Ly,Lz).
+
+    Its hash is computed once, on construction: every per-grid cache lookup
+    on the stepping path hashes the grid."""
 
     dims: tuple[int, int, int]
     lengths: tuple[float, float, float]
@@ -152,6 +155,10 @@ class GridSpec:
                 raise GridError(f"box length must be positive and finite, got {L}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "_hash", hash((dims, lengths)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def shape(self) -> tuple[int, int, int]:

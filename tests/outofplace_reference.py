@@ -1,5 +1,6 @@
 """Out-of-place reference forms of the private array helpers on the stepping
-path, the RHS coefficient algebra around them and the RK4 update.
+path, the RHS coefficient algebra around them and the RK4 update, and the
+law report composed in physical space (`fi_report_reference`).
 
 The package forms each of these by scaling, accumulating and subtracting in
 place, in arrays the helper allocates itself.  Each one-liner here is the
@@ -12,13 +13,25 @@ cached complex copies; the results must still carry the same bits.
 
 import numpy as np
 
-from metacont.diffops import _SYM_I, _SYM_J, _guarded_k_squared, _ik
+from metacont.diffops import (
+    _SYM_I,
+    _SYM_J,
+    _guarded_k_squared,
+    _ik,
+    curl,
+    div,
+    vector_advection,
+)
 from metacont.fields import (
     _k_vector,
     _transform_axes,
+    cross,
+    dealias_field,
     dealias_mask,
     fftn_array,
     ifftn_array,
+    norm_l2,
+    norm_linf,
 )
 
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
@@ -114,3 +127,34 @@ def rk4_stage(y0, k, s):
 def rk4_update(y0, k1, k2, k3, k4, h):
     return [y + (a + (b + c) * 2.0 + d) * (h / 6.0)
             for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+
+
+def fi_report_reference(state, params, rates):
+    """{law: (l2, linf, norm)} of `emlaws.fi_report`, composed from the
+    public operators in physical space: every derivative and every dealiased
+    product makes its own round trip, B = mu curl v and J = P[v div E] are
+    physical fields, and each law's residual is the sum of its signed terms."""
+    v, E, dE = state.v, state.E, rates.dE
+    c2, kappa = params.c ** 2, params.kappa
+    B, dB = curl(v) * params.mu, curl(rates.dv) * params.mu
+    rho = div(E)
+    J = dealias_field(v * rho)
+    curl_E, curl_B = curl(E), curl(B)
+    v_cross_E = dealias_field(cross(v, E))
+    laws = {
+        "faraday": [curl_E, dB],
+        "displacement_current": [dE, -(curl_B * c2)],
+        "faraday_lorentz": [curl_E, -curl(dealias_field(cross(v, B))), dB],
+        "hertz_form": [dB, vector_advection(v, B), -vector_advection(B, v), curl_E],
+        "generalized_ampere": [dE, -curl(v_cross_E), E * kappa, J, -(curl_B * c2)],
+        "metacharge_continuity": [div(dE), div(J), rho * kappa],
+        "biot_savart": [B, v_cross_E * (1.0 / c2)],
+        "ohm_ampere": [curl_B, -(E * (kappa / c2))],
+        "ampere_vacuo": [curl_B * c2, -J],
+    }
+    out = {}
+    for name, terms in laws.items():
+        residual = sum(terms[1:], terms[0])
+        out[name] = (norm_l2(residual), norm_linf(residual),
+                     max(norm_l2(term) for term in terms))
+    return out

@@ -13,6 +13,8 @@ from metacont.fields import (
     ScalarField,
     TensorField,
     VectorField,
+    _dealias_factor,
+    _k_vector,
     _mode_indices,
     cross,
     dealias_field,
@@ -75,6 +77,18 @@ class TestMakeGrid:
         g = make_grid((48, 96, 1), (1.5, 3.0, 2.0))
         for h, L, n in zip(g.spacing, g.lengths, g.dims):
             assert h == L / n
+
+    def test_equal_grids_hash_equal_and_share_the_cached_symbols(self):
+        # the hash is computed once, from the normalized dims and lengths, so
+        # a grid built from numpy integers and ints as lengths finds the same
+        # per-grid cache entries as its plain twin
+        g = make_grid((24, 12, 1), (1.5, 3.0, 2.0))
+        twin = make_grid([np.int64(24), 12, np.uint8(1)], [1.5, 3, 2])
+        assert twin == g and twin is not g
+        assert hash(twin) == hash(g) == hash(((24, 12, 1), (1.5, 3.0, 2.0)))
+        assert _k_vector(twin) is _k_vector(g)
+        assert _dealias_factor(twin) is _dealias_factor(g)
+        assert make_grid((24, 12, 1), (1.5, 3.0, 2.5)) != g
 
 
 class TestFieldConstruction:

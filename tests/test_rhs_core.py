@@ -45,6 +45,7 @@ from metacont.dynamics import (
     upper_convected_tensor,
     upper_convected_vector,
 )
+from metacont.emlaws import fi_report
 from metacont.fields import (
     ScalarField,
     VectorField,
@@ -116,6 +117,9 @@ BUDGET = {
     ("second_order", "2d"): 50, ("second_order", "3d"): 62,
     ("upper_convected_vector", "2d"): 13, ("upper_convected_vector", "3d"): 13,
     ("linear_navier", "2d"): 6, ("linear_navier", "3d"): 6,
+    # not RHS calls: the law report of a fi state from its physical state
+    # and rates (96 and 102 while every term made a physical round trip)
+    ("fi_report", "2d"): 72, ("fi_report", "3d"): 78,
     # not RHS calls: operators whose derivatives along an inactive axis are
     # exact zeros that are filled in, not transformed
     ("grad", "2d"): 3, ("grad", "3d"): 4,
@@ -224,6 +228,9 @@ def test_transform_budget_per_rhs_call(system, shape, monkeypatch):
         call = lambda: _rhs_fi_plane_hat(g, hats, PARAMS)  # noqa: E731
     elif system == "planar_fi":
         call = lambda: rhs(state, PARAMS, "fi_incompressible")  # noqa: E731
+    elif system == "fi_report":
+        rates = rhs(state, PARAMS, "fi_incompressible")
+        call = lambda: fi_report(state, PARAMS, rates)  # noqa: E731
     elif system == "upper_convected_vector":
         call = lambda: upper_convected_vector(state.E, state.v)  # noqa: E731
     elif system == "grad":
