@@ -247,7 +247,7 @@ def run(config: RunConfig, observer=None):
     last = {}
 
     def observe(i, state, rates):
-        last.update(index=i, state=state, rates=rates)
+        last.update(index=i, rates=rates)
         if oracle is not None:
             times.append(state.time)
             series.append(oracle.sample(state))

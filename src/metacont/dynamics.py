@@ -21,8 +21,8 @@ Systems
       B_t = -curl E,   E_t = c^2 curl B.
 
 Spectral core.  The fi and compressible systems form their quadratic terms
-alike from the stacked half-spectrum coefficients [v, E] and the physical v
-and E, with P the two-thirds mask.  The momentum is in rotational form,
+alike from the half-spectrum coefficients of v and E and their grid values,
+with P the two-thirds mask.  The momentum is in rotational form,
 -(v.grad)v = v x omega - grad(|v|^2/2) (T. A. Zang, Appl. Numer. Math. 7,
 1991): omega = curl v from one inverse transform of ik x v, then P[v x omega].
 fi's Leray projection removes the gradient; the compressible
@@ -66,11 +66,18 @@ order: states and physical rates carry its bits, rate coefficients all but
 the sign of a zero.  Such a stage writes its terms into three arrays it
 allocates, the 7-component inverse input, the 5 products and the 2 x 2
 rates, and frees each after its last read.
-The other systems have no constraint and keep physical stages: the
-compressible ones because their 1/mu_field factor and positivity check need
-the density in physical space at every stage, and the linear ones are built
-from the `diffops` operators.  `rhs` and `integrate` take and return
-physical states whatever the layout.
+The compressible stages hold coefficients too, one array per field,
+[v, E, mu_field] for the liquid and [v, E, mu_field, u] for the solid: of
+every field but the density, whose grid values the 1/mu_field factor and the
+positivity check read at every stage.  Their RHS
+(`_rhs_compressible_hat`) returns [dv, dE, dmu, du], dmu as grid values and
+du the stage's own coefficients of v; it inverse-transforms v, E, div E,
+curl v, the dilational gradient and dmu, and forward-transforms only its
+five products, the momentum, |v|^2/2, v div E, v x E and mu v.  A solid step
+at 3D takes 111 component transforms, where physical stages took 144 to
+transform v, E and u in again at every stage.  The linear systems keep
+physical stages, built from the `diffops` operators.  `rhs` and `integrate`
+take and return physical states whatever the layout.
 
 A trajectory is one `_Stepper`, which holds the path's head: the last
 accepted state, its stage values and its stage rates.  A state is accepted
@@ -80,7 +87,9 @@ A failed step leaves the head where it was.  The physical rates, and fi's
 pressure, are formed only when the observer asks for them.  A step's inner
 stages 2-4 are evaluated for their rates alone: on coefficients, they decode
 no physical state and form no rates, so a step decodes one state, the one it
-accepts.
+accepts.  The stepper holds that state until its next step starts, and only
+weakly during it, so that grid values that only the state holds are freed
+while the step runs.
 
 Finiteness.  Operators do not scan their results.  The stepper scans the
 rates of every RK stage and each accepted state in the stage layout, not
@@ -100,6 +109,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -386,6 +396,7 @@ def _stress_rate_hat(g, hats, omega_hat, bracket_hat, params: MediumParams,
     component."""
     k = _k_vector(g, plane=True) if len(hats[1]) == 2 else _k_vector(g)
     out = _curl_hat(k, omega_hat, out)
+    del omega_hat    # not read again: a temporary passed here is freed
     out *= params.eta
     out -= bracket_hat
     out -= params.kappa * hats[1]
@@ -586,54 +597,78 @@ def _rhs_second_order_hat(g, hats, params: MediumParams, physical=None):
     return rates_hat, physical, rates
 
 
-def _rhs_compressible(state: FluidState, params: MediumParams,
-                      rheology: str) -> CompressibleRates:
-    """Slightly compressible extension.
+def _rhs_compressible_hat(g, y, params: MediumParams, rheology: str,
+                          physical=None):
+    """Slightly compressible extension, on the stage values
+    y = [v_hat, E_hat, mu_field(, u_hat)]: the half-spectrum coefficients of
+    v and E (and of u on the solid branch) and the grid values of the density.
 
     mu (v_t + v.grad v) = -E + grad(dilational stress) with the dilational
     stress (nu + 2 zeta) div v (liquid) or (lam + 2 eta) div u (solid), and
     v.grad v in rotational form; the E equation is unchanged from the
     incompressible system, and mu_t = -div(mu v), formed as -ik.P[mu v] with
-    P the two-thirds mask.  The solid branch also advances u_t = v.
+    P the two-thirds mask.  The solid branch also advances u_t = v.  Only
+    u_hat's components along the active axes are read.
+
+    Returns the stage rates [dv_hat, dE_hat, dmu(, du_hat)], dmu grid values
+    and du_hat the stage's own v_hat; the grid values [v, E] that the
+    products used (inverse-transformed unless `physical` gives them); and a
+    function that forms the physical `CompressibleRates` once, on request,
+    its du those grid values of v.  Only the five products are
+    forward-transformed: the momentum, the head |v|^2/2, v div E, v x E and
+    mu v.
     """
-    v, E, mu_f = state.v, state.E, state.mu_field
-    if float(mu_f.values.min()) <= 0.0:
-        raise DensityError(
-            f"density lost positivity (min = {float(mu_f.values.min()):.3e})"
-        )
-    g = v.grid
-    va, ea = v.values, E.values
-    hats = fftn_array(g, np.stack([va, ea]))
-    axes = list(_transform_axes(g))
-    if rheology == "liquid":
-        dilational_hat = _div_hat(g, hats[0]) * (params.nu + 2.0 * params.zeta)
-        du = None
-    else:
-        ua = state.u.values
-        dilational_hat = (params.lam + 2.0 * params.eta) * _div_hat(
-            g, {i: fftn_array(g, ua[i]) for i in axes})
-        du = v
-    # v x omega and the force per mass, (grad(dilational stress) - E) / mu
-    inv_mu = 1.0 / mu_f.values
-    momentum = _cross_arrays(va, ifftn_array(g, _curl_hat(_k_vector(g), hats[0])))
+    v_hat, e_hat, mu = y[:3]
+    if float(mu.min()) <= 0.0:
+        raise DensityError(f"density lost positivity (min = {float(mu.min()):.3e})")
+    if physical is None:
+        physical = [ifftn_array(g, v_hat), ifftn_array(g, e_hat)]
+    va, ea = physical
+    # the stress rate, then the momentum, then the density rate: each frees
+    # its terms before the next, and a gradient is inverse-transformed and
+    # added one component at a time
+    k, ik, axes = _k_vector(g), _ik(g), _transform_axes(g)
+    dE_hat = _bracket_hat(g, va, ea, ifftn_array(g, _div_hat(g, e_hat)))
+    dE_hat = _stress_rate_hat(g, (v_hat, e_hat), _curl_hat(k, v_hat), dE_hat, params)
+    # v x omega - E / mu + grad(dilational stress) / mu
+    momentum = _cross_arrays(va, ifftn_array(g, _curl_hat(k, v_hat)))
+    inv_mu = 1.0 / mu
     momentum -= ea * inv_mu
-    active = slice(None) if len(axes) == 3 else axes
-    momentum[active] += ifftn_array(g, _ik(g)[active] * dilational_hat) * inv_mu
+    if rheology == "liquid":
+        dilational_hat = _div_hat(g, v_hat) * (params.nu + 2.0 * params.zeta)
+    else:
+        dilational_hat = (params.lam + 2.0 * params.eta) * _div_hat(g, y[3])
+    for i in axes:
+        momentum[i] += ifftn_array(g, ik[i] * dilational_hat) * inv_mu
     del dilational_hat, inv_mu
-    dv = fftn_array(g, momentum) * _dealias_factor(g) - _ik(g) * _head_hat(g, va)
+    dv_hat = fftn_array(g, momentum)
     del momentum
-    dv = ifftn_array(g, dv)
-    # the bracket, its rate coefficients, the rate: each frees the one before
-    dE = _bracket_hat(g, va, ea, ifftn_array(g, _div_hat(g, hats[1])))
-    dE = _stress_rate_hat(g, hats, _curl_hat(_k_vector(g), hats[0]), dE, params)
-    dE = ifftn_array(g, dE)
-    # the mass flux mu v, only along the active axes that its divergence reads
-    flux_hat = {i: fftn_array(g, mu_f.values * va[i]) for i in axes}
-    dmu = ifftn_array(g, -_div_hat(g, flux_hat) * _dealias_factor(g))
-    return CompressibleRates(dv=VectorField._wrap(g, dv),
-                             dE=VectorField._wrap(g, dE),
-                             dmu=ScalarField._wrap(g, dmu),
-                             du=du)
+    dv_hat *= _dealias_factor(g)
+    head_hat = _head_hat(g, va)
+    for i in range(3):
+        dv_hat[i] -= ik[i] * head_hat
+    del head_hat
+    # -div P[mu v], from the mass flux along the active axes alone
+    dmu = np.zeros(g.spectral_shape, np.complex128)
+    for i in axes:
+        dmu += ik[i] * fftn_array(g, mu * va[i])
+    dmu = ifftn_array(g, -dmu * _dealias_factor(g))
+    rates_hat = [dv_hat, dE_hat, dmu] + ([] if rheology == "liquid" else [v_hat])
+
+    # v's grid values, held weakly: a state that keeps them supplies du,
+    # else v_hat does
+    v_ref = weakref.ref(va)
+
+    @functools.cache
+    def rates() -> CompressibleRates:
+        du = None
+        if rheology != "liquid":
+            v = v_ref()
+            du = VectorField._wrap(g, ifftn_array(g, v_hat) if v is None else v)
+        return CompressibleRates(dv=VectorField._wrap(g, ifftn_array(g, dv_hat)),
+                                 dE=VectorField._wrap(g, ifftn_array(g, dE_hat)),
+                                 dmu=ScalarField._wrap(g, dmu), du=du)
+    return rates_hat, physical, rates
 
 
 def _rhs_classical_maxwell(state: MaxwellState, params: MediumParams) -> MaxwellRates:
@@ -656,9 +691,17 @@ class System:
     rates        the attribute of the RHS result that is each field's rate
     scenarios    the scenario kinds whose initial state the system accepts
     rhs          (state, params) -> rates, evaluated on physical RK stages
-    rhs_hat      or the RHS on the fields' stacked half-spectrum coefficients
-                 (the signature of `_rhs_fi_hat`), velocity rates projected:
-                 the RK stages then hold coefficients
+    rhs_hat      or the RHS on coefficient stages, which hold the fields'
+                 half-spectrum coefficients: (grid, stage values, params,
+                 grid values of the first two fields or None) -> (stage
+                 rates, those grid values, physical rates on request).  The
+                 stage values are one stack of coefficients, and so are the
+                 stage rates (`_rhs_fi_hat`, velocity rates projected), unless
+                 some fields are `physical`; then they are lists of one array
+                 per field (`_rhs_compressible_hat`)
+    physical     the fields a coefficient stage holds as grid values
+    read_by_div  the fields whose coefficients `rhs_hat` reads only through
+                 their divergence, so only along the active axes
     rhs_plane_hat  or `rhs_hat` on a planar state's in-plane coefficients
     observed     rate attributes a run writes beside the fields (fi's pressure)
     cfl_speed    the MediumParams attribute that is the fastest signal speed
@@ -674,6 +717,8 @@ class System:
     scenarios: frozenset[str]
     rhs: Callable | None = None
     rhs_hat: Callable | None = None
+    physical: tuple[str, ...] = ()
+    read_by_div: tuple[str, ...] = ()
     rhs_plane_hat: Callable | None = None
     observed: tuple[str, ...] = ()
     cfl_speed: str = "c"
@@ -708,15 +753,19 @@ SYSTEMS: dict[str, System] = {
             time=s.time, v=s.v, v_t=rhs(s, p, "fi_incompressible").dv)),
     "compressible_liquid": System(
         fields=("v", "E", "mu_field"), rates=("dv", "dE", "dmu"),
-        rhs=lambda s, p: _rhs_compressible(s, p, "liquid"),
-        scenarios=_STRESSED, cfl_speed="c_s", uses_kappa=True,
+        rhs_hat=lambda g, y, p, physical: _rhs_compressible_hat(
+            g, y, p, "liquid", physical),
+        physical=("mu_field",), scenarios=_STRESSED, cfl_speed="c_s",
+        uses_kappa=True,
         # the dilational stress (nu + 2 zeta) div v diffuses v with
         # D = (nu + 2 zeta) / mu at the density mu
         diffusivity=lambda p, mu: (p.nu + 2.0 * p.zeta) / mu,
         report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "compressible_solid": System(
         fields=("v", "E", "mu_field", "u"), rates=("dv", "dE", "dmu", "du"),
-        rhs=lambda s, p: _rhs_compressible(s, p, "solid"),
+        rhs_hat=lambda g, y, p, physical: _rhs_compressible_hat(
+            g, y, p, "solid", physical),
+        physical=("mu_field",), read_by_div=("u",),
         scenarios=_STRESSED | {"compression_pulse"}, cfl_speed="c_s",
         uses_kappa=True, report=lambda s, p, r: emlaws.fi_report(s, p, r)),
     "classical_maxwell": System(
@@ -795,17 +844,22 @@ class _Stepper:
     The stepper holds the path's head, the last accepted state: `state`, its
     `time`, its stage values `y`, its stage rates `k` (the first RK stage of
     the step from it) and `rates()`, the system's physical RHS result there.
-    The stage values are the physical values of the advanced fields, or
-    their stacked half-spectrum coefficients when the record has `rhs_hat`:
-    the in-plane ones alone (`rhs_plane_hat`) when `like` lies in the
-    `plane` (a, b, n) of a 2D grid, which fi keeps (see the module
-    docstring).  States and `rates()` have three components all the same.
+    The stage values are the physical values of the advanced fields, or,
+    when the record has `rhs_hat`, their half-spectrum coefficients: one
+    `stacked` array of them, the in-plane ones alone (`rhs_plane_hat`) when
+    `like` lies in the `plane` (a, b, n) of a 2D grid, which fi keeps (see
+    the module docstring); or one array per field when the record holds
+    some fields `physical`, those as grid values.  States and `rates()` have
+    three components all the same.
     `start` accepts the first state and `advance` moves the head one step;
     a state is accepted only once its RHS is evaluated and finite.
     `evaluate` returns the physical state at any stage values; `advance`
     evaluates its inner stages for their rates alone (`_inner_stage`) and
-    decodes only the state it accepts.  A failed evaluation raises an
-    IntegrationError carrying the head, which stays where it was.
+    decodes only the state it accepts.  The head's state is held until the
+    next step starts, and only weakly during it: whoever kept it still has
+    it, and once nobody does, `state` decodes it anew from y.  A failed
+    evaluation raises an IntegrationError carrying the head, which stays
+    where it was.
     """
 
     def __init__(self, system: str, params: MediumParams, like):
@@ -814,28 +868,80 @@ class _Stepper:
         self.grid = getattr(like, self.record.fields[0]).grid
         self.classes = [type(getattr(like, name)) for name in self.record.fields]
         self.like = dataclasses.replace(like, **dict.fromkeys(self.record.fields))
-        self.y = self.k = self.state = self.rates = self.time = self.plane = None
+        self.y = self.k = self.rates = self.time = self.plane = None
+        self._held = self._head = None
         plane = self.record.rhs_plane_hat and _plane(self.grid)
         if plane and not any(a[plane[2]].any() for a in self._values(like)):
             self.plane = plane
         record = self.record
         self.rhs_hat = record.rhs_hat if self.plane is None else record.rhs_plane_hat
+        self.stacked = not record.physical
+
+    @property
+    def state(self):
+        """The head's physical state, None before `start`."""
+        state = None if self._head is None else self._head()
+        if state is None and self.y is not None:
+            state = self._hold(self._decode(self._grid_values(self.y), self.time))
+        return state
+
+    def _hold(self, state):
+        self._held, self._head = state, weakref.ref(state)
+        return state
 
     def _values(self, state) -> list[np.ndarray]:
         values = [getattr(state, name).values for name in self.record.fields]
         return values if self.plane is None else [a[list(self.plane[:2])] for a in values]
 
-    def encode(self, state) -> list[np.ndarray]:
-        """The stage values of a physical state."""
-        if self.record.rhs_hat is None:
-            return self._values(state)
-        return [fftn_array(self.grid, np.stack(self._values(state)))]
+    def encode(self, state, one_off: bool = False) -> list[np.ndarray]:
+        """The stage values of a physical state.  `one_off` leaves zero the
+        coefficients of a `read_by_div` field along the inactive axes, which
+        an evaluation does not read and only a step advances."""
+        record, g = self.record, self.grid
+        values = self._values(state)
+        if record.rhs_hat is None:
+            return values
+        if self.stacked:
+            return [fftn_array(g, np.stack(values))]
+        y = []
+        for name, a in zip(record.fields, values):
+            if name in record.physical:
+                y.append(a)
+            elif one_off and name in record.read_by_div:
+                y.append(np.zeros(a.shape[:1] + g.spectral_shape, np.complex128))
+                for i in _transform_axes(g):
+                    y[-1][i] = fftn_array(g, a[i])
+            else:
+                y.append(fftn_array(g, a))
+        return y
+
+    def _grid_values(self, y, physical=None) -> list[np.ndarray]:
+        """The physical values of the advanced fields at stage values y;
+        `physical`, when given, holds those of the first two fields, which
+        the RHS has formed."""
+        record, g = self.record, self.grid
+        if record.rhs_hat is None:
+            return y
+        if self.stacked:
+            return list(_embed(g, ifftn_array(g, y[0]) if physical is None else physical))
+        values = [] if physical is None else list(physical)
+        for name, a in zip(record.fields[len(values):], y[len(values):]):
+            values.append(a if name in record.physical else ifftn_array(g, a))
+        return values
 
     def _decode(self, values, time: float):
         """The state at `time` with physical field values `values`."""
         fields = {name: cls._wrap(self.grid, a)
                   for name, cls, a in zip(self.record.fields, self.classes, values)}
         return dataclasses.replace(self.like, time=time, **fields)
+
+    def _rhs(self, y, physical=None):
+        """`rhs_hat` at stage values y, its stage rates as a list; `physical`
+        holds the grid values of the first two fields when they are known."""
+        if self.stacked:
+            k, physical, rates = self.rhs_hat(self.grid, y[0], self.params, physical)
+            return [k], physical, rates
+        return self.rhs_hat(self.grid, y, self.params, physical)
 
     def evaluate(self, y, time: float, state=None):
         """(stage rates k, physical state, rates on request) at stage values
@@ -847,11 +953,14 @@ class _Stepper:
             rates = record.rhs(state, self.params)
             k = [getattr(rates, name).values for name in record.rates]
             return k, state, lambda: rates
-        physical = None if state is None else np.stack(self._values(state))
-        k, physical, rates = self.rhs_hat(self.grid, y[0], self.params, physical)
+        physical = None
+        if state is not None:
+            physical = self._values(state)[:2]
+            physical = np.stack(physical) if self.stacked else physical
+        k, physical, rates = self._rhs(y, physical)
         if state is None:
-            state = self._decode(_embed(self.grid, physical), time)
-        return [k], state, rates
+            state = self._decode(self._grid_values(y, physical), time)
+        return k, state, rates
 
     def _stage(self, y, time: float, state=None):
         """`evaluate`, once its stage rates are scanned finite."""
@@ -865,7 +974,7 @@ class _Stepper:
         decoded and no `rates()` formed."""
         if self.record.rhs_hat is None:
             return self._stage(y, time)[0]
-        k = [self.rhs_hat(self.grid, y[0], self.params, None)[0]]
+        k = self._rhs(y)[0]
         _check_finite(k)
         return k
 
@@ -876,7 +985,8 @@ class _Stepper:
             k, _, rates = self._stage(y, state.time, state)
         except _STAGE_ERRORS as exc:
             raise self.failure(state, None, None, exc) from exc
-        self.y, self.time, self.state, self.k, self.rates = y, state.time, state, k, rates
+        self.y, self.time, self.k, self.rates = y, state.time, k, rates
+        self._hold(state)
 
     def check(self, state, h: float) -> None:
         """Raise StepSizeError unless a step of size h from `state` keeps
@@ -896,8 +1006,9 @@ class _Stepper:
         and the previous head is released only once the new one is accepted.
         Beside y and k1 a stage holds its input and at most one register:
         k2 at stage 3, k2 + k3 at stage 4, formed fresh before it (a rate is
-        read-only, and a physical du is its stage input's v)."""
+        read-only, and a du is its stage input's v)."""
         self.check(self.state, h)
+        self._held = None
 
         def plus_y(arrays):
             for out, y in zip(arrays, self.y):
@@ -908,10 +1019,11 @@ class _Stepper:
         try:
             k2 = self._inner_stage(plus_y([k * (h / 2.0) for k in self.k]), self.time)
             k3 = self._inner_stage(plus_y([k * (h / 2.0) for k in k2]), self.time)
-            y4 = plus_y([k * h for k in k3])
             # y + (a + (b + c) * 2 + d) * (h / 6), in that operation order
             new = [b + c for b, c in zip(k2, k3)]
-            del k2, k3    # freed before stage 4 is evaluated
+            del k2    # freed before y + k3 h is formed
+            y4 = plus_y([k * h for k in k3])
+            del k3
             k4 = self._inner_stage(y4, self.time)
             for out, a, d in zip(new, self.k, k4):
                 out *= 2.0
@@ -924,7 +1036,8 @@ class _Stepper:
             k, state, rates = self._stage(new, time)
         except _STAGE_ERRORS as exc:
             raise self.failure(self.state, self.rates, h, exc) from exc
-        self.y, self.time, self.state, self.k, self.rates = new, time, state, k, rates
+        self.y, self.time, self.k, self.rates = new, time, k, rates
+        self._hold(state)
 
     def failure(self, state, rates, h, exc: Exception) -> "IntegrationError":
         step = "" if h is None else f" with dt={h:.3e}"
@@ -948,7 +1061,7 @@ def rhs(state, params: MediumParams, system: str):
     there, through a stepper of the system.  A system that steps on
     coefficients transforms the state in once and its rates out once."""
     stepper = _Stepper(system, params, state)
-    return stepper.evaluate(stepper.encode(state), state.time, state)[2]()
+    return stepper.evaluate(stepper.encode(state, one_off=True), state.time, state)[2]()
 
 
 def integrate(state, params: MediumParams, control: StepControl, system: str,

@@ -100,7 +100,7 @@ def fi_rates_hat(g, hats, params):
 
 
 def compressible_rates(state, params, rheology):
-    """(dv, dE, dmu) of `_rhs_compressible`."""
+    """(dv, dE, dmu) of the compressible systems' `rhs`, composed out of place."""
     g = state.v.grid
     va, ea, mu = state.v.values, state.E.values, state.mu_field.values
     hats = fftn_array(g, np.stack([va, ea]))

@@ -14,10 +14,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import metacont
 from metacont import cli, diffops, dynamics, emlaws
@@ -37,18 +40,22 @@ from metacont.dynamics import (
     IntegrationError,
     MaxwellState,
     MediumParams,
+    SolenoidalityError,
     StepControl,
+    StepSizeError,
     auto_step_size,
     integrate,
 )
 from metacont.fields import (
+    FieldError,
+    GridError,
     ScalarField,
     VectorField,
     make_grid,
     norm_l2,
     read_snapshot,
 )
-from metacont.scenarios import ScenarioSpec, generate
+from metacont.scenarios import FitError, ScenarioError, ScenarioSpec, generate
 
 from helpers import assert_plain_numbers
 
@@ -333,15 +340,8 @@ class TestRun:
                "outputs": {"snapshot_every": 1, "report_every": 1, "out_dir": str(out)}}
         summary, _ = run(RunConfig.from_dict(doc))
         assert summary["final_time"] == pytest.approx(0.06)
-        snapshots = sorted(out.rglob("*.f64"))
-        assert snapshots
-        for path in snapshots:
-            assert np.isfinite(np.fromfile(path, "<f8")).all(), path
-        for path in out.rglob("*.json"):
-            json.loads(path.read_text(), parse_constant=_non_finite)
-        for path in out.rglob("*.ndjson"):
-            for line in path.read_text().splitlines():
-                json.loads(line, parse_constant=_non_finite)
+        assert sorted(out.rglob("*.f64"))
+        _assert_finite_artifacts(out)
 
     def test_blowup_writes_a_finite_diagnostic_snapshot(self, tmp_path):
         doc = shear_config(tmp_path / "out", t_end=1e5, amplitude=1.0, dt=1e3)
@@ -418,6 +418,83 @@ class TestVerify:
 
 def _non_finite(name):
     raise AssertionError(f"an artifact holds {name}")
+
+
+def _assert_finite_artifacts(out):
+    """Every snapshot value and every number in a JSON artifact is finite."""
+    for path in sorted(out.rglob("*.f64")):
+        assert np.isfinite(np.fromfile(path, "<f8")).all(), path
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_non_finite)
+    for path in out.rglob("*.ndjson"):
+        for line in path.read_text().splitlines():
+            json.loads(line, parse_constant=_non_finite)
+
+
+# what a run may raise on a config it accepts or refuses
+_TYPED_ERRORS = (ConfigError, GridError, FieldError, ScenarioError, FitError,
+                 StepSizeError, IntegrationError, DensityError, SolenoidalityError)
+
+
+# every scenario kind; a system refuses the ones it does not accept
+_KINDS = sorted(set().union(*(r.scenarios for r in dynamics.SYSTEMS.values())))
+
+
+@st.composite
+def _run_docs(draw):
+    """Short runs from any scenario kind, on a one-point, planar or 3D grid
+    of 4 to 8 points a side; the test names the system."""
+    shape = draw(st.sampled_from(("point", "planar", "3d")))
+    dims = [1, 1, 1] if shape == "point" else [
+        draw(st.sampled_from((4, 6, 8))) for _ in range(3)]
+    if shape == "planar":
+        dims[draw(st.integers(0, 2))] = 1
+    dt = draw(st.sampled_from(("auto", 0.01, 0.3)))
+    every = draw(st.sampled_from((0, 1)))
+    wavevector = [draw(st.integers(-2, 2)) for _ in range(3)]
+    # orthogonal to the wavevector unless it is zero
+    polarization = np.cross(wavevector, [draw(st.integers(-1, 1)) for _ in range(3)])
+    return {
+        "grid": {"dims": dims,
+                 "lengths": [draw(st.sampled_from((0.5, 1.0, TWO_PI, 10.0)))
+                             for _ in range(3)]},
+        "params": {"kappa": draw(st.sampled_from((0.0, 0.5))),
+                   "lam": draw(st.sampled_from((0.0, 10.0)))},
+        "scenario": {
+            "kind": draw(st.sampled_from(_KINDS)),
+            "amplitude": draw(st.sampled_from((1e-3, 0.3, 2.0))),
+            "wavevector": wavevector,
+            "polarization": [int(p) for p in polarization],
+            "seed": draw(st.integers(0, 3))},
+        # three steps of a fixed dt; auto dt's steps to 0.01 are bounded by
+        # the stiffest limit on these grids
+        "control": {"t_end": 0.01 if dt == "auto" else 3 * dt, "dt": dt,
+                    "cfl": draw(st.sampled_from((0.4, 1.0)))},
+        "outputs": {"snapshot_every": every, "report_every": every},
+    }
+
+
+_ONE_POINT = {"grid": {"dims": [1, 1, 1]},
+              "scenario": {"kind": "random_solenoidal", "amplitude": 0.01},
+              "control": {"t_end": 0.03, "dt": 0.01},
+              "outputs": {"snapshot_every": 1, "report_every": 1}}
+
+
+@pytest.mark.parametrize("system", sorted(dynamics.SYSTEMS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(doc=_run_docs())
+@example(doc=_ONE_POINT)
+def test_a_small_run_finishes_finite_or_raises_a_typed_error(system, doc):
+    doc = {**doc, "system": system}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                summary, _ = run(RunConfig.from_dict(doc, out_dir=out))
+        except _TYPED_ERRORS:
+            return
+        assert summary["final_time"] == pytest.approx(doc["control"]["t_end"])
+        _assert_finite_artifacts(out)
 
 
 def _stretch_x(v, factor=1.001):

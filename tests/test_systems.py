@@ -215,7 +215,7 @@ def test_fixed_dt_is_held_to_the_stiff_limits(system, params, term, h_max,
                      system).time == inside.dt
     # beyond the limit: rejected before the first RK stage evaluates the RHS
     calls = []
-    for name in ("_rhs_compressible", "_rhs_fi_hat"):
+    for name in ("_rhs_compressible_hat", "_rhs_fi_hat"):
         monkeypatch.setattr(dynamics, name, lambda *a: calls.append(a))
     beyond = StepControl(t_end=1.0, dt=h_max * (1.0 + 1e-9))
     with pytest.raises(StepSizeError, match=term):
